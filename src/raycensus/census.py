@@ -10,13 +10,14 @@ with trapped-singular-orbit evidence.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .addresses import InfiniteAddress, enumerate_periodic, period_of
 from .cycles import Box, Cycle, CycleSearch, find_cycles
 from .exponential import MapModel, evaluate, is_escaped
-from .rays import LandingResult, SingularFate, landing_point, singular_escape_status
+from .rays import LandingResult, SingularFate, land_periodic, singular_escape_status
 from .regions import OnArcError, PointLocationError, build_ray_graph
 from .tails import choose_radius
 
@@ -37,46 +38,57 @@ class LandingSearch:
         return not self.addresses
 
 
+@dataclass
+class PeriodLandings:
+    """The window addresses of one primitive period, each landed once."""
+
+    addresses: list[InfiniteAddress]
+    results: list[LandingResult]
+    points: np.ndarray  # landing points; nan where the ray did not land
+
+
+def landing_table(m: MapModel, window: int, periods,
+                  landing_tol: float = 1e-10) -> dict[int, PeriodLandings]:
+    """Lands the window addresses of each period, one batched pass per period."""
+    table: dict[int, PeriodLandings] = {}
+    for p in sorted(set(periods)):
+        addrs = [s for s in enumerate_periodic(window, p) if period_of(s) == p]
+        results = land_periodic(m, [s.period for s in addrs], tol=landing_tol)
+        points = np.array([r.point if r.landed else np.nan for r in results],
+                          dtype=complex)
+        table[p] = PeriodLandings(addrs, results, points)
+    return table
+
+
 def landing_search(m: MapModel, cycle: Cycle, window: int, period_cap: int,
                    match_tol: float = DEFAULT_MATCH_TOL,
                    landing_tol: float = 1e-10,
-                   threads: int = 1) -> LandingSearch:
+                   table: dict[int, PeriodLandings] | None = None
+                   ) -> LandingSearch:
     """All window addresses whose rays land on the cycle (finite search).
 
     Candidate ray periods are the multiples of the cycle period up to
     period_cap; rays landing at a period-m orbit always have period a
-    multiple of m.
+    multiple of m.  `table` (see landing_table) holds the landings of those
+    periods; without it the candidates are landed here.
     """
     if not cycle.is_repelling:
         raise ValueError("landing search is defined for repelling cycles")
-    mper = cycle.period
-    candidates: list[InfiniteAddress] = []
-    q = 1
-    while q * mper <= period_cap:
-        candidates.extend(s for s in enumerate_periodic(window, q * mper)
-                          if period_of(s) == q * mper)
-        q += 1
-
-    def attempt(s: InfiniteAddress) -> LandingResult:
-        return landing_point(m, s, tol=landing_tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(attempt, candidates))
-    else:
-        results = [attempt(s) for s in candidates]
-
+    periods = range(cycle.period, period_cap + 1, cycle.period)
+    if table is None:
+        table = landing_table(m, window, periods, landing_tol)
+    targets = np.array(cycle.points)
     matched: list[InfiniteAddress] = []
     failures: list[tuple[InfiniteAddress, str]] = []
-    for s, res in zip(candidates, results):
-        if not res.landed:
-            failures.append((s, res.status))
-            continue
-        if min(abs(res.point - z) for z in cycle.points) < match_tol:
-            matched.append(s)
-    periods = {period_of(s) for s in matched}
+    for p in periods:
+        row = table[p]
+        failures += [(s, res.status) for s, res in zip(row.addresses, row.results)
+                     if not res.landed]
+        near = np.abs(row.points[:, None] - targets).min(axis=1) < match_tol
+        matched += [s for s, hit in zip(row.addresses, near) if hit]
+    periods_found = {period_of(s) for s in matched}
     return LandingSearch(cycle=cycle, addresses=matched, failures=failures,
-                         equal_period_ok=len(periods) <= 1)
+                         equal_period_ok=len(periods_found) <= 1)
 
 
 def _basin_absorbed(m: MapModel, cycles: list[Cycle], horizon: int,
@@ -241,7 +253,7 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
           depth: int = 40, horizon: int = 1000, grid: int = 40,
           probe_grid: int = 120, tol: float = 1e-12,
           tol_band: float = 1e-6, landing_tol: float = 1e-10,
-          match_tol: float = DEFAULT_MATCH_TOL, threads: int = 1,
+          match_tol: float = DEFAULT_MATCH_TOL,
           config: dict | None = None) -> CensusReport:
     """Full census pipeline: cycles, landing searches, counts, verdict."""
     search: CycleSearch = find_cycles(m, max_period, box, grid=grid, tol=tol,
@@ -275,12 +287,14 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
             "the census requires no such escape")
         return report
 
-    for cyc in cycles:
-        if not cyc.is_repelling:
-            continue
+    repelling = [cyc for cyc in cycles if cyc.is_repelling]
+    table = landing_table(m, window, {q * cyc.period for cyc in repelling
+                                      for q in range(1, max_period + 1)},
+                          landing_tol)
+    for cyc in repelling:
         ls = landing_search(m, cyc, window, max_period * cyc.period,
                             match_tol=match_tol, landing_tol=landing_tol,
-                            threads=threads)
+                            table=table)
         report.searches.append(ls)
         if not ls.equal_period_ok:
             report.warnings.append(

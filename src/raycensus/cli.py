@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -112,14 +111,6 @@ class _Options:
         if val is None:
             raise UsageError(f"missing required option --{key}")
         return val
-
-
-def _threads(opts: _Options) -> int:
-    val = opts.get("threads", cast=int)
-    if val is None:
-        env = os.environ.get("RAYCENSUS_THREADS")
-        val = int(env) if env else (os.cpu_count() or 1)
-    return max(1, val)
 
 
 def _map_model(opts: _Options) -> MapModel:
@@ -306,7 +297,7 @@ def _cmd_audit(opts: _Options) -> int:
     report = audit(m, box, max_period, window, depth=depth, horizon=horizon,
                    grid=grid, probe_grid=probe_grid, tol=tol,
                    tol_band=tol_band, landing_tol=landing_tol,
-                   match_tol=match_tol, threads=_threads(opts), config=config)
+                   match_tol=match_tol, config=config)
     if opts.get("csv", False, cast=bool):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -367,8 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radius", type=float, help="override tract radius R")
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--out", help="write output here instead of stdout")
-        p.add_argument("--threads", type=int,
-                       help="worker threads (or RAYCENSUS_THREADS)")
 
     p = sub.add_parser("trace-ray", help="sample a dynamic ray to CSV")
     common(p)

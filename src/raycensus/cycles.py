@@ -179,7 +179,9 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
                 if not ok:
                     continue
                 z0 = min(polished, key=lambda w: (w.real, w.imag))
-                if already_found(mp, z0):
+                # polishing can collapse a rough orbit onto a cycle of a
+                # dividing period, which that period's pass reports
+                if _minimal_period(m, z0, mp, tol) != mp or already_found(mp, z0):
                     continue
                 k0 = polished.index(z0)
                 pts = tuple(polished[(k0 + t) % mp] for t in range(mp))

@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .addresses import InfiniteAddress, period_of
 from .exponential import (
+    ESCAPED,
+    OVERFLOW_RE,
     TWO_PI,
     MapModel,
     SingularValueHit,
@@ -32,6 +37,8 @@ _LADDER_CAP = 600.0
 
 DEFAULT_LANDING_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
+
+_EPS = sys.float_info.epsilon
 
 
 class RoundTripError(ArithmeticError):
@@ -203,12 +210,178 @@ def landing_point(m: MapModel, s: InfiniteAddress, zeta: complex | None = None,
             itinerary_ok = False
         lam *= cmath.exp(zj)
         orbit.append(evaluate(m, zj))
-    if is_escaped(orbit[-1]) or abs(orbit[-1] - z0) > 10.0 * tol * max(1.0, abs(z0)):
+    if is_escaped(orbit[-1]) or abs(orbit[-1] - z0) > _closure_bound(tol, lam, z0):
         return LandingResult("not-converged", iterations=it,
                              detail="forward orbit does not close")
     return LandingResult("landed", point=z0, psi_derivative=1.0 / lam,
                          multiplier=lam, iterations=it,
                          itinerary_ok=itinerary_ok)
+
+
+def _closure_bound(tol: float, lam, z0):
+    """Largest accepted |f^p(z0) - z0|.
+
+    z0 is known to about eps*|z0|, and f^p multiplies that error by
+    |lambda|, so the bound grows with the conditioning of f^p.
+    """
+    return (np.maximum(10.0 * tol, 64.0 * _EPS * np.abs(lam))
+            * np.maximum(1.0, np.abs(z0)))
+
+
+# ---------------------------------------------------------------------------
+# batched landing: landing_point along the address axis
+
+#: first branch-cut event of a batched psi step, per row
+_NO_HIT, _HIT_SINGULAR, _HIT_CUT = 0, 1, 2
+_HIT_DETAIL = {_HIT_SINGULAR: "singular-value", _HIT_CUT: "cut"}
+
+
+def _psi_batch(c: complex, shifts: np.ndarray,
+               w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi applied to each row of w, and the row's first inverse-branch failure.
+
+    shifts[:, j] holds 2*pi*i*s_j.  Rows that fail keep being computed (as
+    inf or nan); only their first failure is recorded.
+    """
+    hit = np.zeros(len(w), dtype=np.int8)
+    for j in range(shifts.shape[1] - 1, -1, -1):
+        u = w - c
+        event = np.where(u == 0, _HIT_SINGULAR,
+                         np.where((u.imag == 0.0) & (u.real < 0.0), _HIT_CUT, _NO_HIT))
+        hit = np.where(hit == _NO_HIT, event, hit)
+        w = np.log(u) + shifts[:, j]
+    return w, hit
+
+
+def _newton_polish_batch(c: complex, w: np.ndarray, p: int,
+                         tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """_newton_polish on every row: (points, rows where it succeeded)."""
+    z = w.copy()
+    ok = np.zeros(len(w), dtype=bool)
+    rows = np.arange(len(w))
+    step = np.zeros(len(w), dtype=complex)
+    for _ in range(30):
+        zr = z[rows]
+        f = zr
+        d = np.ones(len(rows), dtype=complex)
+        failed = np.zeros(len(rows), dtype=bool)
+        for _ in range(p):
+            failed |= f.real > 600.0
+            e = np.exp(f)
+            d = d * e
+            f = e + c
+        gp = d - 1.0
+        failed |= np.abs(gp) < 1e-30
+        st = (f - zr) / gp
+        zr = zr - st
+        done = ~failed & (np.abs(st) < 1e-15 * np.maximum(1.0, np.abs(zr)))
+        z[rows[~failed]] = zr[~failed]
+        step[rows] = st
+        ok[rows[done]] = True
+        rows = rows[~failed & ~done]
+        if not rows.size:
+            return z, ok
+    ok[rows] = np.abs(step[rows]) < tol
+    return z, ok
+
+
+def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
+                  max_iter: int = DEFAULT_MAX_ITER) -> list[LandingResult]:
+    """landing_point for many purely periodic addresses at once.
+
+    words is an (N, p) integer array whose rows are primitive period words
+    s_0 ... s_{p-1}.  The pullback, the Newton polish and every check of
+    landing_point run in numpy along the address axis; each row gets the
+    status, detail and iteration count landing_point gives its address,
+    with points equal up to round-off.
+    """
+    if len(words) == 0:
+        return []
+    words = np.asarray(words, dtype=np.int64)
+    if words.ndim != 2:
+        raise ValueError("words must be an (N, p) array")
+    n, p = words.shape
+    c = m.c
+    shifts = 1j * (TWO_PI * words)
+    results: list[LandingResult | None] = [None] * n
+    iters = np.zeros(n, dtype=np.int64)
+
+    def fail(rows, status, hits=None, detail=""):
+        for k, i in enumerate(rows.tolist()):
+            d = _HIT_DETAIL[int(hits[k])] if hits is not None else detail
+            results[i] = LandingResult(status, iterations=int(iters[i]), detail=d)
+
+    with np.errstate(all="ignore"):
+        limit = np.zeros(n, dtype=complex)
+        converged = np.zeros(n, dtype=bool)
+        rows, sh = np.arange(n), shifts
+        w = m.seed_potential + shifts[:, 0]
+        for it in range(1, max_iter + 1):
+            w_next, hit = _psi_batch(c, sh, w)
+            iters[rows] = it
+            hit_rows = hit != _NO_HIT
+            fail(rows[hit_rows], "singular-hit", hit[hit_rows])
+            escaped = ~hit_rows & (np.abs(w_next) > ESCAPE_THRESHOLD)
+            fail(rows[escaped], "escaped-pullback")
+            conv = ~hit_rows & ~escaped & (np.abs(w_next - w) < tol)
+            limit[rows[conv]] = w_next[conv]
+            converged[rows[conv]] = True
+            keep = ~(hit_rows | escaped | conv)
+            rows, sh, w = rows[keep], sh[keep], w_next[keep]
+            if not rows.size:
+                break
+        fail(rows, "not-converged")
+
+        rows = np.flatnonzero(converged)
+        w = limit[rows]
+        z0, ok = _newton_polish_batch(c, w, p, tol)
+        # Newton failed or drifted away from the pullback limit: keep the limit
+        drift = ~ok | (np.abs(z0 - w) > 1e3 * tol * np.maximum(1.0, np.abs(w)))
+        z0 = np.where(drift, w, z0)
+        psi_z0, hit = _psi_batch(c, shifts[rows], z0)
+        hit_rows = hit != _NO_HIT
+        fail(rows[hit_rows], "singular-hit", hit[hit_rows])
+        not_fixed = ~hit_rows & (np.abs(psi_z0 - z0)
+                                 >= tol * np.maximum(1.0, np.abs(z0)))
+        fail(rows[not_fixed], "not-converged",
+             detail="limit is not a psi fixed point")
+        keep = ~(hit_rows | not_fixed)
+        rows, z0 = rows[keep], z0[keep]
+
+        zj = z0
+        lam = np.ones(len(rows), dtype=complex)
+        itinerary_ok = np.ones(len(rows), dtype=bool)
+        for j in range(p):
+            itinerary_ok &= np.rint(zj.imag / TWO_PI) == words[rows, j]
+            e = np.exp(zj)
+            lam = lam * e
+            zj = np.where(np.isfinite(zj) & (zj.real <= OVERFLOW_RE), e + c, ESCAPED)
+        closed = np.isfinite(zj) & (np.abs(zj - z0) <= _closure_bound(tol, lam, z0))
+        fail(rows[~closed], "not-converged", detail="forward orbit does not close")
+        psi_d = 1.0 / lam
+    for k in np.flatnonzero(closed).tolist():
+        i = int(rows[k])
+        results[i] = LandingResult(
+            "landed", point=complex(z0[k]), psi_derivative=complex(psi_d[k]),
+            multiplier=complex(lam[k]), iterations=int(iters[i]),
+            itinerary_ok=bool(itinerary_ok[k]))
+    return results
+
+
+def land_addresses(m: MapModel, addresses: list[InfiniteAddress],
+                   tol: float = DEFAULT_LANDING_TOL) -> list[LandingResult]:
+    """landing_point for each purely periodic address, batched by period."""
+    by_period: dict[int, list[int]] = {}
+    for i, s in enumerate(addresses):
+        if not s.is_periodic:
+            raise ValueError("landing requires purely periodic addresses")
+        by_period.setdefault(len(s.period), []).append(i)
+    out: list[LandingResult | None] = [None] * len(addresses)
+    for idx in by_period.values():
+        words = [addresses[i].period for i in idx]
+        for i, res in zip(idx, land_periodic(m, words, tol)):
+            out[i] = res
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,7 @@ import numpy as np
 from .addresses import InfiniteAddress, enumerate_periodic
 from .cycles import Box, Cycle
 from .exponential import MapModel, evaluate, is_escaped
-from .rays import (
-    ESCAPE_THRESHOLD,
-    LandingResult,
-    SingularValueHit,
-    _ladder_sample,
-    landing_point,
-)
+from .rays import ESCAPE_THRESHOLD, SingularValueHit, _ladder_sample, land_addresses
 
 SNAP_TOL = 1e-9
 _X_FAR = 1e7  # horizontal extension of arcs beyond truncation
@@ -319,12 +313,8 @@ def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
         raise ValueError("p must be >= 1")
     arcs: list[Arc] = []
     failures: list[tuple[InfiniteAddress, str]] = []
-    for s in enumerate_periodic(window, p):
-        try:
-            res: LandingResult = landing_point(m, s, tol=landing_tol)
-        except SingularValueHit:
-            failures.append((s, "singular-hit"))
-            continue
+    addresses = enumerate_periodic(window, p)
+    for s, res in zip(addresses, land_addresses(m, addresses, tol=landing_tol)):
         if not res.landed:
             failures.append((s, res.status))
             continue

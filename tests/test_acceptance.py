@@ -5,8 +5,12 @@ tolerances are pinned here and never loosened at runtime.
 """
 
 import cmath
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -132,7 +136,7 @@ def random_addresses(rng, count, window, max_period):
 
 def test_criterion_1_hyperbolic_audit():
     t0 = time.time()
-    report = audit(M2, BOX, 2, 1, depth=40, horizon=1000, grid=40, threads=1)
+    report = audit(M2, BOX, 2, 1, depth=40, horizon=1000, grid=40)
     elapsed = time.time() - t0
 
     att = [c for c in report.cycles if c.is_attracting]
@@ -317,11 +321,28 @@ def test_criterion_8_functional_equation_suite():
           f"{naive_worst_valid:.2e} at conditioning-valid depths")
 
 
+_AUDIT_JSON = """
+import sys
+from raycensus.census import audit
+from raycensus.exponential import MapModel
+box = (-3.0, 3.0, -7.0, 7.0)
+cfg = {"c": [-2.0, 0.0], "box": list(box), "max_period": 2, "window": 1}
+report = audit(MapModel(c=-2), box, 2, 1, depth=40, grid=40, config=cfg)
+sys.stdout.buffer.write(report.to_json().encode())
+"""
+
+
 def test_criterion_9_determinism():
-    cfg = {"c": [-2.0, 0.0], "box": list(BOX), "max_period": 2, "window": 1}
-    r1 = audit(M2, BOX, 2, 1, depth=40, grid=40, threads=1, config=cfg)
-    r2 = audit(M2, BOX, 2, 1, depth=40, grid=40, threads=4, config=cfg)
-    j1, j2 = r1.to_json(), r2.to_json()
-    assert j1 == j2
-    assert j1.encode() == j2.encode()
-    print("\nCRITERION 9 PASS: audit JSON byte-identical for --threads 1 vs 4")
+    # the landing table is keyed by address and its periods come from a set:
+    # two interpreters with different string and set hash orders must agree
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", _AUDIT_JSON], env=env,
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["verdict"] == "satisfied"
+    print("\nCRITERION 9 PASS: audit JSON byte-identical across two "
+          "interpreters with PYTHONHASHSEED 1 vs 2")

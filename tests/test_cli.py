@@ -102,19 +102,6 @@ class TestAudit:
         assert rows[0][0] == "period"
         assert any(r[7] == "0" for r in rows[1:])
 
-    def test_byte_identical_across_threads(self):
-        a = run_cli(AUDIT_ARGS + ["--threads", "1"])
-        b = run_cli(AUDIT_ARGS + ["--threads", "3"])
-        assert a.stdout == b.stdout
-        assert a.returncode == b.returncode == 0
-
-    def test_env_threads_fallback(self):
-        import os
-        env = dict(os.environ, RAYCENSUS_THREADS="2")
-        a = run_cli(AUDIT_ARGS)
-        b = run_cli(AUDIT_ARGS[:], env=env)
-        assert a.stdout == b.stdout
-
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):

@@ -102,6 +102,24 @@ class TestFindCyclesHyperbolic:
             assert any(f.period == c.period
                        and abs(f.points[0] - c.points[0]) < 1e-9 for f in fine)
 
+    def test_no_collapsed_cycle_on_the_bench_circle(self):
+        # polishing a rough period-3 root here lands on the attracting fixed
+        # point; it must not come back as a period-3 attracting "cycle"
+        c = -2 + 0.15 * cmath.exp(1j * math.radians(40.1))
+        out = find_cycles(MapModel(c=c), 3, BOX).cycles
+        assert [cyc.period for cyc in out if cyc.is_attracting] == [1]
+        for cyc in out:
+            for i in range(cyc.period):
+                for j in range(i + 1, cyc.period):
+                    assert abs(cyc.points[i] - cyc.points[j]) > 1e-6
+
+    @pytest.mark.parametrize("c, attracting", [(-2, 1), (0, 0)])
+    def test_inventory_to_period_three(self, c, attracting):
+        out = find_cycles(MapModel(c=c), 3, BOX).cycles
+        assert [cyc.period for cyc in out] == [1, 1, 2, 2, 2, 3, 3, 3, 3]
+        assert sum(cyc.is_attracting for cyc in out) == attracting
+        assert all(cyc.is_attracting or cyc.is_repelling for cyc in out)
+
     def test_coverage_warning_machinery(self):
         res = find_cycles(M2, 1, (-3, 3, -1, 1), grid=20, verify_coverage=True)
         assert res.warnings == []

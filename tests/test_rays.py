@@ -1,14 +1,18 @@
 import cmath
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from raycensus.addresses import InfiniteAddress, parse_address, shift_by
+from raycensus.addresses import InfiniteAddress, enumerate_periodic, parse_address, shift_by
 from raycensus.exponential import MapModel, SingularValueHit, evaluate
 from raycensus.rays import (
     RoundTripError,
     default_seed,
     ladder_descend,
+    land_addresses,
+    land_periodic,
     landing_point,
     pullback_along_address,
     pullback_sequence,
@@ -133,6 +137,66 @@ class TestLanding:
     def test_preperiodic_rejected(self):
         with pytest.raises(ValueError):
             landing_point(M2, parse_address("3:0,1"))
+
+
+def primitive_words(window, p):
+    return [w for w in itertools.product(range(-window, window + 1), repeat=p)
+            if InfiniteAddress((), w).period == w]
+
+
+def assert_same_landing(a, b, what):
+    assert (a.status, a.detail, a.iterations, a.itinerary_ok) == \
+        (b.status, b.detail, b.iterations, b.itinerary_ok), what
+    if a.landed:
+        assert abs(a.point - b.point) <= 1e-12, what
+        assert abs(a.multiplier - b.multiplier) <= 1e-12 * abs(a.multiplier), what
+        assert abs(a.psi_derivative - b.psi_derivative) <= 1e-12, what
+
+
+class TestBatchedLanding:
+    @pytest.mark.parametrize("c", [-2, 0, complex(-1, 0.3)])
+    def test_matches_landing_point(self, c):
+        m = MapModel(c=c)
+        statuses = set()
+        for p in range(1, 7):
+            words = primitive_words(1, p)
+            batch = land_periodic(m, np.array(words))
+            assert len(batch) == len(words)
+            for w, res in zip(words, batch):
+                assert_same_landing(landing_point(m, InfiniteAddress((), w)), res, w)
+                statuses.add((res.status, res.detail))
+        if c == 0:
+            assert ("singular-hit", "cut") in statuses
+
+    def test_word_alone_matches_full_batch(self):
+        m = MapModel(c=0)
+        words = primitive_words(1, 4)
+        batch = land_periodic(m, np.array(words))
+        for w, res in zip(words, batch):
+            assert_same_landing(land_periodic(m, np.array([w]))[0], res, w)
+
+    def test_empty_batch(self):
+        assert land_periodic(M2, np.empty((0, 2), dtype=int)) == []
+        # window 0, period 2: the only word 0,0 has primitive period 1
+        assert primitive_words(0, 2) == []
+        assert land_periodic(M2, primitive_words(0, 2)) == []
+        assert land_addresses(M2, []) == []
+
+    def test_addresses_of_mixed_period_keep_their_order(self):
+        addrs = enumerate_periodic(1, 2)
+        for s, res in zip(addrs, land_addresses(M2, addrs)):
+            assert_same_landing(landing_point(M2, s), res, s)
+
+    def test_high_period_rays_land_at_attracting_parameter(self):
+        # the singular value of e^z - 2 does not escape, so every periodic
+        # ray lands (Rempe); the closure test must not reject the landing
+        # points of strongly repelling cycles (|lambda| up to ~1e8 here)
+        for p in range(1, 10):
+            results = land_periodic(M2, np.array(primitive_words(1, p)))
+            assert all(res.landed for res in results), p
+        # rejected as "forward orbit does not close" by a closure test of 10*tol
+        res = landing_point(M2, parse_address("-1,1,1,1,-1,-1,-1,-1"))
+        assert res.landed and abs(res.multiplier) > 1e6
 
 
 class TestTraceRay:
