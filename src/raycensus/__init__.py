@@ -20,7 +20,6 @@ from .rays import (
     pullback_along_address,
     singular_escape_status,
     sweep_hair,
-    trace_ray,
 )
 from .regions import OnArcError, RayGraph, build_ray_graph, interior_fixed_point_audit, itinerary
 from .tails import (

@@ -18,7 +18,7 @@ from .addresses import AddressParseError, parse_address, period_of
 from .census import audit, dumps_canonical
 from .cycles import find_cycles
 from .exponential import MapModel, SingularValueHit
-from .rays import landing_point, sweep_hair, trace_ray
+from .rays import landing_point, sweep_hair
 from .regions import PointLocationError, build_ray_graph, interior_fixed_point_audit
 from .tails import TrappedSingularOrbit, make_tail_context, tail_diagnostics
 
@@ -144,15 +144,7 @@ def _cmd_trace_ray(opts: _Options) -> int:
     lo, hi = _parse_t_range(opts.require("t", cast=str))
     n = opts.get("samples", 200, cast=int)
     depth = opts.get("depth", 40, cast=int)
-    mode = opts.get("mode", "sweep", cast=str)
-    if mode == "sweep":
-        ray = sweep_hair(m, s, depth=depth, t_lo=lo, t_hi=hi, samples=n)
-    elif mode == "seed":
-        ratio = (hi / lo) ** (1.0 / max(1, n - 1))
-        grid = [lo * ratio**i for i in range(n)]
-        ray = trace_ray(m, s, depth, grid)
-    else:
-        raise UsageError(f"unknown trace mode {mode!r}")
+    ray = sweep_hair(m, s, depth=depth, t_lo=lo, t_hi=hi, samples=n)
     lines = ["t,re,im"]
     for t, z in ray.samples:
         lines.append(f"{t:.17g},{z.real:.17g},{z.imag:.17g}")
@@ -365,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", help="potential range lo:hi")
     p.add_argument("--samples", type=int)
     p.add_argument("--depth", type=int)
-    p.add_argument("--mode", choices=("sweep", "seed"))
 
     p = sub.add_parser("land", help="landing point of a periodic ray")
     common(p)

@@ -85,8 +85,13 @@ def _fp_and_derivative(m: MapModel, z: complex, p: int) -> tuple[complex, comple
     return w, d
 
 
-def _newton(m: MapModel, z: complex, p: int, tol: float) -> complex | None:
-    for _ in range(80):
+def _newton_steps(m: MapModel, z: complex, p: int,
+                  max_steps: int) -> tuple[complex, complex] | None:
+    """Newton on f^p(z) - z: (z, last step), or None on overflow or (f^p)' = 1.
+
+    Stops after the first step below 1e-15 * max(1, |z|), or after max_steps.
+    """
+    for _ in range(max_steps):
         res = _fp_and_derivative(m, z, p)
         if res is None:
             return None
@@ -98,6 +103,15 @@ def _newton(m: MapModel, z: complex, p: int, tol: float) -> complex | None:
         z = z - step
         if abs(step) < 1e-15 * max(1.0, abs(z)):
             break
+    return z, step
+
+
+def _newton(m: MapModel, z: complex, p: int, tol: float) -> complex | None:
+    """Newton root of f^p(z) - z whose residual is within 100 * tol."""
+    res = _newton_steps(m, z, p, 80)
+    if res is None:
+        return None
+    z = res[0]
     res = _fp_and_derivative(m, z, p)
     if res is None or abs(res[0] - z) > 100.0 * tol * max(1.0, abs(z)):
         return None
@@ -203,13 +217,3 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
                 f"coverage: {len(cycles)} cycles at grid {grid} but "
                 f"{len(coarse.cycles)} at grid {grid // 2}")
     return CycleSearch(cycles=cycles, warnings=warnings)
-
-
-def fixed_points_of_iterate(cycles: list[Cycle], p: int) -> list[tuple[complex, Cycle]]:
-    """All points fixed by f^p among the found cycles (period divides p)."""
-    out = []
-    for cyc in cycles:
-        if p % cyc.period == 0:
-            for z in cyc.points:
-                out.append((z, cyc))
-    return out

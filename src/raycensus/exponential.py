@@ -123,16 +123,6 @@ def inverse_branch(m: MapModel, w: complex, k: int) -> complex:
     return cmath.log(u) + complex(0.0, TWO_PI * k)
 
 
-def inverse_branch_cut_ok(m: MapModel, w: complex, k: int) -> tuple[complex, bool]:
-    """Like inverse_branch but evaluates on the cut with Im = +pi, flagged."""
-    u = w - m.c
-    if u == 0.0:
-        raise SingularValueHit(w)
-    flagged = u.imag == 0.0 and u.real < 0.0
-    u = complex(u.real, abs(u.imag)) if flagged else u
-    return cmath.log(u) + complex(0.0, TWO_PI * k), flagged
-
-
 def strip_of(z: complex) -> int:
     """Index of the horizontal strip Im in (2pi k - pi, 2pi k + pi]."""
     return round(z.imag / TWO_PI)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .addresses import InfiniteAddress, period_of
+from .cycles import _newton_steps
 from .exponential import (
     ESCAPED,
     OVERFLOW_RE,
@@ -53,9 +54,6 @@ class Ray:
     samples: list[tuple[float, complex]]
     depth: int
     map: MapModel
-    kind: str = "sweep"  # "sweep" (ladder potentials) or "seed" (literal formula)
-    depth_deltas: list[float] = field(default_factory=list)
-    converged: bool = True
 
     @property
     def points(self) -> list[complex]:
@@ -139,24 +137,12 @@ def default_seed(m: MapModel, s: InfiniteAddress) -> complex:
 
 def _newton_polish(m: MapModel, z: complex, p: int, tol: float) -> complex | None:
     """Newton on f^p(z) - z from an already-close seed; None on failure."""
-    for _ in range(30):
-        w = z
-        d = complex(1.0, 0.0)
-        for _ in range(p):
-            if w.real > 600.0:
-                return None
-            e = cmath.exp(w)
-            d *= e
-            w = e + m.c
-        g = w - z
-        gp = d - 1.0
-        if abs(gp) < 1e-30:
-            return None
-        step = g / gp
-        z = z - step
-        if abs(step) < 1e-15 * max(1.0, abs(z)):
-            return z
-    return z if abs(step) < tol else None
+    res = _newton_steps(m, z, p, 30)
+    if res is None:
+        return None
+    z, step = res
+    # converged (step below 1e-15 * max(1, |z|)), or the last step is below tol
+    return z if abs(step) < max(tol, 1e-15 * max(1.0, abs(z))) else None
 
 
 def landing_point(m: MapModel, s: InfiniteAddress, zeta: complex | None = None,
@@ -387,39 +373,6 @@ def land_addresses(m: MapModel, addresses: list[InfiniteAddress],
 # ---------------------------------------------------------------------------
 # tracing
 
-def trace_ray(m: MapModel, s: InfiniteAddress, depth: int,
-              t_grid: list[float], conv_tol: float = 1e-9) -> Ray:
-    """Literal backward trace: sample(t) = L_{s_0}..L_{s_{N-1}}(t + 2pi i s_N).
-
-    The potential here is the seed height before pullback.  Depth-to-depth
-    movement at the deepest level is recorded; the ray is flagged
-    non-converged when it exceeds conv_tol anywhere.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if any(t <= 0 for t in t_grid):
-        raise ValueError("potentials must be positive")
-    samples: list[tuple[float, complex]] = []
-    deltas: list[float] = []
-    converged = True
-    for t in sorted(t_grid):
-        seed = complex(t, TWO_PI * s.entry(depth))
-        z = apply_branches(m, tuple(s.entry(i) for i in range(depth)), seed)
-        if depth > 0:
-            seed_prev = complex(t, TWO_PI * s.entry(depth - 1))
-            z_prev = apply_branches(
-                m, tuple(s.entry(i) for i in range(depth - 1)), seed_prev)
-            delta = abs(z - z_prev)
-        else:
-            delta = math.inf
-        samples.append((t, z))
-        deltas.append(delta)
-        if depth > 0 and delta > conv_tol:
-            converged = False
-    return Ray(address=s, samples=samples, depth=depth, map=m, kind="seed",
-               depth_deltas=deltas, converged=converged)
-
-
 def ladder_descend(m: MapModel, s: InfiniteAddress, t: float,
                    depth: int) -> list[complex]:
     """Pullback chain of the ladder seed at potential t, deepest point first.
@@ -462,7 +415,7 @@ def sweep_hair(m: MapModel, s: InfiniteAddress, depth: int = 60,
     for i in range(samples):
         t = t_lo * ratio**i
         pts.append((t, _ladder_sample(m, s, t, depth)))
-    return Ray(address=s, samples=pts, depth=depth, map=m, kind="sweep")
+    return Ray(address=s, samples=pts, depth=depth, map=m)
 
 
 # ---------------------------------------------------------------------------

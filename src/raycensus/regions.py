@@ -8,6 +8,8 @@ components of the plane minus the graph are not finitely computable.
 
 from __future__ import annotations
 
+import array
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -38,39 +40,38 @@ class Arc:
 
 
 # ---------------------------------------------------------------------------
-# segment predicates (scalar twin of the vectorized versions below)
 
-def _orient(ax, ay, bx, by, cx, cy):
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+def segments_cross(a, b, c, d):
+    """True where segments ab and cd share a point (touch counts).
 
-
-def _on_segment(ax, ay, bx, by, px, py):
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
-
-
-def segments_cross(a: complex, b: complex, c: complex, d: complex) -> bool:
-    """True when segments ab and cd share any point (touch counts)."""
-    d1 = _orient(c.real, c.imag, d.real, d.imag, a.real, a.imag)
-    d2 = _orient(c.real, c.imag, d.real, d.imag, b.real, b.imag)
-    d3 = _orient(a.real, a.imag, b.real, b.imag, c.real, c.imag)
-    d4 = _orient(a.real, a.imag, b.real, b.imag, d.real, d.imag)
-    if (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0) \
-            and 0 not in (d1, d2, d3, d4):
-        return True
-    if d1 == 0 and _on_segment(c.real, c.imag, d.real, d.imag, a.real, a.imag):
-        return True
-    if d2 == 0 and _on_segment(c.real, c.imag, d.real, d.imag, b.real, b.imag):
-        return True
-    if d3 == 0 and _on_segment(a.real, a.imag, b.real, b.imag, c.real, c.imag):
-        return True
-    if d4 == 0 and _on_segment(a.real, a.imag, b.real, b.imag, d.real, d.imag):
-        return True
-    return False
+    Elementwise over complex scalars or arrays that broadcast together.
+    """
+    ax, ay, bx, by = a.real, a.imag, b.real, b.imag
+    cx, cy, dx, dy = c.real, c.imag, d.real, d.imag
+    # sides of a and b relative to cd, and of c and d relative to ab
+    d1 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+    d2 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+    d3 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    d4 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+    proper = (((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+              & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0))
+    # a touch: an end on the other segment's line, inside its bounding box
+    ab_x0, ab_x1 = np.minimum(ax, bx), np.maximum(ax, bx)
+    ab_y0, ab_y1 = np.minimum(ay, by), np.maximum(ay, by)
+    cd_x0, cd_x1 = np.minimum(cx, dx), np.maximum(cx, dx)
+    cd_y0, cd_y1 = np.minimum(cy, dy), np.maximum(cy, dy)
+    touch = (((d1 == 0) & (cd_x0 <= ax) & (ax <= cd_x1) & (cd_y0 <= ay) & (ay <= cd_y1))
+             | ((d2 == 0) & (cd_x0 <= bx) & (bx <= cd_x1) & (cd_y0 <= by) & (by <= cd_y1))
+             | ((d3 == 0) & (ab_x0 <= cx) & (cx <= ab_x1) & (ab_y0 <= cy) & (cy <= ab_y1))
+             | ((d4 == 0) & (ab_x0 <= dx) & (dx <= ab_x1) & (ab_y0 <= dy) & (dy <= ab_y1)))
+    return proper | touch
 
 
 class _UnionFind:
     def __init__(self, n: int):
-        self.parent = list(range(n))
+        # machine ints: a list of n int objects would be the largest
+        # allocation of a labelled grid
+        self.parent = array.array("l", range(n))
 
     def find(self, i: int) -> int:
         p = self.parent
@@ -99,7 +100,7 @@ class RayGraph:
     grid: int
     arcs: list[Arc]
     failures: list[tuple[InfiniteAddress, str]]
-    _segs: np.ndarray = field(default=None, repr=False)  # (n, 4): ax ay bx by
+    _segs: np.ndarray = field(default=None, repr=False)  # (n, 2): ends a, b
     _cells: dict[tuple[int, int], list[int]] = field(default_factory=dict, repr=False)
     _region_of_probe: list[int] = field(default_factory=list, repr=False)
     _representatives: list[complex] = field(default_factory=list, repr=False)
@@ -114,6 +115,12 @@ class RayGraph:
         dx, dy = self._cell_size()
         return complex(xlo + (ix + 0.5) * dx, ylo + (iy + 0.5) * dy)
 
+    def _probe_row(self, iy: int) -> np.ndarray:
+        """_probe(ix, iy) for every ix, bit for bit."""
+        xlo, _, ylo, _ = self.box
+        dx, dy = self._cell_size()
+        return xlo + (np.arange(self.grid) + 0.5) * dx + 1j * (ylo + (iy + 0.5) * dy)
+
     def _cell_of(self, z: complex) -> tuple[int, int]:
         xlo, _, ylo, _ = self.box
         dx, dy = self._cell_size()
@@ -124,9 +131,9 @@ class RayGraph:
     def _index_segments(self):
         xlo, xhi, ylo, yhi = self.box
         for si in range(len(self._segs)):
-            ax, ay, bx, by = self._segs[si]
-            x0, x1 = min(ax, bx), max(ax, bx)
-            y0, y1 = min(ay, by), max(ay, by)
+            a, b = self._segs[si]
+            x0, x1 = min(a.real, b.real), max(a.real, b.real)
+            y0, y1 = min(a.imag, b.imag), max(a.imag, b.imag)
             if x1 < xlo or x0 > xhi or y1 < ylo or y0 > yhi:
                 continue
             a0, b0 = self._cell_of(complex(x0, y0))
@@ -137,53 +144,42 @@ class RayGraph:
 
     # -- crossing machinery -------------------------------------------------
     def _crossings_all(self, a: complex, b: complex) -> int:
-        """Number of stored segments meeting segment ab (vectorized)."""
-        if len(self._segs) == 0:
-            return 0
-        cx, cy, dx, dy = (self._segs[:, 0], self._segs[:, 1],
-                          self._segs[:, 2], self._segs[:, 3])
-        d1 = (dx - cx) * (a.imag - cy) - (dy - cy) * (a.real - cx)
-        d2 = (dx - cx) * (b.imag - cy) - (dy - cy) * (b.real - cx)
-        d3 = (b.real - a.real) * (cy - a.imag) - (b.imag - a.imag) * (cx - a.real)
-        d4 = (b.real - a.real) * (dy - a.imag) - (b.imag - a.imag) * (dx - a.real)
-        proper = (((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-                  & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0))
+        """Number of stored segments meeting segment ab."""
+        return int(np.count_nonzero(segments_cross(a, b, *self._segs.T)))
 
-        def onseg(px, py, qx, qy, rx, ry):
-            return ((np.minimum(px, qx) <= rx) & (rx <= np.maximum(px, qx))
-                    & (np.minimum(py, qy) <= ry) & (ry <= np.maximum(py, qy)))
+    def _edge_crosses(self, iy: int) -> tuple[np.ndarray, np.ndarray]:
+        """Which probe edges leaving grid row iy meet a stored segment.
 
-        touch = (((d1 == 0) & onseg(cx, cy, dx, dy, a.real, a.imag))
-                 | ((d2 == 0) & onseg(cx, cy, dx, dy, b.real, b.imag))
-                 | ((d3 == 0) & onseg(a.real, a.imag, b.real, b.imag, cx, cy))
-                 | ((d4 == 0) & onseg(a.real, a.imag, b.real, b.imag, dx, dy)))
-        return int(np.count_nonzero(proper | touch))
-
-    def _edge_crosses(self, a: complex, b: complex) -> bool:
-        """Cell-indexed crossing test for short in-box probe edges."""
-        c0 = self._cell_of(a)
-        c1 = self._cell_of(b)
-        cand: set[int] = set()
-        for ix in range(min(c0[0], c1[0]), max(c0[0], c1[0]) + 1):
-            for iy in range(min(c0[1], c1[1]), max(c0[1], c1[1]) + 1):
-                cand.update(self._cells.get((ix, iy), ()))
-        for si in sorted(cand):
-            ax, ay, bx, by = self._segs[si]
-            if segments_cross(a, b, complex(ax, ay), complex(bx, by)):
-                return True
-        return False
+        Returns (right, up): right[ix] for the edge from probe (ix, iy) to
+        (ix + 1, iy), up[ix] for the edge to (ix, iy + 1), empty on the top
+        row.  The index lists a segment in every cell its bounding box meets
+        and in their neighbours, so a segment that meets an edge from probe
+        (ix, iy) is listed in cell (ix, iy); only those are tested.
+        """
+        g = self.grid
+        lists = [self._cells.get((ix, iy), ()) for ix in range(g)]
+        col = np.repeat(np.arange(g), [len(cell) for cell in lists])
+        seg = np.fromiter(itertools.chain.from_iterable(lists), np.intp, len(col))
+        row, (c, d) = self._probe_row(iy), self._segs[seg].T
+        k = col < g - 1
+        hit = segments_cross(row[col[k]], row[col[k] + 1], c[k], d[k])
+        right = np.bincount(col[k][hit], minlength=g - 1) > 0
+        if iy + 1 == g:
+            return right, np.zeros(0, dtype=bool)
+        hit = segments_cross(row[col], self._probe_row(iy + 1)[col], c, d)
+        return right, np.bincount(col[hit], minlength=g) > 0
 
     def _build_regions(self):
-        n = self.grid * self.grid
+        g = self.grid
+        n = g * g
         uf = _UnionFind(n)
-        for iy in range(self.grid):
-            for ix in range(self.grid):
-                i = iy * self.grid + ix
-                p = self._probe(ix, iy)
-                if ix + 1 < self.grid and not self._edge_crosses(p, self._probe(ix + 1, iy)):
-                    uf.union(i, iy * self.grid + ix + 1)
-                if iy + 1 < self.grid and not self._edge_crosses(p, self._probe(ix, iy + 1)):
-                    uf.union(i, (iy + 1) * self.grid + ix)
+        for iy in range(g):
+            right, up = self._edge_crosses(iy)
+            i0 = iy * g
+            for ix in np.flatnonzero(~right).tolist():
+                uf.union(i0 + ix, i0 + ix + 1)
+            for ix in np.flatnonzero(~up).tolist():
+                uf.union(i0 + ix, i0 + g + ix)
         ids: dict[int, int] = {}
         self._region_of_probe = [0] * n
         self._representatives = []
@@ -205,8 +201,8 @@ class RayGraph:
     def distance_to_graph(self, z: complex) -> float:
         if len(self._segs) == 0:
             return math.inf
-        ax, ay, bx, by = (self._segs[:, 0], self._segs[:, 1],
-                          self._segs[:, 2], self._segs[:, 3])
+        a, b = self._segs.T
+        ax, ay, bx, by = a.real, a.imag, b.real, b.imag
         ux, uy = bx - ax, by - ay
         denom = ux * ux + uy * uy
         t = ((z.real - ax) * ux + (z.imag - ay) * uy) / np.where(denom == 0, 1.0, denom)
@@ -328,13 +324,10 @@ def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
             continue
         arcs.append(Arc(address=s, vertices=poly, landing=res.point))
 
-    segs = []
-    for arc in arcs:
-        for a, b in zip(arc.vertices, arc.vertices[1:]):
-            segs.append((a.real, a.imag, b.real, b.imag))
+    segs = [ab for arc in arcs for ab in zip(arc.vertices, arc.vertices[1:])]
     graph = RayGraph(map=m, p=p, window=window, depth=depth, box=box,
                      grid=grid, arcs=arcs, failures=failures,
-                     _segs=np.array(segs, dtype=float).reshape(-1, 4))
+                     _segs=np.array(segs, dtype=complex).reshape(-1, 2))
     graph._index_segments()
     graph._build_regions()
     return graph

@@ -39,14 +39,6 @@ class TestTraceRay:
                           "--t", "200:5"])
         assert result.returncode == 2
 
-    def test_seed_mode(self):
-        result = run_cli(["trace-ray", "--c", "-2,0", "--address", "0",
-                          "--t", "50:100", "--samples", "3", "--depth", "1",
-                          "--mode", "seed"])
-        assert result.returncode == 0
-        first = result.stdout.splitlines()[1].split(",")
-        assert abs(float(first[1]) - 3.9512437185814275) < 1e-12
-
 
 class TestLand:
     def test_landed(self):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from raycensus.cycles import classify, find_cycles, fixed_points_of_iterate
+from raycensus.cycles import classify, find_cycles
 from raycensus.exponential import MapModel, evaluate
 
 M2 = MapModel(c=-2)
@@ -160,13 +160,6 @@ class TestInvariants:
         assert [(c.period, c.points) for c in a] == [(c.period, c.points) for c in b]
         keys = [(c.period, c.points[0].real, c.points[0].imag) for c in a]
         assert keys == sorted(keys)
-
-    def test_fixed_points_of_iterate(self):
-        out = find_cycles(M2, 2, BOX, grid=30).cycles
-        fp2 = fixed_points_of_iterate(out, 2)
-        assert len(fp2) == sum(c.period for c in out if 2 % c.period == 0)
-        fp1 = fixed_points_of_iterate(out, 1)
-        assert all(c.period == 1 for _, c in fp1)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

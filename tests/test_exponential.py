@@ -82,18 +82,6 @@ class TestInverseBranch:
         assert on_cut(M2, -5)
         assert not on_cut(M2, 10)
 
-    def test_cut_tolerant_variant_takes_plus_pi_side(self):
-        from raycensus.exponential import inverse_branch_cut_ok
-        z, flagged = inverse_branch_cut_ok(M2, -5, 0)
-        assert flagged
-        assert abs(z - complex(math.log(3), math.pi)) < 1e-14
-        z2, flagged2 = inverse_branch_cut_ok(M2, 10, 0)
-        assert not flagged2
-        assert z2 == inverse_branch(M2, 10, 0)
-        # signed zero never selects the -pi side
-        z3, _ = inverse_branch_cut_ok(M2, complex(-5, -0.0), 0)
-        assert z3.imag == math.pi
-
     @given(st.floats(-50, 50), st.floats(-50, 50), st.integers(-10, 10))
     def test_round_trip(self, re, im, k):
         w = complex(re, im)

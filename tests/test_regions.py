@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from raycensus.addresses import parse_address
@@ -25,6 +26,26 @@ theta = (math.sqrt(5) - 1) / 2
 SIEGEL_C = 2j * math.pi * theta - cmath.exp(2j * math.pi * theta)
 
 
+def exact_cross(*ends) -> bool:
+    """Textbook segment intersection in integer arithmetic (lattice ends)."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = (
+        (int(z.real), int(z.imag)) for z in ends)
+
+    def side(px, py, qx, qy, rx, ry):
+        return (qx - px) * (ry - py) - (qy - py) * (rx - px)
+
+    def within(px, py, qx, qy, rx, ry):
+        return min(px, qx) <= rx <= max(px, qx) and min(py, qy) <= ry <= max(py, qy)
+
+    s1, s2 = side(cx, cy, dx, dy, ax, ay), side(cx, cy, dx, dy, bx, by)
+    s3, s4 = side(ax, ay, bx, by, cx, cy), side(ax, ay, bx, by, dx, dy)
+    return ((s1 * s2 < 0 and s3 * s4 < 0)
+            or (s1 == 0 and within(cx, cy, dx, dy, ax, ay))
+            or (s2 == 0 and within(cx, cy, dx, dy, bx, by))
+            or (s3 == 0 and within(ax, ay, bx, by, cx, cy))
+            or (s4 == 0 and within(ax, ay, bx, by, dx, dy)))
+
+
 @pytest.fixture(scope="module")
 def graph_m2():
     return build_ray_graph(M2, 1, 1, depth=40, box=BOX, grid=120)
@@ -42,6 +63,54 @@ class TestSegmentsCross:
 
     def test_collinear_overlap_counts(self):
         assert segments_cross(0j, 2 + 0j, 1 + 0j, 3 + 0j)
+
+    def test_arrays_match_scalar_calls_and_exact_oracle(self):
+        # lattice endpoints make collinear, touching and degenerate pairs common
+        rng = np.random.default_rng(0)
+        a, b, c, d = (rng.integers(-2, 3, 2000) + 1j * rng.integers(-2, 3, 2000)
+                      for _ in range(4))
+        scalar = [bool(segments_cross(complex(p), complex(q), complex(r), complex(s)))
+                  for p, q, r, s in zip(a, b, c, d)]
+        assert scalar == [exact_cross(*ends) for ends in zip(a, b, c, d)]
+        assert 0 < sum(scalar) < len(scalar)
+        assert segments_cross(a, b, c, d).tolist() == scalar
+        # one segment against many, as point location asks
+        assert segments_cross(complex(a[0]), complex(b[0]), c, d).tolist() == [
+            bool(segments_cross(complex(a[0]), complex(b[0]), complex(r), complex(s)))
+            for r, s in zip(c, d)]
+
+
+class TestLabelling:
+    @pytest.mark.parametrize("grid", [40, 120])
+    def test_probe_edges_open_iff_crossing_free(self, grid):
+        # reference: a probe edge is open exactly when it meets no segment at
+        # all, and regions are the components of the open edges, numbered in
+        # probe order
+        g = build_ray_graph(M2, 2, 1, depth=40, box=BOX, grid=grid)
+        parent = list(range(grid * grid))
+
+        def root(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for iy in range(grid):
+            right, up = g._edge_crosses(iy)
+            assert len(right) == grid - 1
+            assert len(up) == (grid if iy + 1 < grid else 0)
+            for crossed, dx, dy in ((right, 1, 0), (up, 0, 1)):
+                for ix in range(len(crossed)):
+                    a, b = g._probe(ix, iy), g._probe(ix + dx, iy + dy)
+                    free = g._crossings_all(a, b) == 0
+                    assert crossed[ix] != free, (ix, iy, dx, dy)
+                    if free:
+                        parent[root((iy + dy) * grid + ix + dx)] = root(iy * grid + ix)
+        ids: dict[int, int] = {}
+        labels = [ids.setdefault(root(i), len(ids)) for i in range(grid * grid)]
+        assert g._region_of_probe == labels
+        firsts = [labels.index(r) for r in range(len(ids))]
+        assert g._representatives == [g._probe(i % grid, i // grid) for i in firsts]
 
 
 class TestBuild:
