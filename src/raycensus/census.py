@@ -15,11 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .addresses import InfiniteAddress, enumerate_periodic, period_of
-from .cycles import Box, Cycle, CycleSearch, find_cycles
+from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, Box, Cycle, CycleSearch, find_cycles
 from .exponential import MapModel, evaluate, is_escaped
-from .rays import LandingResult, SingularFate, land_periodic, singular_escape_status
+from .rays import (
+    DEFAULT_LANDING_TOL,
+    LandingResult,
+    SingularFate,
+    land_periodic,
+    singular_escape_status,
+)
 from .regions import OnArcError, PointLocationError, build_ray_graph
-from .tails import choose_radius
+from .tails import DEFAULT_HORIZON, choose_radius
 
 SCHEMA_VERSION = "1"
 DEFAULT_MATCH_TOL = 1e-6
@@ -48,7 +54,7 @@ class PeriodLandings:
 
 
 def landing_table(m: MapModel, window: int, periods,
-                  landing_tol: float = 1e-10) -> dict[int, PeriodLandings]:
+                  landing_tol: float = DEFAULT_LANDING_TOL) -> dict[int, PeriodLandings]:
     """Lands the window addresses of each period, one batched pass per period."""
     table: dict[int, PeriodLandings] = {}
     for p in sorted(set(periods)):
@@ -62,7 +68,7 @@ def landing_table(m: MapModel, window: int, periods,
 
 def landing_search(m: MapModel, cycle: Cycle, window: int, period_cap: int,
                    match_tol: float = DEFAULT_MATCH_TOL,
-                   landing_tol: float = 1e-10,
+                   landing_tol: float = DEFAULT_LANDING_TOL,
                    table: dict[int, PeriodLandings] | None = None
                    ) -> LandingSearch:
     """All window addresses whose rays land on the cycle (finite search).
@@ -250,9 +256,9 @@ def _trichotomy_evidence(m: MapModel, cycle: Cycle, window: int, depth: int,
 
 
 def audit(m: MapModel, box: Box, max_period: int, window: int,
-          depth: int = 40, horizon: int = 1000, grid: int = 40,
-          probe_grid: int = 120, tol: float = 1e-12,
-          tol_band: float = 1e-6, landing_tol: float = 1e-10,
+          depth: int = 40, horizon: int = DEFAULT_HORIZON, grid: int = 40,
+          probe_grid: int = 120, tol: float = DEFAULT_TOL,
+          tol_band: float = DEFAULT_TOL_BAND, landing_tol: float = DEFAULT_LANDING_TOL,
           match_tol: float = DEFAULT_MATCH_TOL,
           config: dict | None = None) -> CensusReport:
     """Full census pipeline: cycles, landing searches, counts, verdict."""

@@ -15,12 +15,12 @@ import sys
 from pathlib import Path
 
 from .addresses import AddressParseError, parse_address, period_of
-from .census import audit, dumps_canonical
-from .cycles import find_cycles
+from .census import DEFAULT_MATCH_TOL, audit, dumps_canonical
+from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, find_cycles
 from .exponential import MapModel, SingularValueHit
-from .rays import landing_point, sweep_hair
+from .rays import DEFAULT_LANDING_TOL, DEFAULT_MAX_ITER, landing_point, sweep_hair
 from .regions import PointLocationError, build_ray_graph, interior_fixed_point_audit
-from .tails import TrappedSingularOrbit, make_tail_context, tail_diagnostics
+from .tails import DEFAULT_HORIZON, TrappedSingularOrbit, make_tail_context, tail_diagnostics
 
 EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
@@ -28,16 +28,27 @@ EXIT_SINGULAR = 4
 EXIT_VIOLATED = 5
 EXIT_NOT_APPLICABLE = 6
 
+_DEFAULT_BOX = "-3,3,-7,7"
+
 
 class UsageError(ValueError):
     pass
 
 
 # ---------------------------------------------------------------------------
-# option plumbing: flags override config-file values which override defaults
+# option parsing: flags override config-file values which override defaults
 
-def _read_config_file(path: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+def _apply_config(sub: argparse.ArgumentParser, path: str):
+    """Makes the values of a key=value config file the command's defaults.
+
+    Keys name flags without the leading dashes; keys that are no flag of
+    the command are ignored.  A switch is on for 1, true or yes.  Other
+    values stay strings, which argparse runs through the flag's type.
+    """
+    flags = {opt[2:]: action for action in sub._actions
+             for opt in action.option_strings
+             if opt.startswith("--") and action.dest not in ("config", "help")}
+    defaults = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -45,8 +56,12 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{line_no}: expected key=value")
         key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
-    return cfg
+        action = flags.get(key.strip())
+        if action is not None:
+            value = value.strip()
+            defaults[action.dest] = (value.lower() in ("1", "true", "yes")
+                                     if action.nargs == 0 else value)
+    sub.set_defaults(**defaults)
 
 
 def _parse_complex_pair(text: str) -> complex:
@@ -85,39 +100,15 @@ def _parse_t_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-class _Options:
-    """Resolved option set: CLI > config file > defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        cfg_path = self._args.get("config")
-        self._cfg = _read_config_file(cfg_path) if cfg_path else {}
-
-    def get(self, key: str, default=None, cast=None):
-        val = self._args.get(key.replace("-", "_"))
-        if val is None:
-            val = self._cfg.get(key)
-            if val is not None and cast is not None:
-                if cast is bool:
-                    val = val.lower() in ("1", "true", "yes")
-                else:
-                    val = cast(val)
-        if val is None:
-            return default
-        return val
-
-    def require(self, key: str, cast=None):
-        val = self.get(key, cast=cast)
-        if val is None:
-            raise UsageError(f"missing required option --{key}")
-        return val
+def _require(args: argparse.Namespace, name: str) -> str:
+    val = getattr(args, name)
+    if val is None:
+        raise UsageError(f"missing required option --{name}")
+    return val
 
 
-def _map_model(opts: _Options) -> MapModel:
-    c = opts.require("c", cast=str)
-    c = _parse_complex_pair(c) if isinstance(c, str) else c
-    radius = opts.get("radius", cast=float)
-    return MapModel(c=c, R=radius if radius else 0.0)
+def _map_model(args: argparse.Namespace) -> MapModel:
+    return MapModel(c=_parse_complex_pair(_require(args, "c")), R=args.radius)
 
 
 def _emit(text: str, out: str | None):
@@ -129,43 +120,37 @@ def _emit(text: str, out: str | None):
             sys.stdout.write("\n")
 
 
-def _base_config(opts: _Options, m: MapModel, **extra) -> dict:
-    cfg = {"c": [m.c.real, m.c.imag], "R": m.R}
-    cfg.update(extra)
-    return cfg
+def _base_config(m: MapModel, **extra) -> dict:
+    return {"c": [m.c.real, m.c.imag], "R": m.R, **extra}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_trace_ray(opts: _Options) -> int:
-    m = _map_model(opts)
-    s = parse_address(opts.require("address", cast=str))
-    lo, hi = _parse_t_range(opts.require("t", cast=str))
-    n = opts.get("samples", 200, cast=int)
-    depth = opts.get("depth", 40, cast=int)
-    ray = sweep_hair(m, s, depth=depth, t_lo=lo, t_hi=hi, samples=n)
+def _cmd_trace_ray(args: argparse.Namespace) -> int:
+    m = _map_model(args)
+    s = parse_address(_require(args, "address"))
+    lo, hi = _parse_t_range(_require(args, "t"))
+    ray = sweep_hair(m, s, depth=args.depth, t_lo=lo, t_hi=hi, samples=args.samples)
     lines = ["t,re,im"]
     for t, z in ray.samples:
         lines.append(f"{t:.17g},{z.real:.17g},{z.imag:.17g}")
-    _emit("\n".join(lines) + "\n", opts.get("out"))
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_land(opts: _Options) -> int:
-    m = _map_model(opts)
-    s = parse_address(opts.require("address", cast=str))
+def _cmd_land(args: argparse.Namespace) -> int:
+    m = _map_model(args)
+    s = parse_address(_require(args, "address"))
     if period_of(s) <= 0:
         raise UsageError(f"address {s} is not purely periodic")
-    tol = opts.get("tol", 1e-10, cast=float)
-    max_iter = opts.get("max-iter", 10000, cast=int)
-    res = landing_point(m, s, tol=tol, max_iter=max_iter)
+    res = landing_point(m, s, tol=args.tol, max_iter=args.max_iter)
     doc = {
         "status": res.status,
         "address": str(s),
         "iterations": res.iterations,
-        "config": _base_config(opts, m, address=str(s), tol=tol,
-                               max_iter=max_iter),
+        "config": _base_config(m, address=str(s), tol=args.tol,
+                               max_iter=args.max_iter),
     }
     if res.landed:
         doc["point"] = [res.point.real, res.point.imag]
@@ -174,7 +159,7 @@ def _cmd_land(opts: _Options) -> int:
         doc["itinerary_ok"] = res.itinerary_ok
     if res.detail:
         doc["detail"] = res.detail
-    _emit(dumps_canonical(doc) + "\n", opts.get("out"))
+    _emit(dumps_canonical(doc) + "\n", args.out)
     if res.status == "landed":
         return 0
     if res.status == "not-converged":
@@ -182,38 +167,32 @@ def _cmd_land(opts: _Options) -> int:
     return EXIT_SINGULAR
 
 
-def _cmd_cycles(opts: _Options) -> int:
-    m = _map_model(opts)
-    box = _parse_box(opts.require("box", cast=str))
-    max_period = opts.get("max-period", 2, cast=int)
-    grid = opts.get("grid", 40, cast=int)
-    tol = opts.get("tol", 1e-12, cast=float)
-    search = find_cycles(m, max_period, box, grid=grid, tol=tol,
-                         verify_coverage=opts.get("verify-coverage", False, cast=bool))
+def _cmd_cycles(args: argparse.Namespace) -> int:
+    m = _map_model(args)
+    box = _parse_box(_require(args, "box"))
+    search = find_cycles(m, args.max_period, box, grid=args.grid, tol=args.tol,
+                         verify_coverage=args.verify_coverage)
     doc = {
-        "config": _base_config(opts, m, box=list(box), max_period=max_period,
-                               grid=grid, tol=tol),
+        "config": _base_config(m, box=list(box), max_period=args.max_period,
+                               grid=args.grid, tol=args.tol),
         "cycles": [c.to_json_dict() for c in search.cycles],
         "warnings": search.warnings,
     }
-    _emit(dumps_canonical(doc) + "\n", opts.get("out"))
+    _emit(dumps_canonical(doc) + "\n", args.out)
     return 0
 
 
-def _cmd_regions(opts: _Options) -> int:
-    m = _map_model(opts)
-    p = opts.get("p", 1, cast=int)
-    window = opts.get("window", 1, cast=int)
-    depth = opts.get("depth", 40, cast=int)
-    box = _parse_box(opts.get("box", "-3,3,-7,7", cast=str))
-    probe_grid = opts.get("probe-grid", 200, cast=int)
-    graph = build_ray_graph(m, p, window, depth=depth, box=box, grid=probe_grid)
+def _cmd_regions(args: argparse.Namespace) -> int:
+    m = _map_model(args)
+    box = _parse_box(args.box)
+    graph = build_ray_graph(m, args.p, args.window, depth=args.depth, box=box,
+                            grid=args.probe_grid)
     doc = graph.to_json_dict()
-    doc["config"] = _base_config(opts, m, p=p, window=window, depth=depth,
-                                 box=list(box), probe_grid=probe_grid)
-    if opts.get("audit", False, cast=bool):
-        max_period = opts.get("max-period", p, cast=int)
-        search = find_cycles(m, max_period, box, grid=opts.get("grid", 40, cast=int))
+    doc["config"] = _base_config(m, p=args.p, window=args.window, depth=args.depth,
+                                 box=list(box), probe_grid=args.probe_grid)
+    if args.audit:
+        max_period = args.p if args.max_period is None else args.max_period
+        search = find_cycles(m, max_period, box, grid=args.grid)
         sep = interior_fixed_point_audit(graph, search.cycles)
         doc["separation_audit"] = {
             "violations": sep.violations,
@@ -222,13 +201,13 @@ def _cmd_regions(opts: _Options) -> int:
                          for rid, pts in sorted(sep.regions_to_points.items())},
             "landing_matches": [[z.real, z.imag] for z in sep.landing_matches],
         }
-    _emit(dumps_canonical(doc) + "\n", opts.get("out"))
+    _emit(dumps_canonical(doc) + "\n", args.out)
     return 0
 
 
-def _cmd_tails(opts: _Options) -> int:
-    m = _map_model(opts)
-    s = parse_address(opts.require("address", cast=str))
+def _cmd_tails(args: argparse.Namespace) -> int:
+    m = _map_model(args)
+    s = parse_address(_require(args, "address"))
     p = period_of(s)
     if p <= 0:
         raise UsageError("tails subcommand needs a purely periodic address")
@@ -237,66 +216,47 @@ def _cmd_tails(opts: _Options) -> int:
         print(f"address {s} does not land ({res.status}); no tail context",
               file=sys.stderr)
         return EXIT_NOT_CONVERGED if res.status == "not-converged" else EXIT_SINGULAR
-    window = opts.get("window", max(1, s.max_abs_entry), cast=int)
-    depth = opts.get("depth", 40, cast=int)
-    box = _parse_box(opts.get("box", "-3,3,-7,7", cast=str))
-    probe_grid = opts.get("probe-grid", 120, cast=int)
-    horizon = opts.get("horizon", 1000, cast=int)
-    max_level = opts.get("max-level", 10, cast=int)
-    samples = opts.get("samples", 16, cast=int)
-    graph = build_ray_graph(m, p, window, depth=depth, box=box, grid=probe_grid)
-    search = find_cycles(m, p, box, grid=opts.get("grid", 40, cast=int))
-    target = None
-    for cyc in search.cycles:
-        if cyc.is_repelling and min(abs(res.point - z) for z in cyc.points) < 1e-6:
-            target = cyc
-            break
+    window = max(1, s.max_abs_entry) if args.window is None else args.window
+    box = _parse_box(args.box)
+    graph = build_ray_graph(m, p, window, depth=args.depth, box=box,
+                            grid=args.probe_grid)
+    search = find_cycles(m, p, box, grid=args.grid)
+    target = next((cyc for cyc in search.cycles if cyc.is_repelling and
+                   min(abs(res.point - z) for z in cyc.points) < DEFAULT_MATCH_TOL),
+                  None)
     if target is None:
         print("landing cycle not found in box; enlarge --box", file=sys.stderr)
         return EXIT_USAGE
-    ctx = make_tail_context(m, target, graph, horizon=horizon)
+    ctx = make_tail_context(m, target, graph, horizon=args.horizon)
     doc = {
-        "config": _base_config(opts, m, address=str(s), window=window,
-                               depth=depth, box=list(box),
-                               probe_grid=probe_grid, horizon=horizon,
-                               max_level=max_level, samples=samples),
+        "config": _base_config(m, address=str(s), window=window,
+                               depth=args.depth, box=list(box),
+                               probe_grid=args.probe_grid, horizon=args.horizon,
+                               max_level=args.max_level, samples=args.samples),
         "r": ctx.r,
         "cycle": target.to_json_dict(),
-        "levels": tail_diagnostics(ctx, s, max_level, samples=samples),
+        "levels": tail_diagnostics(ctx, s, args.max_level, samples=args.samples),
     }
-    _emit(dumps_canonical(doc) + "\n", opts.get("out"))
+    _emit(dumps_canonical(doc) + "\n", args.out)
     return 0
 
 
-def _cmd_audit(opts: _Options) -> int:
-    m = _map_model(opts)
-    box = _parse_box(opts.get("box", "-3,3,-7,7", cast=str))
-    max_period = opts.get("max-period", 2, cast=int)
-    window = opts.get("window", 1, cast=int)
-    depth = opts.get("depth", 40, cast=int)
-    horizon = opts.get("horizon", 1000, cast=int)
-    grid = opts.get("grid", 40, cast=int)
-    probe_grid = opts.get("probe-grid", 120, cast=int)
-    tol = opts.get("tol", 1e-12, cast=float)
-    tol_band = opts.get("tol-band", 1e-6, cast=float)
-    landing_tol = opts.get("landing-tol", 1e-10, cast=float)
-    match_tol = opts.get("match-tol", 1e-6, cast=float)
-    config = _base_config(
-        opts, m, box=list(box), max_period=max_period, window=window,
-        depth=depth, horizon=horizon, grid=grid, probe_grid=probe_grid,
-        tol=tol, tol_band=tol_band, landing_tol=landing_tol,
-        match_tol=match_tol)
-    report = audit(m, box, max_period, window, depth=depth, horizon=horizon,
-                   grid=grid, probe_grid=probe_grid, tol=tol,
-                   tol_band=tol_band, landing_tol=landing_tol,
-                   match_tol=match_tol, config=config)
-    if opts.get("csv", False, cast=bool):
+def _cmd_audit(args: argparse.Namespace) -> int:
+    m = _map_model(args)
+    box = _parse_box(args.box)
+    settings = {key: getattr(args, key) for key in (
+        "depth", "horizon", "grid", "probe_grid", "tol", "tol_band",
+        "landing_tol", "match_tol")}
+    config = _base_config(m, box=list(box), max_period=args.max_period,
+                          window=args.window, **settings)
+    report = audit(m, box, args.max_period, args.window, config=config, **settings)
+    if args.csv:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(report.to_csv_rows())
-        _emit(buf.getvalue(), opts.get("out"))
+        _emit(buf.getvalue(), args.out)
     else:
-        _emit(report.to_json() + "\n", opts.get("out"))
+        _emit(report.to_json() + "\n", args.out)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if report.verdict == "satisfied":
@@ -306,17 +266,14 @@ def _cmd_audit(opts: _Options) -> int:
     return EXIT_NOT_APPLICABLE
 
 
-def _cmd_plot(opts: _Options) -> int:
+def _cmd_plot(args: argparse.Namespace) -> int:
     """Re-emit graph polylines and cycle points as a CSV bundle."""
-    m = _map_model(opts)
-    p = opts.get("p", 1, cast=int)
-    window = opts.get("window", 1, cast=int)
-    depth = opts.get("depth", 40, cast=int)
-    box = _parse_box(opts.get("box", "-3,3,-7,7", cast=str))
-    out_dir = Path(opts.get("out-dir", "raycensus-plot", cast=str))
+    m = _map_model(args)
+    box = _parse_box(args.box)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    graph = build_ray_graph(m, p, window, depth=depth, box=box,
-                            grid=opts.get("probe-grid", 120, cast=int))
+    graph = build_ray_graph(m, args.p, args.window, depth=args.depth, box=box,
+                            grid=args.probe_grid)
     for i, arc in enumerate(graph.arcs):
         lines = ["re,im"]
         lines += [f"{v.real:.17g},{v.imag:.17g}" for v in arc.vertices]
@@ -325,8 +282,8 @@ def _cmd_plot(opts: _Options) -> int:
     lines += [f"{arc.address},{arc.landing.real:.17g},{arc.landing.imag:.17g}"
               for arc in graph.arcs]
     (out_dir / "landing_points.csv").write_text("\n".join(lines) + "\n")
-    search = find_cycles(m, opts.get("max-period", p, cast=int), box,
-                         grid=opts.get("grid", 40, cast=int))
+    max_period = args.p if args.max_period is None else args.max_period
+    search = find_cycles(m, max_period, box, grid=args.grid)
     lines = ["period,class,re,im"]
     for cyc in search.cycles:
         for z in cyc.points:
@@ -338,103 +295,85 @@ def _cmd_plot(opts: _Options) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the sub-parser of each command."""
     ap = argparse.ArgumentParser(
         prog="raycensus",
         description="Dynamic rays, cycles, tails and a refined "
                     "Fatou-Shishikura census for e^z + c")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser):
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--c", help="parameter as re,im")
-        p.add_argument("--radius", type=float, help="override tract radius R")
+        p.add_argument("--radius", type=float, default=0.0,
+                       help="override tract radius R")
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--out", help="write output here instead of stdout")
+        return p
 
-    p = sub.add_parser("trace-ray", help="sample a dynamic ray to CSV")
-    common(p)
+    def graph_flags(p: argparse.ArgumentParser, window: int | None, probe_grid: int):
+        p.add_argument("--window", type=int, default=window)
+        p.add_argument("--depth", type=int, default=40)
+        p.add_argument("--box", default=_DEFAULT_BOX)
+        p.add_argument("--probe-grid", type=int, default=probe_grid)
+        p.add_argument("--grid", type=int, default=40)
+
+    p = command("trace-ray", _cmd_trace_ray, "sample a dynamic ray to CSV")
     p.add_argument("--address")
     p.add_argument("--t", help="potential range lo:hi")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--depth", type=int, default=40)
 
-    p = sub.add_parser("land", help="landing point of a periodic ray")
-    common(p)
+    p = command("land", _cmd_land, "landing point of a periodic ray")
     p.add_argument("--address")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
+    p.add_argument("--tol", type=float, default=DEFAULT_LANDING_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
-    p = sub.add_parser("cycles", help="periodic orbits in a box")
-    common(p)
+    p = command("cycles", _cmd_cycles, "periodic orbits in a box")
     p.add_argument("--box")
-    p.add_argument("--max-period", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--verify-coverage", action="store_const", const=True)
+    p.add_argument("--max-period", type=int, default=2)
+    p.add_argument("--grid", type=int, default=40)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--verify-coverage", action="store_true")
 
-    p = sub.add_parser("regions", help="ray graph and basic regions")
-    common(p)
-    p.add_argument("--p", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--box")
-    p.add_argument("--probe-grid", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--max-period", type=int)
-    p.add_argument("--audit", action="store_const", const=True,
+    p = command("regions", _cmd_regions, "ray graph and basic regions")
+    p.add_argument("--p", type=int, default=1)
+    graph_flags(p, window=1, probe_grid=200)
+    p.add_argument("--max-period", type=int, help="default: --p")
+    p.add_argument("--audit", action="store_true",
                    help="include the interior-fixed-point audit")
 
-    p = sub.add_parser("tails", help="fundamental tail diagnostics")
-    common(p)
+    p = command("tails", _cmd_tails, "fundamental tail diagnostics")
     p.add_argument("--address")
-    p.add_argument("--max-level", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--box")
-    p.add_argument("--probe-grid", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--max-level", type=int, default=10)
+    graph_flags(p, window=None, probe_grid=120)
+    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+    p.add_argument("--samples", type=int, default=16)
 
-    p = sub.add_parser("audit", help="refined Fatou-Shishikura census")
-    common(p)
-    p.add_argument("--box")
-    p.add_argument("--max-period", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--probe-grid", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--tol-band", type=float)
-    p.add_argument("--landing-tol", type=float)
-    p.add_argument("--match-tol", type=float)
-    p.add_argument("--csv", action="store_const", const=True,
+    p = command("audit", _cmd_audit, "refined Fatou-Shishikura census")
+    p.add_argument("--box", default=_DEFAULT_BOX)
+    p.add_argument("--max-period", type=int, default=2)
+    p.add_argument("--window", type=int, default=1)
+    p.add_argument("--depth", type=int, default=40)
+    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+    p.add_argument("--grid", type=int, default=40)
+    p.add_argument("--probe-grid", type=int, default=120)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol-band", type=float, default=DEFAULT_TOL_BAND)
+    p.add_argument("--landing-tol", type=float, default=DEFAULT_LANDING_TOL)
+    p.add_argument("--match-tol", type=float, default=DEFAULT_MATCH_TOL)
+    p.add_argument("--csv", action="store_true",
                    help="flat per-cycle CSV instead of JSON")
 
-    p = sub.add_parser("plot", help="CSV bundle of arcs/landing points/cycles")
-    common(p)
-    p.add_argument("--p", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--box")
-    p.add_argument("--probe-grid", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--max-period", type=int)
-    p.add_argument("--out-dir")
+    p = command("plot", _cmd_plot, "CSV bundle of arcs/landing points/cycles")
+    p.add_argument("--p", type=int, default=1)
+    graph_flags(p, window=1, probe_grid=120)
+    p.add_argument("--max-period", type=int, help="default: --p")
+    p.add_argument("--out-dir", default="raycensus-plot")
 
-    return ap
-
-
-_COMMANDS = {
-    "trace-ray": _cmd_trace_ray,
-    "land": _cmd_land,
-    "cycles": _cmd_cycles,
-    "regions": _cmd_regions,
-    "tails": _cmd_tails,
-    "audit": _cmd_audit,
-    "plot": _cmd_plot,
-}
+    return ap, sub.choices
 
 
 #: flags whose values may start with "-" (negative reals); joined with "="
@@ -456,16 +395,22 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Flags override config-file values, which override the parser's defaults."""
+    ap, commands = _build_parser()
+    args = ap.parse_args(argv)
+    if args.config:
+        _apply_config(commands[args.command], args.config)
+        args = ap.parse_args(argv)
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(_join_negative_values(argv))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        opts = _Options(args)
-        return _COMMANDS[args.command](opts)
-    except SingularValueHit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except TrappedSingularOrbit as exc:
+        args = _parse_args(argv)
+        return args.run(args)
+    except (SingularValueHit, TrappedSingularOrbit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except (UsageError, AddressParseError, ValueError, PointLocationError) as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
@@ -23,6 +23,9 @@ OVERFLOW_RE = 700.0
 
 #: sentinel for orbits that left double range
 ESCAPED = complex(math.inf, math.inf)
+
+#: f(z) this close to the branch cut counts as on it in exact F_k membership
+CUT_SNAP = 1e-9
 
 
 class SingularValueHit(Exception):
@@ -53,11 +56,8 @@ class MapModel:
 
     c: complex
     R: float = 0.0
-    family: str = field(default="exponential", repr=False)
 
     def __post_init__(self):
-        if self.family != "exponential":
-            raise ValueError(f"unsupported family {self.family!r}")
         if self.R <= 0.0:
             object.__setattr__(self, "R", _default_radius(self.c))
         if abs(self.c) >= self.R or abs(1.0 + self.c) >= self.R:
@@ -142,8 +142,7 @@ def fundamental_domain_of(m: MapModel, z: complex) -> int | None:
 
 
 def in_fundamental_domain_exact(m: MapModel, z: complex, k: int,
-                                radius: float | None = None,
-                                snap: float = 1e-9) -> bool:
+                                radius: float | None = None) -> bool:
     """Exact membership z in F_k for the slit plane at `radius` (default R).
 
     z in F_k iff f(z) lies outside the closed disk of that radius, off the
@@ -158,6 +157,6 @@ def in_fundamental_domain_exact(m: MapModel, z: complex, k: int,
     if abs(w) <= r:
         return False
     u = w - m.c
-    if u.real < 0.0 and abs(u.imag) <= snap:
+    if u.real < 0.0 and abs(u.imag) <= CUT_SNAP:
         return False  # on (or snapped to) the cut
     return True

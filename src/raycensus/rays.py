@@ -39,6 +39,9 @@ _LADDER_CAP = 600.0
 DEFAULT_LANDING_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 
+#: relative residual allowed at each step of a recorded pullback chain
+ROUNDTRIP_TOL = 1e-8
+
 _EPS = sys.float_info.epsilon
 
 
@@ -95,12 +98,11 @@ def pullback_sequence(m: MapModel, s: InfiniteAddress, zeta: complex,
     return seq
 
 
-def verify_pullback_roundtrip(m: MapModel, seq: list[complex],
-                              tol_scale: float = 1e-8) -> float:
+def verify_pullback_roundtrip(m: MapModel, seq: list[complex]) -> float:
     """Largest stepwise forward-map residual of a recorded pullback chain.
 
     For each backward step the forward image must return the previous iterate
-    within tol_scale * max(1, |previous|); this is the double-precision
+    within ROUNDTRIP_TOL * max(1, |previous|); this is the double-precision
     content of f^{nm}(zeta_n) = zeta (the one-shot residual is condition
     limited by prod |f'| and is not asserted here).
     """
@@ -111,9 +113,9 @@ def verify_pullback_roundtrip(m: MapModel, seq: list[complex],
             raise RoundTripError(f"re-expansion escaped at {cur!r}")
         rel = abs(img - prev) / max(1.0, abs(prev))
         worst = max(worst, rel)
-        if rel > tol_scale:
+        if rel > ROUNDTRIP_TOL:
             raise RoundTripError(
-                f"round-trip residual {rel:.3e} exceeds {tol_scale:.1e}")
+                f"round-trip residual {rel:.3e} exceeds {ROUNDTRIP_TOL:.1e}")
     return worst
 
 
@@ -145,8 +147,7 @@ def _newton_polish(m: MapModel, z: complex, p: int, tol: float) -> complex | Non
     return z if abs(step) < max(tol, 1e-15 * max(1.0, abs(z))) else None
 
 
-def landing_point(m: MapModel, s: InfiniteAddress, zeta: complex | None = None,
-                  tol: float = DEFAULT_LANDING_TOL,
+def landing_point(m: MapModel, s: InfiniteAddress, tol: float = DEFAULT_LANDING_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> LandingResult:
     """Pullback-iteration landing decision for a purely periodic address.
 
@@ -157,7 +158,7 @@ def landing_point(m: MapModel, s: InfiniteAddress, zeta: complex | None = None,
     p = period_of(s)
     if p <= 0:
         raise ValueError("landing_point requires a purely periodic address")
-    w = default_seed(m, s) if zeta is None else zeta
+    w = default_seed(m, s)
     labels = tuple(s.entry(i) for i in range(p))
     for it in range(1, max_iter + 1):
         try:
@@ -410,6 +411,8 @@ def sweep_hair(m: MapModel, s: InfiniteAddress, depth: int = 60,
         t_hi = m.truncation + 10.0
     if not (0.0 < t_lo < t_hi):
         raise ValueError("need 0 < t_lo < t_hi")
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     ratio = (t_hi / t_lo) ** (1.0 / (samples - 1))
     pts: list[tuple[float, complex]] = []
     for i in range(samples):

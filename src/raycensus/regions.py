@@ -21,6 +21,8 @@ from .exponential import MapModel, evaluate, is_escaped
 from .rays import ESCAPE_THRESHOLD, SingularValueHit, _ladder_sample, land_addresses
 
 SNAP_TOL = 1e-9
+ARC_LAND_TOL = 1e-6  # a traced arc ends once it comes this close to its landing point
+LANDING_MATCH_TOL = 1e-8  # a fixed point this close to a landing point is not interior
 _X_FAR = 1e7  # horizontal extension of arcs beyond truncation
 
 
@@ -210,11 +212,11 @@ class RayGraph:
         px, py = ax + t * ux, ay + t * uy
         return float(np.sqrt(np.min((z.real - px) ** 2 + (z.imag - py) ** 2)))
 
-    def basic_region_of(self, z: complex, snap: float = SNAP_TOL) -> int:
-        """Region id of z; OnArcError within snap of the graph."""
+    def basic_region_of(self, z: complex) -> int:
+        """Region id of z; OnArcError within SNAP_TOL of the graph."""
         if is_escaped(z):
             raise PointLocationError("escaped point has no region")
-        if self.distance_to_graph(z) < snap:
+        if self.distance_to_graph(z) < SNAP_TOL:
             raise OnArcError(f"{z!r} lies on the ray graph")
         cx, cy = self._cell_of(z)
         tried = 0
@@ -235,30 +237,29 @@ class RayGraph:
                     raise PointLocationError(f"no crossing-free path from {z!r}")
         raise PointLocationError(f"point location failed for {z!r}")
 
-    def region_near_with_witness(self, z: complex,
-                                 snap: float = SNAP_TOL) -> tuple[int, complex]:
+    def region_near_with_witness(self, z: complex) -> tuple[int, complex]:
         """Tolerant region id plus the (possibly offset) point that located it.
 
         On-arc points resolve to a deterministic side via compass probing.
         """
         try:
-            return self.basic_region_of(z, snap), z
+            return self.basic_region_of(z), z
         except OnArcError:
             for radius in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
                 for k in range(8):
                     ang = math.pi * k / 4.0
                     w = z + radius * complex(math.cos(ang), math.sin(ang))
                     try:
-                        return self.basic_region_of(w, snap), w
+                        return self.basic_region_of(w), w
                     except (OnArcError, PointLocationError):
                         continue
             raise
 
-    def region_near(self, z: complex, snap: float = SNAP_TOL) -> int:
-        return self.region_near_with_witness(z, snap)[0]
+    def region_near(self, z: complex) -> int:
+        return self.region_near_with_witness(z)[0]
 
-    def on_graph(self, z: complex, snap: float = SNAP_TOL) -> bool:
-        return self.distance_to_graph(z) < snap
+    def on_graph(self, z: complex) -> bool:
+        return self.distance_to_graph(z) < SNAP_TOL
 
     def to_json_dict(self) -> dict:
         return {
@@ -279,14 +280,14 @@ class RayGraph:
 
 
 def _arc_polyline(m: MapModel, s: InfiniteAddress, z0: complex, depth: int,
-                  land_tol: float, ratio: float = 0.8,
+                  ratio: float = 0.8,
                   max_samples: int = 400) -> list[complex] | None:
     pts: list[complex] = []
     t = m.truncation + 10.0
     for _ in range(max_samples):
         z = _ladder_sample(m, s, t, depth)
         pts.append(z)
-        if abs(z - z0) <= land_tol:
+        if abs(z - z0) <= ARC_LAND_TOL:
             pts.reverse()
             out = [z0] + ([] if pts[0] == z0 else pts)
             out.append(complex(_X_FAR, out[-1].imag))
@@ -296,9 +297,7 @@ def _arc_polyline(m: MapModel, s: InfiniteAddress, z0: complex, depth: int,
 
 
 def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
-                    box: Box = (-3.0, 3.0, -7.0, 7.0), grid: int = 200,
-                    land_tol: float = 1e-6,
-                    landing_tol: float = 1e-10) -> RayGraph:
+                    box: Box = (-3.0, 3.0, -7.0, 7.0), grid: int = 200) -> RayGraph:
     """Graph of the landed rays fixed by f^p with window-bounded addresses.
 
     Addresses with failed landings are excluded and listed in `failures`
@@ -307,15 +306,17 @@ def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
     arcs: list[Arc] = []
     failures: list[tuple[InfiniteAddress, str]] = []
     addresses = enumerate_periodic(window, p)
-    for s, res in zip(addresses, land_addresses(m, addresses, tol=landing_tol)):
+    for s, res in zip(addresses, land_addresses(m, addresses)):
         if not res.landed:
             failures.append((s, res.status))
             continue
         try:
-            poly = _arc_polyline(m, s, res.point, depth, land_tol)
+            poly = _arc_polyline(m, s, res.point, depth)
         except SingularValueHit:
             failures.append((s, "singular-hit"))
             continue
@@ -368,8 +369,7 @@ class SeparationAudit:
         return not self.violations
 
 
-def interior_fixed_point_audit(graph: RayGraph, cycles: list[Cycle],
-                               match_tol: float = 1e-8) -> SeparationAudit:
+def interior_fixed_point_audit(graph: RayGraph, cycles: list[Cycle]) -> SeparationAudit:
     """Checks that no basic region holds two interior fixed points of f^p.
 
     Fixed points matching a landing point of the graph are not interior.
@@ -384,7 +384,7 @@ def interior_fixed_point_audit(graph: RayGraph, cycles: list[Cycle],
         if graph.p % cyc.period != 0:
             continue
         for z in cyc.points:
-            if any(abs(z - w) < match_tol for w in landings):
+            if any(abs(z - w) < LANDING_MATCH_TOL for w in landings):
                 matched.append(z)
                 continue
             try:

@@ -42,8 +42,6 @@ class RadiusResult:
     status: str  # "radius" | "trapped-unbounded"
     r: float | None
     follow_steps: int            # observed n(s), capped at the horizon
-    entered_region_index: int | None  # i(s)
-    tracked: list[complex]       # truncation of P_B
 
 
 @dataclass
@@ -64,7 +62,6 @@ class TailAddressRecord:
     exists: bool
     witness: complex | None = None
     reason: str = ""
-    indeterminate: bool = False
 
 
 @dataclass
@@ -86,8 +83,7 @@ class PieceMapCheck:
 
 
 def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
-                  b_regions: tuple[int, ...], horizon: int = DEFAULT_HORIZON,
-                  margin: float = RADIUS_MARGIN) -> RadiusResult:
+                  b_regions: tuple[int, ...], horizon: int = DEFAULT_HORIZON) -> RadiusResult:
     """Radius r with D_r containing D, the cycle, and the tracked part of P_B.
 
     Follows each singular value while its itinerary matches the cycle's
@@ -98,8 +94,6 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
     mper = cycle.period
     best = max(m.R, max(abs(z) for z in cycle.points))
     follow = 0
-    entered: int | None = None
-    tracked_all: list[complex] = []
     for s in singular_values(m):
         try:
             rid = graph.region_near(s)
@@ -108,13 +102,12 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
         if rid not in b_regions:
             continue
         i0 = b_regions.index(rid)
-        entered = i0
         tracked = [s]
         w = s
         for j in range(1, horizon + 1):
             w = evaluate(m, w)
             if is_escaped(w) or abs(w) > ESCAPE_THRESHOLD:
-                return RadiusResult("trapped-unbounded", None, follow, i0, tracked)
+                return RadiusResult("trapped-unbounded", None, follow)
             try:
                 rw = graph.region_near(w)
             except OnArcError:
@@ -127,8 +120,7 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
         img = evaluate(m, tracked[-1])
         if not is_escaped(img):
             best = max(best, abs(img))
-        tracked_all.extend(tracked)
-    return RadiusResult("radius", margin * best, follow, entered, tracked_all)
+    return RadiusResult("radius", RADIUS_MARGIN * best, follow)
 
 
 def make_tail_context(m: MapModel, cycle: Cycle, graph: RayGraph,
@@ -162,11 +154,6 @@ def make_tail_context(m: MapModel, cycle: Cycle, graph: RayGraph,
 
 # ---------------------------------------------------------------------------
 # membership predicates
-
-def _on_delta_r(m: MapModel, w: complex, r: float, snap: float = 1e-9) -> bool:
-    u = w - m.c
-    return u.real < 0.0 and abs(u.imag) <= snap and abs(w) >= r
-
 
 def tail1_membership(ctx: TailContext, label: int, z: complex) -> bool:
     """z in the level-1 tail of `label`: fundamental-domain slice beyond r.
@@ -259,8 +246,7 @@ def tail_exists(ctx: TailContext, s: InfiniteAddress, n: int) -> TailAddressReco
         if not tail1_membership(ctx, last, w1):
             return TailAddressRecord(labels, n, False, reason="no-tail1-witness")
     except OnArcError:
-        return TailAddressRecord(labels, n, False, reason="on-arc",
-                                 indeterminate=True)
+        return TailAddressRecord(labels, n, False, reason="on-arc")
     try:
         witness = apply_branches(ctx.map, labels[:-1], w1)
     except SingularValueHit as exc:
@@ -269,8 +255,7 @@ def tail_exists(ctx: TailContext, s: InfiniteAddress, n: int) -> TailAddressReco
     try:
         ok = tail_membership(ctx, labels, witness)
     except OnArcError:
-        return TailAddressRecord(labels, n, False, witness=witness,
-                                 reason="on-arc", indeterminate=True)
+        return TailAddressRecord(labels, n, False, witness=witness, reason="on-arc")
     return TailAddressRecord(labels, n, ok, witness=witness,
                              reason="" if ok else "membership-failed")
 

@@ -295,7 +295,7 @@ def test_criterion_8_functional_equation_suite():
             zeta = default_seed(m, s)
             seq = pullback_sequence(m, s, zeta, 25 * p)
             chained_worst = max(chained_worst,
-                                verify_pullback_roundtrip(m, seq, 1e-8))
+                                verify_pullback_roundtrip(m, seq))
             # naive single-shot re-expansion where double precision is
             # conditioning-valid (kappa * 64 eps below the tolerance)
             tol = 1e-8 * max(1.0, abs(zeta))

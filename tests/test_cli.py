@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from raycensus.cli import main
 
 AUDIT_ARGS = ["audit", "--c", "-2,0", "--box", "-3,3,-7,7",
@@ -113,6 +115,63 @@ class TestConfigFile:
         cfg.write_text("not a pair\n")
         result = run_cli(["audit", "--config", str(cfg)])
         assert result.returncode == 2
+
+    # per case: the command, its settings as flags, the same settings as
+    # config lines, a flag to override in the file, an int or float flag
+    @pytest.mark.parametrize("command,flags,lines,override,typed", [
+        ("trace-ray", ["--address", "0", "--t", "5:200", "--samples", "30", "--depth", "20"],
+         ["address=0", "t=5:200", "samples=30", "depth=20"], "samples", "depth"),
+        ("land", ["--address", "0,1", "--tol", "1e-9", "--max-iter", "500", "--radius", "6"],
+         ["address=0,1", "tol=1e-9", "max-iter=500", "radius=6"], "max-iter", "radius"),
+        ("cycles", ["--box", "-3,3,-1,1", "--max-period", "1", "--grid", "25",
+                    "--verify-coverage"],
+         ["box=-3,3,-1,1", "max-period=1", "grid=25", "verify-coverage=1"], "grid", "tol"),
+        ("regions", ["--p", "1", "--probe-grid", "40", "--grid", "25", "--audit"],
+         ["p=1", "probe-grid=40", "grid=25", "audit=yes"], "probe-grid", "max-period"),
+        ("regions", ["--p", "1", "--probe-grid", "40"],
+         ["p=1", "probe-grid=40", "audit=no"], "p", "grid"),
+        ("tails", ["--address", "0", "--max-level", "2", "--probe-grid", "60",
+                   "--samples", "6", "--horizon", "500"],
+         ["address=0", "max-level=2", "probe-grid=60", "samples=6", "horizon=500"],
+         "samples", "horizon"),
+        ("audit", ["--max-period", "1", "--grid", "25", "--tol-band", "1e-5", "--csv"],
+         ["max-period=1", "grid=25", "tol-band=1e-5", "csv=true"], "grid", "landing-tol"),
+        ("audit", ["--max-period", "1", "--grid", "25"],
+         ["max-period=1", "grid=25", "csv=false"], "max-period", "match-tol"),
+        ("plot", ["--p", "1", "--probe-grid", "40", "--out-dir", "{tmp}/bundle"],
+         ["p=1", "probe-grid=40", "out-dir={tmp}/bundle"], "probe-grid", "grid"),
+    ], ids=["trace-ray", "land", "cycles", "regions-audit", "regions", "tails",
+            "audit-csv", "audit-json", "plot"])
+    def test_config_file_equals_flags(self, tmp_path, capsys, command, flags, lines,
+                                      override, typed):
+        def invoke(*args, config=None):
+            argv = [command, *args]
+            if config is not None:
+                cfg = tmp_path / "run.cfg"
+                cfg.write_text("".join(line.format(tmp=tmp_path) + "\n" for line in config))
+                argv += ["--config", str(cfg)]
+            try:
+                code = main([a.format(tmp=tmp_path) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        expected = invoke("--c", "-2,0", *flags)
+        assert expected[0] == 0
+        # the same settings from a file
+        assert invoke(config=["c=-2,0", *lines]) == expected
+        # a flag overrides the file
+        good = flags[flags.index(f"--{override}") + 1]
+        assert invoke("--c", "-2,0", f"--{override}", good,
+                      config=[*lines, f"{override}=2", "c=abc"]) == expected
+        # keys that are no flag of the command are ignored
+        assert invoke(config=["c=-2,0", *lines, "no-such-key=abc", "max_iter=abc",
+                              "out_dir=abc", "config=missing.cfg", "help=yes"]) == expected
+        # a malformed value of a flag exits 2, whether or not the run reads it
+        code, out, err = invoke(config=["c=-2,0", *lines, f"{typed}=abc"])
+        assert (code, out) == (2, "")
+        assert f"argument --{typed}: invalid" in err
 
 
 class TestOtherCommands:

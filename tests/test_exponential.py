@@ -144,7 +144,3 @@ class TestModelValidation:
     def test_radius_too_small_rejected(self):
         with pytest.raises(ValueError):
             MapModel(c=-2, R=1.5)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            MapModel(c=-2, family="cosine")

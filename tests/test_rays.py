@@ -250,6 +250,11 @@ class TestTraceRay:
         with pytest.raises(ValueError):
             sweep_hair(M2, ZERO, t_lo=5.0, t_hi=2.0)
 
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            sweep_hair(M2, ZERO, t_lo=5.0, t_hi=200.0, samples=samples)
+
 
 class TestSingularEscape:
     def test_c0_escapes_along_zero_ray(self):

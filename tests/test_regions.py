@@ -144,6 +144,11 @@ class TestBuild:
         assert len(g.arcs) == 0
         assert g.failures == [(parse_address("0"), "singular-hit")]
 
+    @pytest.mark.parametrize("grid", [0, -5])
+    def test_probe_grid_below_one_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid must be >= 1"):
+            build_ray_graph(M2, 1, 1, depth=40, box=BOX, grid=grid)
+
     def test_arcs_pairwise_disjoint(self, graph_m2):
         arcs = graph_m2.arcs
         for i in range(len(arcs)):
