@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .addresses import InfiniteAddress, enumerate_periodic, period_of
+from .addresses import InfiniteAddress, period_of
 from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, Box, Cycle, CycleSearch, find_cycles
 from .exponential import MapModel, evaluate, is_escaped
 from .rays import (
     DEFAULT_LANDING_TOL,
-    LandingResult,
+    PeriodLandings,
     SingularFate,
-    land_periodic,
+    landing_table,
     singular_escape_status,
 )
 from .regions import OnArcError, PointLocationError, build_ray_graph
@@ -42,28 +42,6 @@ class LandingSearch:
     @property
     def invisible_candidate(self) -> bool:
         return not self.addresses
-
-
-@dataclass
-class PeriodLandings:
-    """The window addresses of one primitive period, each landed once."""
-
-    addresses: list[InfiniteAddress]
-    results: list[LandingResult]
-    points: np.ndarray  # landing points; nan where the ray did not land
-
-
-def landing_table(m: MapModel, window: int, periods,
-                  landing_tol: float = DEFAULT_LANDING_TOL) -> dict[int, PeriodLandings]:
-    """Lands the window addresses of each period, one batched pass per period."""
-    table: dict[int, PeriodLandings] = {}
-    for p in sorted(set(periods)):
-        addrs = [s for s in enumerate_periodic(window, p) if period_of(s) == p]
-        results = land_periodic(m, [s.period for s in addrs], tol=landing_tol)
-        points = np.array([r.point if r.landed else np.nan for r in results],
-                          dtype=complex)
-        table[p] = PeriodLandings(addrs, results, points)
-    return table
 
 
 def landing_search(m: MapModel, cycle: Cycle, window: int, period_cap: int,

@@ -1,6 +1,6 @@
 """Command-line front end: reproducible, machine-readable pipelines.
 
-Exit codes: 0 success/satisfied/landed, 2 usage or parse error,
+Exit codes: 0 success/satisfied/landed, 2 usage, parse or file error,
 3 landing not-converged, 4 singular-hit or escaped pullback,
 5 census inequality violated, 6 census not-applicable.
 Data goes to stdout (or --out); diagnostics to stderr.
@@ -413,7 +413,8 @@ def main(argv: list[str] | None = None) -> int:
     except (SingularValueHit, TrappedSingularOrbit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (UsageError, AddressParseError, ValueError, PointLocationError) as exc:
+    except (UsageError, AddressParseError, ValueError, PointLocationError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .addresses import InfiniteAddress, period_of
+from .addresses import InfiniteAddress, enumerate_periodic, period_of
 from .cycles import _newton_steps
 from .exponential import (
     ESCAPED,
@@ -355,20 +355,26 @@ def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
     return results
 
 
-def land_addresses(m: MapModel, addresses: list[InfiniteAddress],
-                   tol: float = DEFAULT_LANDING_TOL) -> list[LandingResult]:
-    """landing_point for each purely periodic address, batched by period."""
-    by_period: dict[int, list[int]] = {}
-    for i, s in enumerate(addresses):
-        if not s.is_periodic:
-            raise ValueError("landing requires purely periodic addresses")
-        by_period.setdefault(len(s.period), []).append(i)
-    out: list[LandingResult | None] = [None] * len(addresses)
-    for idx in by_period.values():
-        words = [addresses[i].period for i in idx]
-        for i, res in zip(idx, land_periodic(m, words, tol)):
-            out[i] = res
-    return out
+@dataclass
+class PeriodLandings:
+    """The window addresses of one primitive period, each landed once."""
+
+    addresses: list[InfiniteAddress]
+    results: list[LandingResult]
+    points: np.ndarray  # landing points; nan where the ray did not land
+
+
+def landing_table(m: MapModel, window: int, periods,
+                  landing_tol: float = DEFAULT_LANDING_TOL) -> dict[int, PeriodLandings]:
+    """Lands the window addresses of each period, one batched pass per period."""
+    table: dict[int, PeriodLandings] = {}
+    for p in sorted(set(periods)):
+        addrs = [s for s in enumerate_periodic(window, p) if period_of(s) == p]
+        results = land_periodic(m, [s.period for s in addrs], tol=landing_tol)
+        points = np.array([r.point if r.landed else np.nan for r in results],
+                          dtype=complex)
+        table[p] = PeriodLandings(addrs, results, points)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .addresses import InfiniteAddress, enumerate_periodic
+from .addresses import InfiniteAddress
 from .cycles import Box, Cycle
 from .exponential import MapModel, evaluate, is_escaped
-from .rays import ESCAPE_THRESHOLD, SingularValueHit, _ladder_sample, land_addresses
+from .rays import ESCAPE_THRESHOLD, SingularValueHit, _ladder_sample, landing_table
 
 SNAP_TOL = 1e-9
 ARC_LAND_TOL = 1e-6  # a traced arc ends once it comes this close to its landing point
@@ -310,8 +310,10 @@ def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
         raise ValueError("grid must be >= 1")
     arcs: list[Arc] = []
     failures: list[tuple[InfiniteAddress, str]] = []
-    addresses = enumerate_periodic(window, p)
-    for s, res in zip(addresses, land_addresses(m, addresses)):
+    table = landing_table(m, window, [d for d in range(1, p + 1) if p % d == 0])
+    landings = [(s, res) for row in table.values()
+                for s, res in zip(row.addresses, row.results)]
+    for s, res in landings:
         if not res.landed:
             failures.append((s, res.status))
             continue

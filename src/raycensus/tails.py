@@ -10,7 +10,7 @@ horizon-qualified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class RadiusResult:
     follow_steps: int            # observed n(s), capped at the horizon
 
 
-@dataclass
+@dataclass(frozen=True)
 class TailContext:
     map: MapModel
     cycle: Cycle
@@ -53,6 +53,10 @@ class TailContext:
     r: float
     horizon: int
     cycle_on_graph: bool = False
+    # tau_1 image grids of the pieces by (label, samples); they depend only on
+    # the fields above, which is why the context is frozen
+    _image_grids: dict[tuple[int, int], tuple[tuple[complex, ...], int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -91,6 +95,8 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
     cannot be in case (3) at this horizon and a trapped/unbounded verdict is
     returned instead of a radius.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     mper = cycle.period
     best = max(m.R, max(abs(z) for z in cycle.points))
     follow = 0
@@ -264,7 +270,7 @@ def tail_exists(ctx: TailContext, s: InfiniteAddress, n: int) -> TailAddressReco
 # fundamental pieces
 
 def _piece_image_samples(ctx: TailContext, label: int,
-                         grid_side: int) -> tuple[list[complex], int]:
+                         grid_side: int) -> tuple[tuple[complex, ...], int]:
     """Sample grid of tau_1(label) intersected with the closed disk D_r.
 
     This is the f^{mn}-image of the level-n piece; pulling the samples back
@@ -288,27 +294,39 @@ def _piece_image_samples(ctx: TailContext, label: int,
                     pts.append(z)
             except OnArcError:
                 excluded += 1
-    return pts, excluded
+    return tuple(pts), excluded
+
+
+def _piece_points(ctx: TailContext, s: InfiniteAddress, n: int,
+                  samples: int) -> tuple[list[complex], int]:
+    """Sampled points of the level-n piece P_n(s) and the samples excluded.
+
+    The grid of tau_1(sigma^{mn} s) in D_r is sampled once per context; each
+    sample is pulled back mn steps along the address labels.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    mn = ctx.cycle.period * n
+    key = (s.entry(mn), samples)
+    if key not in ctx._image_grids:
+        ctx._image_grids[key] = _piece_image_samples(ctx, *key)
+    image_pts, excluded = ctx._image_grids[key]
+    labels = s.prefix(mn)
+    points: list[complex] = []
+    for q in image_pts:
+        try:
+            points.append(apply_branches(ctx.map, labels, q))
+        except SingularValueHit:
+            excluded += 1
+    return points, excluded
 
 
 def piece_diameter(ctx: TailContext, s: InfiniteAddress, n: int,
                    samples: int = 24) -> PieceEstimate:
-    """Sampled diameter of the level-n piece P_n(s) (a lower bound).
-
-    Samples the image set tau_1(sigma^{mn} s) in D_r and pulls each sample
-    back mn steps along the address labels.
-    """
+    """Sampled diameter of the level-n piece P_n(s) (a lower bound)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    mper = ctx.cycle.period
-    label = s.entry(mper * n)
-    image_pts, excluded = _piece_image_samples(ctx, label, samples)
-    cloud: list[complex] = []
-    for q in image_pts:
-        try:
-            cloud.append(apply_branches(ctx.map, s.prefix(mper * n), q))
-        except SingularValueHit:
-            excluded += 1
+    cloud, excluded = _piece_points(ctx, s, n, samples)
     if not cloud:
         return PieceEstimate(0.0, n, 0, excluded, empty=True)
     arr = np.array(cloud)
@@ -322,18 +340,11 @@ def piece_mapping_check(ctx: TailContext, s: InfiniteAddress, j: int,
     if j < 2:
         raise ValueError("piece mapping needs j >= 2 (P_0 is undefined)")
     mper = ctx.cycle.period
-    label = s.entry(mper * j)
-    image_pts, excluded = _piece_image_samples(ctx, label, samples)
+    points, excluded = _piece_points(ctx, s, j, samples)
     sa = shift_by(s, mper)
     checked = 0
     failed = 0
-    for q in image_pts:
-        try:
-            z = apply_branches(ctx.map, s.prefix(mper * j), q)
-        except SingularValueHit:
-            excluded += 1
-            continue
-        w = z
+    for w in points:
         for _ in range(mper):
             w = evaluate(ctx.map, w)
         if is_escaped(w):
@@ -357,6 +368,8 @@ def piece_mapping_check(ctx: TailContext, s: InfiniteAddress, j: int,
 def tail_diagnostics(ctx: TailContext, s: InfiniteAddress, max_level: int,
                      samples: int = 16) -> list[dict]:
     """JSON-friendly per-level record: existence, witness, piece diameter."""
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
     out = []
     for n in range(1, max_level + 1):
         rec = tail_exists(ctx, s, n)

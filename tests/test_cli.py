@@ -62,6 +62,14 @@ class TestLand:
         result = run_cli(["land", "--c", "-2,0", "--address", "3:0,1"])
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_missing_path_exit_2(self, tmp_path, capsys, flag):
+        code = main(["land", "--c", "-2,0", "--address", "0",
+                     flag, str(tmp_path / "missing" / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestAudit:
     def test_satisfied_exit_0(self):

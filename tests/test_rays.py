@@ -11,9 +11,9 @@ from raycensus.rays import (
     RoundTripError,
     default_seed,
     ladder_descend,
-    land_addresses,
     land_periodic,
     landing_point,
+    landing_table,
     pullback_along_address,
     pullback_sequence,
     singular_escape_status,
@@ -179,11 +179,15 @@ class TestBatchedLanding:
         # window 0, period 2: the only word 0,0 has primitive period 1
         assert primitive_words(0, 2) == []
         assert land_periodic(M2, primitive_words(0, 2)) == []
-        assert land_addresses(M2, []) == []
+        assert landing_table(M2, 0, [2])[2].results == []
 
     def test_addresses_of_mixed_period_keep_their_order(self):
         addrs = enumerate_periodic(1, 2)
-        for s, res in zip(addrs, land_addresses(M2, addrs)):
+        table = landing_table(M2, 1, [2, 1])
+        rows = [(s, res) for row in table.values()
+                for s, res in zip(row.addresses, row.results)]
+        assert [s for s, _ in rows] == addrs
+        for s, res in rows:
             assert_same_landing(landing_point(M2, s), res, s)
 
     def test_high_period_rays_land_at_attracting_parameter(self):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from raycensus import tails
 from raycensus.addresses import InfiniteAddress, parse_address
 from raycensus.cycles import find_cycles
 from raycensus.exponential import MapModel, evaluate
@@ -16,6 +17,7 @@ from raycensus.tails import (
     piece_mapping_check,
     ray_sample_in_tail,
     tail1_membership,
+    tail_diagnostics,
     tail_exists,
     tail_membership,
 )
@@ -67,6 +69,11 @@ class TestChooseRadius:
         assert res.status == "trapped-unbounded"
         with pytest.raises(TrappedSingularOrbit):
             make_tail_context(m0, rep, g0, horizon=200)
+
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_horizon_below_one_rejected(self, ctx, horizon):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            choose_radius(M2, ctx.cycle, ctx.graph, ctx.b_regions, horizon)
 
     def test_context_flags_on_graph_cycle(self, ctx):
         assert ctx.cycle_on_graph  # 1.14619 is the landing point of 0-bar
@@ -221,6 +228,52 @@ class TestPieces:
     def test_mapping_needs_j_at_least_two(self, ctx):
         with pytest.raises(ValueError):
             piece_mapping_check(ctx, ZERO, 1)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_below_one_rejected(self, ctx, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            piece_diameter(ctx, ZERO, 1, samples=samples)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            piece_mapping_check(ctx, ZERO, 2, samples=samples)
+
+
+class TestImageGrids:
+    def test_one_grid_build_per_label_at_any_level(self, ctx, monkeypatch):
+        builds = []
+        sample = tails._piece_image_samples
+
+        def counted(context, label, grid_side):
+            builds.append((label, grid_side))
+            return sample(context, label, grid_side)
+
+        monkeypatch.setattr(tails, "_piece_image_samples", counted)
+        for max_level in (1, 6):
+            builds.clear()
+            tail_diagnostics(dataclasses.replace(ctx), ZERO, max_level, samples=8)
+            assert builds == [(0, 8)], max_level
+
+    def test_warm_context_gives_fresh_results(self, ctx):
+        warm = dataclasses.replace(ctx)
+        piece_diameter(warm, ZERO, 3, samples=12)
+        assert warm._image_grids
+        for n in (1, 7):
+            assert (piece_diameter(warm, ZERO, n, samples=12)
+                    == piece_diameter(dataclasses.replace(ctx), ZERO, n, samples=12))
+        assert (piece_mapping_check(warm, ZERO, 4, samples=12)
+                == piece_mapping_check(dataclasses.replace(ctx), ZERO, 4, samples=12))
+
+    def test_replaced_regions_start_without_grids(self, ctx):
+        assert not piece_diameter(ctx, ZERO, 3, samples=12).empty
+        foreign = dataclasses.replace(ctx, b_regions=(ctx.b_regions[0] + 1,))
+        assert not foreign._image_grids
+        assert piece_diameter(foreign, ZERO, 3, samples=12).empty
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("max_level", [0, -2])
+    def test_max_level_below_one_rejected(self, ctx, max_level):
+        with pytest.raises(ValueError, match="max_level must be >= 1"):
+            tail_diagnostics(ctx, ZERO, max_level)
 
 
 class TestPeriodTwoContext:
