@@ -7,7 +7,6 @@ from .exponential import (
     ESCAPED,
     MapModel,
     SingularValueHit,
-    derivative,
     evaluate,
     fundamental_domain_of,
     inverse_branch,
@@ -17,11 +16,10 @@ from .rays import (
     LandingResult,
     Ray,
     landing_point,
-    pullback_along_address,
     singular_escape_status,
     sweep_hair,
 )
-from .regions import OnArcError, RayGraph, build_ray_graph, interior_fixed_point_audit, itinerary
+from .regions import OnArcError, RayGraph, build_ray_graph, interior_fixed_point_audit
 from .tails import (
     TailContext,
     choose_radius,

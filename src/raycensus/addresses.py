@@ -53,10 +53,6 @@ class InfiniteAddress:
         return tuple(self.entry(i) for i in range(n))
 
     @property
-    def is_periodic(self) -> bool:
-        return not self.preperiod
-
-    @property
     def max_abs_entry(self) -> int:
         return max(map(abs, self.preperiod + self.period))
 

@@ -21,6 +21,7 @@ from .rays import (
     DEFAULT_LANDING_TOL,
     PeriodLandings,
     SingularFate,
+    _closure_bound,
     landing_table,
     singular_escape_status,
 )
@@ -44,32 +45,38 @@ class LandingSearch:
         return not self.addresses
 
 
-def landing_search(m: MapModel, cycle: Cycle, window: int, period_cap: int,
-                   match_tol: float = DEFAULT_MATCH_TOL,
-                   landing_tol: float = DEFAULT_LANDING_TOL,
-                   table: dict[int, PeriodLandings] | None = None
+def landing_search(m: MapModel, cycle: Cycle, table: dict[int, PeriodLandings],
+                   period_cap: int, match_tol: float = DEFAULT_MATCH_TOL
                    ) -> LandingSearch:
     """All window addresses whose rays land on the cycle (finite search).
 
     Candidate ray periods are the multiples of the cycle period up to
     period_cap; rays landing at a period-m orbit always have period a
     multiple of m.  `table` (see landing_table) holds the landings of those
-    periods; without it the candidates are landed here.
+    periods.  A landing point within match_tol of a cycle point matches
+    only if it also closes under f^m within the closure bound of the
+    cycle's multiplier: a repelling point of higher period can sit that
+    close to the cycle.
     """
     if not cycle.is_repelling:
         raise ValueError("landing search is defined for repelling cycles")
-    periods = range(cycle.period, period_cap + 1, cycle.period)
-    if table is None:
-        table = landing_table(m, window, periods, landing_tol)
+    if not match_tol > 0.0:
+        raise ValueError("match tolerance must be > 0")
     targets = np.array(cycle.points)
     matched: list[InfiniteAddress] = []
     failures: list[tuple[InfiniteAddress, str]] = []
-    for p in periods:
+    for p in range(cycle.period, period_cap + 1, cycle.period):
         row = table[p]
         failures += [(s, res.status) for s, res in zip(row.addresses, row.results)
                      if not res.landed]
-        near = np.abs(row.points[:, None] - targets).min(axis=1) < match_tol
-        matched += [s for s, hit in zip(row.addresses, near) if hit]
+        near = np.flatnonzero(np.abs(row.points[:, None] - targets).min(axis=1)
+                              < match_tol)
+        w = fw = row.points[near]
+        with np.errstate(all="ignore"):  # overflow leaves inf or nan, which never closes
+            for _ in range(cycle.period):
+                fw = np.exp(fw) + m.c
+        closes = np.abs(fw - w) <= _closure_bound(row.tol, cycle.multiplier, w)
+        matched += [row.addresses[i] for i in near[closes].tolist()]
     periods_found = {period_of(s) for s in matched}
     return LandingSearch(cycle=cycle, addresses=matched, failures=failures,
                          equal_period_ok=len(periods_found) <= 1)
@@ -276,9 +283,8 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
                                       for q in range(1, max_period + 1)},
                           landing_tol)
     for cyc in repelling:
-        ls = landing_search(m, cyc, window, max_period * cyc.period,
-                            match_tol=match_tol, landing_tol=landing_tol,
-                            table=table)
+        ls = landing_search(m, cyc, table, max_period * cyc.period,
+                            match_tol=match_tol)
         report.searches.append(ls)
         if not ls.equal_period_ok:
             report.warnings.append(

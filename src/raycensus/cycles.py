@@ -151,6 +151,8 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
         raise ValueError("max_period must be >= 1")
     if grid < 1:
         raise ValueError("grid must be >= 1")
+    if not tol > 0.0:
+        raise ValueError("tol must be > 0")
     xlo, xhi, ylo, yhi = box
     if not (xlo < xhi and ylo < yhi):
         raise ValueError("empty box")

@@ -88,30 +88,16 @@ def evaluate(m: MapModel, z: complex) -> complex:
     return cmath.exp(z) + m.c
 
 
-def derivative(m: MapModel, z: complex) -> complex:
-    """f'(z) = e^z (equals evaluate(z) - c exactly for this family)."""
-    if is_escaped(z) or z.real > OVERFLOW_RE:
-        return ESCAPED
-    return cmath.exp(z)
-
-
 def singular_values(m: MapModel) -> list[complex]:
     """The exponential family has the single asymptotic value c."""
     return [m.c]
 
 
-def on_cut(m: MapModel, w: complex) -> bool:
-    """True when w - c is negative real, i.e. w lies on the branch cut."""
-    u = w - m.c
-    return u.imag == 0.0 and u.real < 0.0
-
-
 def inverse_branch(m: MapModel, w: complex, k: int) -> complex:
     """L_k(w) = Log(w - c) + 2*pi*i*k.
 
-    Raises SingularValueHit for w = c and for w on the cut (the cut side
-    Im = +pi would otherwise be selected; callers that can tolerate the
-    ambiguity must check on_cut() first).
+    Raises SingularValueHit for w = c and for w on the cut, with on_cut set
+    (the cut side Im = +pi would otherwise be selected).
     """
     u = w - m.c
     if u == 0.0:

@@ -58,10 +58,6 @@ class Ray:
     depth: int
     map: MapModel
 
-    @property
-    def points(self) -> list[complex]:
-        return [z for _, z in self.samples]
-
 
 @dataclass
 class LandingResult:
@@ -119,20 +115,6 @@ def verify_pullback_roundtrip(m: MapModel, seq: list[complex]) -> float:
     return worst
 
 
-def pullback_along_address(m: MapModel, s: InfiniteAddress, zeta: complex,
-                           n: int, m_steps: int = 1) -> complex:
-    """zeta_n(s): the branch composition over the first n*m_steps labels.
-
-    Raises SingularValueHit when the composition meets c or the cut, and
-    RoundTripError when the internal re-expansion check fails.
-    """
-    if n < 0 or m_steps < 1:
-        raise ValueError("n must be >= 0 and m >= 1")
-    seq = pullback_sequence(m, s, zeta, n * m_steps)
-    verify_pullback_roundtrip(m, seq)
-    return seq[-1]
-
-
 def default_seed(m: MapModel, s: InfiniteAddress) -> complex:
     return complex(m.seed_potential, TWO_PI * s.entry(0))
 
@@ -158,6 +140,7 @@ def landing_point(m: MapModel, s: InfiniteAddress, tol: float = DEFAULT_LANDING_
     p = period_of(s)
     if p <= 0:
         raise ValueError("landing_point requires a purely periodic address")
+    _check_landing_limits(tol, max_iter)
     w = default_seed(m, s)
     labels = tuple(s.entry(i) for i in range(p))
     for it in range(1, max_iter + 1):
@@ -203,6 +186,13 @@ def landing_point(m: MapModel, s: InfiniteAddress, tol: float = DEFAULT_LANDING_
     return LandingResult("landed", point=z0, psi_derivative=1.0 / lam,
                          multiplier=lam, iterations=it,
                          itinerary_ok=itinerary_ok)
+
+
+def _check_landing_limits(tol: float, max_iter: int):
+    if not tol > 0.0:
+        raise ValueError("landing tolerance must be > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
 
 
 def _closure_bound(tol: float, lam, z0):
@@ -282,6 +272,7 @@ def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
     status, detail and iteration count landing_point gives its address,
     with points equal up to round-off.
     """
+    _check_landing_limits(tol, max_iter)
     if len(words) == 0:
         return []
     words = np.asarray(words, dtype=np.int64)
@@ -362,6 +353,7 @@ class PeriodLandings:
     addresses: list[InfiniteAddress]
     results: list[LandingResult]
     points: np.ndarray  # landing points; nan where the ray did not land
+    tol: float  # the landing tolerance the rows were landed with
 
 
 def landing_table(m: MapModel, window: int, periods,
@@ -373,7 +365,7 @@ def landing_table(m: MapModel, window: int, periods,
         results = land_periodic(m, [s.period for s in addrs], tol=landing_tol)
         points = np.array([r.point if r.landed else np.nan for r in results],
                           dtype=complex)
-        table[p] = PeriodLandings(addrs, results, points)
+        table[p] = PeriodLandings(addrs, results, points, landing_tol)
     return table
 
 
@@ -419,6 +411,8 @@ def sweep_hair(m: MapModel, s: InfiniteAddress, depth: int = 60,
         raise ValueError("need 0 < t_lo < t_hi")
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     ratio = (t_hi / t_lo) ** (1.0 / (samples - 1))
     pts: list[tuple[float, complex]] = []
     for i in range(samples):

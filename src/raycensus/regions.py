@@ -17,8 +17,8 @@ import numpy as np
 
 from .addresses import InfiniteAddress
 from .cycles import Box, Cycle
-from .exponential import MapModel, evaluate, is_escaped
-from .rays import ESCAPE_THRESHOLD, SingularValueHit, _ladder_sample, landing_table
+from .exponential import MapModel, is_escaped
+from .rays import SingularValueHit, _ladder_sample, landing_table
 
 SNAP_TOL = 1e-9
 ARC_LAND_TOL = 1e-6  # a traced arc ends once it comes this close to its landing point
@@ -193,13 +193,6 @@ class RayGraph:
             self._region_of_probe[i] = ids[root]
 
     # -- queries ------------------------------------------------------------
-    @property
-    def region_count(self) -> int:
-        return len(self._representatives)
-
-    def representative(self, region_id: int) -> complex:
-        return self._representatives[region_id]
-
     def distance_to_graph(self, z: complex) -> float:
         if len(self._segs) == 0:
             return math.inf
@@ -306,6 +299,8 @@ def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if grid < 1:
         raise ValueError("grid must be >= 1")
     arcs: list[Arc] = []
@@ -337,25 +332,6 @@ def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
 
 
 # ---------------------------------------------------------------------------
-
-def itinerary(m: MapModel, graph: RayGraph, z: complex, n_steps: int) -> list:
-    """Region ids of z, f(z), ..., f^{n_steps}(z) with in-band sentinels."""
-    out: list = []
-    w = z
-    escaped = False
-    for _ in range(n_steps + 1):
-        if escaped or is_escaped(w) or abs(w) > ESCAPE_THRESHOLD:
-            escaped = True
-            out.append("escaped")
-        else:
-            try:
-                out.append(graph.basic_region_of(w))
-            except OnArcError:
-                out.append("on-arc")
-        if not escaped:
-            w = evaluate(m, w)
-    return out
-
 
 @dataclass
 class SeparationAudit:

@@ -191,53 +191,28 @@ def tail1_membership(ctx: TailContext, label: int, z: complex) -> bool:
     return True
 
 
-def tail_membership(ctx: TailContext, address: tuple[int, ...], z: complex,
-                    forward_images: list[complex] | None = None) -> bool:
+def tail_membership(ctx: TailContext, address: tuple[int, ...], z: complex) -> bool:
     """z in the level-n tail of the finite address (length m(n-1)+1).
 
     Forward images must follow the cycle's regions and the address labels
-    index by index, with the final image passing the level-1 test.  Callers
-    holding exact forward images (e.g. ray samples, whose images are shifted
-    ray samples) may pass them to avoid double-precision overflow in the
-    forward iteration.
+    index by index, with the final image passing the level-1 test.
     """
     mper = ctx.cycle.period
     if (len(address) - 1) % mper != 0:
         raise ValueError(f"address length {len(address)} is not m(n-1)+1 "
                          f"for m={mper}")
-    steps = len(address) - 1
-    if forward_images is not None and len(forward_images) <= steps:
-        raise ValueError("need m(n-1)+1 forward images")
     w = z
-    for i in range(steps):
+    for i in range(len(address) - 1):
         if is_escaped(w):
             return False
         if strip_of(w) != address[i]:
             return False
         if ctx.graph.region_near(w) != ctx.b_regions[i % mper]:
             return False
-        w = forward_images[i + 1] if forward_images is not None else evaluate(ctx.map, w)
+        w = evaluate(ctx.map, w)
     if is_escaped(w):
         return False
     return tail1_membership(ctx, address[-1], w)
-
-
-def ray_sample_in_tail(ctx: TailContext, s: InfiniteAddress, t: float, n: int,
-                       depth: int = 80) -> bool | None:
-    """Tail membership of the hair sample at ladder potential t, level n.
-
-    Forward images of a hair sample are shifted hair samples; taking them
-    from the pullback chain keeps the test exact where forward iteration
-    would overflow.  None when the chain is too short to decide level n
-    (potential not deep enough).
-    """
-    from .rays import ladder_descend
-    chain = ladder_descend(ctx.map, s, t, depth)
-    steps = ctx.cycle.period * (n - 1)
-    if len(chain) <= steps:
-        return None
-    labels = project(s, n, ctx.cycle.period)
-    return tail_membership(ctx, labels, chain[0], forward_images=chain)
 
 
 def tail_exists(ctx: TailContext, s: InfiniteAddress, n: int) -> TailAddressRecord:

@@ -4,9 +4,13 @@ import math
 
 import pytest
 
+import numpy as np
+
+from raycensus.addresses import parse_address, shift
 from raycensus.census import audit, dumps_canonical, landing_search
 from raycensus.cycles import find_cycles
 from raycensus.exponential import MapModel
+from raycensus.rays import PeriodLandings, land_periodic, landing_table
 
 M2 = MapModel(c=-2)
 BOX = (-3.0, 3.0, -7.0, 7.0)
@@ -18,11 +22,17 @@ FIX_REPELLING = 1.1461932206205825
 FIX_STRIP1 = complex(2.1310754576665873, 7.341435092197778)
 
 
+def search(m, cycle, window, period_cap, **kw):
+    """landing_search over a table of the candidate periods, as audit builds it."""
+    table = landing_table(m, window, range(cycle.period, period_cap + 1, cycle.period))
+    return landing_search(m, cycle, table, period_cap, **kw)
+
+
 class TestLandingSearch:
     def test_fixed_point_found_by_zero_bar_only(self):
         rep = [c for c in find_cycles(M2, 1, BOX, grid=30).cycles
                if c.is_repelling][0]
-        ls = landing_search(M2, rep, window=1, period_cap=3)
+        ls = search(M2, rep, 1, 3)
         assert [str(a) for a in ls.addresses] == ["0"]
         assert ls.equal_period_ok
         assert not ls.failures
@@ -31,7 +41,7 @@ class TestLandingSearch:
         rep = [c for c in find_cycles(M2, 1, (-3, 3, 3, 9), grid=50).cycles
                if c.is_repelling][0]
         assert abs(rep.points[0] - FIX_STRIP1) < 1e-9
-        ls = landing_search(M2, rep, window=1, period_cap=3)
+        ls = search(M2, rep, 1, 3)
         assert [str(a) for a in ls.addresses] == ["1"]
 
     def test_two_cycle_rotation_pair(self):
@@ -40,7 +50,7 @@ class TestLandingSearch:
                    c.points, key=lambda z: (z.real, z.imag))
                and c.points[0].imag > 0]
         cyc = two[0]
-        ls = landing_search(M2, cyc, window=1, period_cap=4)
+        ls = search(M2, cyc, 1, 4)
         assert {str(a) for a in ls.addresses} == {"0,1", "1,0"}
         assert ls.equal_period_ok
 
@@ -48,7 +58,36 @@ class TestLandingSearch:
         att = [c for c in find_cycles(M2, 1, BOX, grid=30).cycles
                if c.is_attracting][0]
         with pytest.raises(ValueError):
-            landing_search(M2, att, window=1, period_cap=2)
+            search(M2, att, 1, 2)
+
+    @pytest.mark.parametrize("match_tol", [0.0, -1.0])
+    def test_meaningless_match_tol_rejected(self, match_tol):
+        rep = [c for c in find_cycles(M2, 1, BOX, grid=30).cycles
+               if c.is_repelling][0]
+        with pytest.raises(ValueError, match="match tolerance"):
+            search(M2, rep, 1, 1, match_tol=match_tol)
+
+    def test_nearby_period_twelve_points_do_not_match(self):
+        # these period-12 rays land within match_tol (1e-6) of a period-3
+        # cycle point, but f^3 moves their landing points by 4.9e-6 and
+        # more, against a closure bound near 6e-9: they land elsewhere
+        words = ["-1,0,0,-1,0,0,-1,0,0,-1,-1,1", "1,-1,0,1,-1,0,1,-1,0,1,-1,1",
+                 "1,0,0,1,0,0,1,0,0,1,1,-1", "-1,1,0,-1,1,0,-1,1,0,-1,1,-1"]
+        addrs = [parse_address(w) for w in words]
+        results = land_periodic(M2, np.array([s.period for s in addrs]))
+        assert all(res.landed for res in results)
+        table = landing_table(M2, 1, [3, 6, 9])
+        table[12] = PeriodLandings(addrs, results,
+                                   np.array([res.point for res in results]), table[3].tol)
+        three = [c for c in find_cycles(M2, 3, BOX, grid=40).cycles if c.period == 3]
+        assert len(three) == 4
+        for cyc in three:
+            assert min(abs(res.point - z) for res in results for z in cyc.points) < 1e-6
+            ls = landing_search(M2, cyc, table, 12)
+            # exactly the three rotations of one period-3 word
+            assert len(ls.addresses) == 3
+            assert {shift(s) for s in ls.addresses} == set(ls.addresses)
+            assert ls.equal_period_ok
 
     def test_period_three_census_lands_every_ray(self):
         report = audit(M2, BOX, 3, 1)
@@ -60,8 +99,8 @@ class TestLandingSearch:
     def test_monotone_in_window_and_cap(self):
         rep = [c for c in find_cycles(M2, 1, BOX, grid=30).cycles
                if c.is_repelling][0]
-        small = landing_search(M2, rep, window=1, period_cap=2)
-        large = landing_search(M2, rep, window=2, period_cap=4)
+        small = search(M2, rep, 1, 2)
+        large = search(M2, rep, 2, 4)
         assert set(map(str, small.addresses)) <= set(map(str, large.addresses))
 
 
@@ -169,7 +208,7 @@ class TestInvisibleCandidateMachinery:
         m0 = MapModel(c=0)
         reps = [c for c in find_cycles(m0, 1, BOX, grid=40).cycles
                 if c.is_repelling and c.points[0].imag > 0]
-        ls = landing_search(m0, reps[0], window=1, period_cap=3)
+        ls = search(m0, reps[0], 1, 3)
         assert ls.invisible_candidate
         assert any(status == "singular-hit" for _, status in ls.failures)
 

@@ -234,6 +234,25 @@ class TestOtherCommands:
         assert result.returncode == 2
 
 
+class TestMeaninglessLimits:
+    @pytest.mark.parametrize("args", [
+        ["audit", "--max-period", "1", "--grid", "20", "--match-tol", "-1"],
+        ["audit", "--max-period", "1", "--grid", "20", "--match-tol", "0"],
+        ["audit", "--max-period", "1", "--grid", "20", "--landing-tol", "0"],
+        ["land", "--address", "0", "--tol", "0"],
+        ["land", "--address", "0", "--tol", "-1"],
+        ["land", "--address", "0", "--max-iter", "0"],
+        ["cycles", "--box", "-3,3,-7,7", "--grid", "20", "--tol", "-1"],
+        ["trace-ray", "--address", "0", "--t", "1:5", "--depth", "-3"],
+    ])
+    def test_rejected_exit_2(self, capsys, args):
+        code = main([*args, "--c", "-2,0"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestInProcessMain:
     def test_main_returns_exit_code(self, capsys):
         code = main(["land", "--c", "-2,0", "--address", "0"])

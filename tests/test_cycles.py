@@ -166,3 +166,6 @@ class TestInvariants:
             find_cycles(M2, 0, BOX)
         with pytest.raises(ValueError):
             find_cycles(M2, 1, (1, -1, 0, 2))
+        for tol in (0.0, -1.0):
+            with pytest.raises(ValueError, match="tol must be > 0"):
+                find_cycles(M2, 1, BOX, grid=5, tol=tol)

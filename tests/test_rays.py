@@ -9,12 +9,12 @@ from raycensus.addresses import InfiniteAddress, enumerate_periodic, parse_addre
 from raycensus.exponential import MapModel, SingularValueHit, evaluate
 from raycensus.rays import (
     RoundTripError,
+    apply_branches,
     default_seed,
     ladder_descend,
     land_periodic,
     landing_point,
     landing_table,
-    pullback_along_address,
     pullback_sequence,
     singular_escape_status,
     sweep_hair,
@@ -46,15 +46,15 @@ def newton_fixed_point(c, z, p=1, iters=60):
 
 class TestPullback:
     def test_single_step(self):
-        assert abs(pullback_along_address(M2, ZERO, 10, 1) - math.log(12)) < 1e-14
+        assert abs(pullback_sequence(M2, ZERO, 10, 1)[-1] - math.log(12)) < 1e-14
 
     def test_three_steps(self):
         # iterate w -> ln(w+2) three times from 10: 2.48491, 1.50074, 1.25297
-        z = pullback_along_address(M2, ZERO, 10, 3)
+        z = pullback_sequence(M2, ZERO, 10, 3)[-1]
         assert abs(z - 1.252967999310263) < 1e-12
 
     def test_limit_is_repelling_fixed_point(self):
-        z = pullback_along_address(M2, ZERO, 10, 60)
+        z = pullback_sequence(M2, ZERO, 10, 60)[-1]
         assert abs(z - FIX_REPELLING) < 1e-13
 
     def test_one_step_recursion(self):
@@ -62,15 +62,15 @@ class TestPullback:
         s = InfiniteAddress((), (0, 1))
         zeta = complex(50, 2 * math.pi)
         for n in range(4):
-            rhs = pullback_along_address(M2, shift_by(s, 2), zeta, n, 2)
-            from raycensus.rays import apply_branches
+            rhs = pullback_sequence(M2, shift_by(s, 2), zeta, 2 * n)[-1]
             rhs = apply_branches(M2, (s.entry(0), s.entry(1)), rhs)
-            lhs = pullback_along_address(M2, s, zeta, n + 1, 2)
-            assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+            seq = pullback_sequence(M2, s, zeta, 2 * n + 2)
+            verify_pullback_roundtrip(M2, seq)
+            assert abs(seq[-1] - rhs) < 1e-9 * max(1.0, abs(seq[-1]))
 
     def test_singular_hit_raised(self):
         with pytest.raises(SingularValueHit):
-            pullback_along_address(MapModel(c=0), ZERO, 50, 10)
+            pullback_sequence(MapModel(c=0), ZERO, 50, 10)
 
     def test_roundtrip_check_rejects_corrupted_chain(self):
         seq = pullback_sequence(M2, ZERO, 10, 5)
@@ -136,6 +136,13 @@ class TestLanding:
     def test_preperiodic_rejected(self):
         with pytest.raises(ValueError):
             landing_point(M2, parse_address("3:0,1"))
+
+    @pytest.mark.parametrize("tol, max_iter", [(0.0, 100), (-1e-10, 100), (1e-10, 0)])
+    def test_meaningless_limits_rejected(self, tol, max_iter):
+        with pytest.raises(ValueError):
+            landing_point(M2, ZERO, tol=tol, max_iter=max_iter)
+        with pytest.raises(ValueError):
+            land_periodic(M2, np.array([[0]]), tol=tol, max_iter=max_iter)
 
 
 def primitive_words(window, p):
@@ -216,8 +223,8 @@ class TestTraceRay:
             s = parse_address(text)
             prev_delta = None
             for depth in range(5, 12):
-                delta = max(abs(pullback_along_address(M2, s, zeta, depth + 1)
-                                - pullback_along_address(M2, s, zeta, depth))
+                delta = max(abs(pullback_sequence(M2, s, zeta, depth + 1)[-1]
+                                - pullback_sequence(M2, s, zeta, depth)[-1])
                             for zeta in (20.0, 35.0))
                 if prev_delta is not None and prev_delta > 1e-14:
                     assert delta < 0.9 * prev_delta
@@ -227,12 +234,12 @@ class TestTraceRay:
         ray = sweep_hair(M2, ZERO, depth=60, t_lo=0.5, t_hi=200, samples=60)
         ts = [t for t, _ in ray.samples]
         assert ts == sorted(ts)
-        pts = ray.points
+        pts = [z for _, z in ray.samples]
         assert len({(z.real, z.imag) for z in pts}) == len(pts)
 
     def test_sweep_approaches_landing_point(self):
         ray = sweep_hair(M2, ZERO, depth=60, t_lo=1e-3, t_hi=200, samples=80)
-        assert abs(ray.points[0] - FIX_REPELLING) < 1e-9
+        assert abs(ray.samples[0][1] - FIX_REPELLING) < 1e-9
 
     def test_sweep_far_samples_in_first_domain(self):
         from raycensus.exponential import fundamental_domain_of
@@ -253,6 +260,10 @@ class TestTraceRay:
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_hair(M2, ZERO, t_lo=5.0, t_hi=2.0)
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            sweep_hair(M2, ZERO, depth=-3, t_lo=5.0, t_hi=200.0)
 
     @pytest.mark.parametrize("samples", [1, 0])
     def test_fewer_than_two_samples_rejected(self, samples):

@@ -6,12 +6,11 @@ import pytest
 
 from raycensus.addresses import parse_address
 from raycensus.cycles import find_cycles
-from raycensus.exponential import MapModel
+from raycensus.exponential import MapModel, evaluate
 from raycensus.regions import (
     OnArcError,
     build_ray_graph,
     interior_fixed_point_audit,
-    itinerary,
     segments_cross,
 )
 
@@ -149,6 +148,10 @@ class TestBuild:
         with pytest.raises(ValueError, match="grid must be >= 1"):
             build_ray_graph(M2, 1, 1, depth=40, box=BOX, grid=grid)
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            build_ray_graph(M2, 1, 1, depth=-3, box=BOX, grid=40)
+
     def test_arcs_pairwise_disjoint(self, graph_m2):
         arcs = graph_m2.arcs
         for i in range(len(arcs)):
@@ -185,8 +188,8 @@ class TestPointLocation:
         assert rid == graph_m2.basic_region_of(-1.0 + 0j)
 
     def test_region_id_stability_around_representatives(self, graph_m2):
-        for rid in range(graph_m2.region_count):
-            rep = graph_m2.representative(rid)
+        for region in graph_m2.to_json_dict()["regions"]:
+            rid, rep = region["id"], complex(*region["representative"])
             assert graph_m2.basic_region_of(rep) == rid
             for k in range(8):
                 ang = math.pi * k / 4
@@ -199,35 +202,37 @@ class TestPointLocation:
     def test_deterministic_rebuild(self):
         g1 = build_ray_graph(M2, 1, 1, depth=40, box=BOX, grid=60)
         g2 = build_ray_graph(M2, 1, 1, depth=40, box=BOX, grid=60)
-        assert g1.region_count == g2.region_count
+        assert g1.to_json_dict()["regions"] == g2.to_json_dict()["regions"]
         for z in (-1 + 0j, 2 + 3j, 2 - 3j, 0.5 + 6.9j):
             assert g1.basic_region_of(z) == g2.basic_region_of(z)
 
 
+def orbit_regions(graph, z, n_steps):
+    """Region ids of z, f(z), ..., f^{n_steps}(z) for a bounded orbit."""
+    out = []
+    for _ in range(n_steps + 1):
+        out.append(graph.basic_region_of(z))
+        z = evaluate(M2, z)
+    return out
+
+
 class TestItinerary:
     def test_fixed_point_constant(self, graph_m2):
-        out = itinerary(M2, graph_m2, FIX_ATTRACTING + 0j, 10)
+        out = orbit_regions(graph_m2, FIX_ATTRACTING + 0j, 10)
         assert len(set(out)) == 1
 
     def test_singular_orbit_eventually_constant(self, graph_m2):
-        out = itinerary(M2, graph_m2, -2 + 0j, 20)
+        out = orbit_regions(graph_m2, -2 + 0j, 20)
         target = graph_m2.basic_region_of(FIX_ATTRACTING + 0j)
         assert out[-1] == target
         assert all(step == target for step in out[5:])
-
-    def test_c0_escape_sentinel(self):
-        m0 = MapModel(c=0)
-        g0 = build_ray_graph(m0, 1, 1, depth=40, box=BOX, grid=40)
-        out = itinerary(m0, g0, 0j, 5)
-        assert out[-1] == "escaped"
-        assert "escaped" in out[4:5] or out[4] == "escaped"
 
     def test_cycle_itinerary_periodic(self, graph_m2):
         two = [c for c in find_cycles(M2, 2, BOX, grid=30).cycles if c.period == 2]
         for cyc in two:
             if any(graph_m2.on_graph(z) for z in cyc.points):
                 continue
-            out = itinerary(M2, graph_m2, cyc.points[0], 4)
+            out = orbit_regions(graph_m2, cyc.points[0], 4)
             assert out[0] == out[2] == out[4]
 
 

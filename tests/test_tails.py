@@ -4,10 +4,10 @@ import math
 import pytest
 
 from raycensus import tails
-from raycensus.addresses import InfiniteAddress, parse_address
+from raycensus.addresses import InfiniteAddress, parse_address, project
 from raycensus.cycles import find_cycles
 from raycensus.exponential import MapModel, evaluate
-from raycensus.rays import landing_point, pullback_along_address
+from raycensus.rays import ladder_descend, landing_point, pullback_sequence
 from raycensus.regions import build_ray_graph
 from raycensus.tails import (
     TrappedSingularOrbit,
@@ -15,7 +15,6 @@ from raycensus.tails import (
     make_tail_context,
     piece_diameter,
     piece_mapping_check,
-    ray_sample_in_tail,
     tail1_membership,
     tail_diagnostics,
     tail_exists,
@@ -106,7 +105,7 @@ class TestTailMembership:
         assert tail_membership(ctx, (0,), z) == tail1_membership(ctx, 0, z)
 
     def test_level_two_pullback_witness(self, ctx):
-        z = pullback_along_address(M2, ZERO, M2.seed_potential, 1)
+        z = pullback_sequence(M2, ZERO, M2.seed_potential, 1)[-1]
         assert tail_membership(ctx, (0, 0), z)
 
     def test_cycle_point_not_in_tails(self, ctx):
@@ -176,28 +175,27 @@ def _potential_for_level(n: int, out: float = 10.0) -> float:
 
 
 class TestRayInTail:
+    @staticmethod
+    def sample_in_tail(ctx, t, n):
+        """Tail membership at level n of the 0-ray sample at ladder potential t."""
+        return tail_membership(ctx, project(ZERO, n, 1), ladder_descend(M2, ZERO, t, 80)[0])
+
     def test_ray_samples_pass_membership(self, ctx):
         # a sample is in tau_n from the level where its forward images pass
         # radius r; the potential is matched to the level accordingly
         for n in (1, 2, 5, 10, 20):
             t = _potential_for_level(n)
-            got = ray_sample_in_tail(ctx, ZERO, t, n, depth=80)
-            assert got is True, (n, got)
+            assert self.sample_in_tail(ctx, t, n), n
 
     def test_nesting_at_infinity(self, ctx):
         # the same sample lies in consecutive-level tails (far-out nesting)
         for n in (1, 2, 5, 10):
             t = _potential_for_level(n)
-            a = ray_sample_in_tail(ctx, ZERO, t, n, depth=80)
-            b = ray_sample_in_tail(ctx, ZERO, t, n + 1, depth=80)
-            assert a is True and b is True
+            assert self.sample_in_tail(ctx, t, n) and self.sample_in_tail(ctx, t, n + 1)
 
     def test_sample_below_its_level_is_outside(self, ctx):
         # deep samples are NOT in shallow tails: f^{n-1}(z) has small image
-        assert ray_sample_in_tail(ctx, ZERO, 0.5, 1, depth=80) is False
-
-    def test_too_shallow_is_undecided(self, ctx):
-        assert ray_sample_in_tail(ctx, ZERO, 150.0, 10, depth=80) is None
+        assert not self.sample_in_tail(ctx, 0.5, 1)
 
 
 class TestPieces:
