@@ -8,8 +8,9 @@ which makes the representation unique and hashable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class AddressParseError(ValueError):
@@ -123,15 +124,37 @@ def period_of(s: InfiniteAddress) -> int:
     return len(s.period)
 
 
+def primitive_words(window: int, p: int) -> np.ndarray:
+    """The primitive words of length p with entries in [-K, K], one per row.
+
+    Rows are in lexicographic order: the base-(2K+1) digits of
+    0 ... (2K+1)^p - 1, less the rows that equal a rotation of themselves
+    by a proper divisor of p.  The array is int8 while the window fits.
+    """
+    if window < 0 or p < 1:
+        raise ValueError("window must be >= 0 and p >= 1")
+    base = 2 * window + 1
+    codes = np.arange(base**p, dtype=np.int64)
+    words = np.empty((len(codes), p), dtype=np.int8 if window < 128 else np.int64)
+    for j in range(p - 1, -1, -1):
+        codes, digit = np.divmod(codes, base)
+        words[:, j] = digit - window
+    keep = np.ones(len(words), dtype=bool)
+    for d in range(1, p):
+        if p % d == 0:
+            keep &= ~np.all(words == np.roll(words, d, axis=1), axis=1)
+    return words[keep]
+
+
 def enumerate_periodic(window: int, p: int) -> list[InfiniteAddress]:
     """All canonical periodic addresses of period dividing p, entries in [-K, K].
 
     Words of length p biject with these addresses ((2K+1)^p of them);
-    cyclic rotations are distinct addresses.
+    cyclic rotations are distinct addresses.  They come by primitive
+    period, then lexicographically.
     """
     if window < 0 or p < 1:
         raise ValueError("window must be >= 0 and p >= 1")
-    out = [InfiniteAddress((), word)
-           for word in itertools.product(range(-window, window + 1), repeat=p)]
-    out.sort(key=lambda s: (len(s.period), s.period))
-    return out
+    return [InfiniteAddress((), tuple(word))
+            for d in range(1, p + 1) if p % d == 0
+            for word in primitive_words(window, d).tolist()]

@@ -19,8 +19,10 @@ from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, Box, Cycle, CycleSearch, find
 from .exponential import MapModel, evaluate, is_escaped
 from .rays import (
     DEFAULT_LANDING_TOL,
+    DEFAULT_MAX_ITER,
     PeriodLandings,
     SingularFate,
+    _check_landing_limits,
     _closure_bound,
     landing_table,
     singular_escape_status,
@@ -45,6 +47,11 @@ class LandingSearch:
         return not self.addresses
 
 
+def _check_match_tol(match_tol: float):
+    if not match_tol > 0.0:
+        raise ValueError("match tolerance must be > 0")
+
+
 def landing_search(m: MapModel, cycle: Cycle, table: dict[int, PeriodLandings],
                    period_cap: int, match_tol: float = DEFAULT_MATCH_TOL
                    ) -> LandingSearch:
@@ -60,23 +67,22 @@ def landing_search(m: MapModel, cycle: Cycle, table: dict[int, PeriodLandings],
     """
     if not cycle.is_repelling:
         raise ValueError("landing search is defined for repelling cycles")
-    if not match_tol > 0.0:
-        raise ValueError("match tolerance must be > 0")
-    targets = np.array(cycle.points)
+    _check_match_tol(match_tol)
     matched: list[InfiniteAddress] = []
     failures: list[tuple[InfiniteAddress, str]] = []
     for p in range(cycle.period, period_cap + 1, cycle.period):
         row = table[p]
-        failures += [(s, res.status) for s, res in zip(row.addresses, row.results)
-                     if not res.landed]
-        near = np.flatnonzero(np.abs(row.points[:, None] - targets).min(axis=1)
-                              < match_tol)
+        failures += [(row.address(i), row.result(i).status)
+                     for i in np.flatnonzero(~row.landed).tolist()]
+        near = np.zeros(len(row.points), dtype=bool)
+        for z in cycle.points:
+            near |= np.abs(row.points - z) < match_tol
         w = fw = row.points[near]
         with np.errstate(all="ignore"):  # overflow leaves inf or nan, which never closes
             for _ in range(cycle.period):
                 fw = np.exp(fw) + m.c
         closes = np.abs(fw - w) <= _closure_bound(row.tol, cycle.multiplier, w)
-        matched += [row.addresses[i] for i in near[closes].tolist()]
+        matched += [row.address(i) for i in np.flatnonzero(near)[closes].tolist()]
     periods_found = {period_of(s) for s in matched}
     return LandingSearch(cycle=cycle, addresses=matched, failures=failures,
                          equal_period_ok=len(periods_found) <= 1)
@@ -247,6 +253,9 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
           match_tol: float = DEFAULT_MATCH_TOL,
           config: dict | None = None) -> CensusReport:
     """Full census pipeline: cycles, landing searches, counts, verdict."""
+    # the singular-value gate can end the audit before any ray is landed
+    _check_landing_limits(landing_tol, DEFAULT_MAX_ITER)
+    _check_match_tol(match_tol)
     search: CycleSearch = find_cycles(m, max_period, box, grid=grid, tol=tol,
                                       tol_band=tol_band)
     cycles = search.cycles

@@ -48,8 +48,14 @@ class Cycle:
         return d
 
 
+def _check_tol_band(tol_band: float):
+    if not 0.0 <= tol_band < 1.0:
+        raise ValueError("tol_band must be >= 0 and < 1")
+
+
 def classify(lam: complex, tol_band: float = DEFAULT_TOL_BAND) -> tuple[str, float | None]:
     """|lambda|-based stability class; returns (class, rotation estimate)."""
+    _check_tol_band(tol_band)
     r = abs(lam)
     if r < 1.0 - tol_band:
         return ("superattracting", None) if lam == 0 else ("attracting", None)
@@ -153,6 +159,7 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
         raise ValueError("grid must be >= 1")
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
+    _check_tol_band(tol_band)
     xlo, xhi, ylo, yhi = box
     if not (xlo < xhi and ylo < yhi):
         raise ValueError("empty box")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .addresses import InfiniteAddress, enumerate_periodic, period_of
+from .addresses import InfiniteAddress, period_of, primitive_words
 from .cycles import _newton_steps
 from .exponential import (
     ESCAPED,
@@ -208,9 +208,69 @@ def _closure_bound(tol: float, lam, z0):
 # ---------------------------------------------------------------------------
 # batched landing: landing_point along the address axis
 
-#: first branch-cut event of a batched psi step, per row
-_NO_HIT, _HIT_SINGULAR, _HIT_CUT = 0, 1, 2
-_HIT_DETAIL = {_HIT_SINGULAR: "singular-value", _HIT_CUT: "cut"}
+#: status codes of the landing columns
+_STATUSES = ("landed", "not-converged", "escaped-pullback", "singular-hit")
+_LANDED, _NOT_CONVERGED, _ESCAPED, _SINGULAR_HIT = range(4)
+
+#: detail codes; the first branch-cut event of a batched psi step, per row,
+#: is the detail code of its singular hit
+_DETAILS = ("", "singular-value", "cut", "limit is not a psi fixed point",
+            "forward orbit does not close")
+_NO_HIT, _HIT_SINGULAR, _HIT_CUT, _NOT_FIXED, _NOT_CLOSED = range(5)
+
+#: rows landed per land_periodic call by landing_table; bounds the memory
+#: of the batch's working arrays
+_CHUNK_ROWS = 65_536
+
+
+@dataclass
+class PeriodLandings:
+    """Landing results of many periodic addresses, as columns.
+
+    Row i is the address whose period word is words[i].  Objects are built
+    only on request, one row at a time, by address(i) and result(i).
+    """
+
+    words: np.ndarray  # (N, p) primitive words s_0 ... s_{p-1}
+    status: np.ndarray  # int8 index into _STATUSES
+    detail: np.ndarray  # int8 index into _DETAILS
+    iterations: np.ndarray  # pullback iterations
+    points: np.ndarray  # landing points; nan where the ray did not land
+    multipliers: np.ndarray  # (f^p)' at the landing point; nan where not landed
+    itinerary_ok: np.ndarray  # bool; False where not landed
+    tol: float  # the landing tolerance the rows were landed with
+
+    @property
+    def landed(self) -> np.ndarray:
+        return self.status == _LANDED
+
+    def address(self, i: int) -> InfiniteAddress:
+        return InfiniteAddress((), tuple(self.words[i].tolist()))
+
+    def result(self, i: int) -> LandingResult:
+        """The LandingResult that landing_point gives row i, up to round-off."""
+        iterations = int(self.iterations[i])
+        if self.status[i] != _LANDED:
+            return LandingResult(_STATUSES[self.status[i]], iterations=iterations,
+                                 detail=_DETAILS[self.detail[i]])
+        lam = complex(self.multipliers[i])
+        return LandingResult("landed", point=complex(self.points[i]),
+                             psi_derivative=1.0 / lam, multiplier=lam,
+                             iterations=iterations,
+                             itinerary_ok=bool(self.itinerary_ok[i]))
+
+
+#: the PeriodLandings columns with one entry per row
+_COLUMNS = ("status", "detail", "iterations", "points", "multipliers", "itinerary_ok")
+
+
+def _unlanded(words: np.ndarray, tol: float) -> PeriodLandings:
+    """Columns for the rows of words before any is landed: not-converged."""
+    n = len(words)
+    return PeriodLandings(words, np.full(n, _NOT_CONVERGED, dtype=np.int8),
+                          np.zeros(n, dtype=np.int8),
+                          np.zeros(n, dtype=np.int32), np.full(n, np.nan, dtype=complex),
+                          np.full(n, np.nan, dtype=complex), np.zeros(n, dtype=bool), tol)
 
 
 def _psi_batch(c: complex, shifts: np.ndarray,
@@ -263,7 +323,7 @@ def _newton_polish_batch(c: complex, w: np.ndarray, p: int,
 
 
 def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER) -> list[LandingResult]:
+                  max_iter: int = DEFAULT_MAX_ITER) -> PeriodLandings:
     """landing_point for many purely periodic addresses at once.
 
     words is an (N, p) integer array whose rows are primitive period words
@@ -273,21 +333,20 @@ def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
     with points equal up to round-off.
     """
     _check_landing_limits(tol, max_iter)
-    if len(words) == 0:
-        return []
-    words = np.asarray(words, dtype=np.int64)
+    words = np.asarray(words)
     if words.ndim != 2:
         raise ValueError("words must be an (N, p) array")
+    out = _unlanded(words, tol)
     n, p = words.shape
+    if n == 0:
+        return out
     c = m.c
     shifts = 1j * (TWO_PI * words)
-    results: list[LandingResult | None] = [None] * n
-    iters = np.zeros(n, dtype=np.int64)
+    iters = out.iterations
 
-    def fail(rows, status, hits=None, detail=""):
-        for k, i in enumerate(rows.tolist()):
-            d = _HIT_DETAIL[int(hits[k])] if hits is not None else detail
-            results[i] = LandingResult(status, iterations=int(iters[i]), detail=d)
+    def fail(rows, status, detail):
+        out.status[rows] = status
+        out.detail[rows] = detail
 
     with np.errstate(all="ignore"):
         limit = np.zeros(n, dtype=complex)
@@ -298,9 +357,9 @@ def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
             w_next, hit = _psi_batch(c, sh, w)
             iters[rows] = it
             hit_rows = hit != _NO_HIT
-            fail(rows[hit_rows], "singular-hit", hit[hit_rows])
+            fail(rows[hit_rows], _SINGULAR_HIT, hit[hit_rows])
             escaped = ~hit_rows & (np.abs(w_next) > ESCAPE_THRESHOLD)
-            fail(rows[escaped], "escaped-pullback")
+            fail(rows[escaped], _ESCAPED, _NO_HIT)
             conv = ~hit_rows & ~escaped & (np.abs(w_next - w) < tol)
             limit[rows[conv]] = w_next[conv]
             converged[rows[conv]] = True
@@ -308,7 +367,7 @@ def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
             rows, sh, w = rows[keep], sh[keep], w_next[keep]
             if not rows.size:
                 break
-        fail(rows, "not-converged")
+        fail(rows, _NOT_CONVERGED, _NO_HIT)
 
         rows = np.flatnonzero(converged)
         w = limit[rows]
@@ -318,11 +377,10 @@ def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
         z0 = np.where(drift, w, z0)
         psi_z0, hit = _psi_batch(c, shifts[rows], z0)
         hit_rows = hit != _NO_HIT
-        fail(rows[hit_rows], "singular-hit", hit[hit_rows])
+        fail(rows[hit_rows], _SINGULAR_HIT, hit[hit_rows])
         not_fixed = ~hit_rows & (np.abs(psi_z0 - z0)
                                  >= tol * np.maximum(1.0, np.abs(z0)))
-        fail(rows[not_fixed], "not-converged",
-             detail="limit is not a psi fixed point")
+        fail(rows[not_fixed], _NOT_CONVERGED, _NOT_FIXED)
         keep = ~(hit_rows | not_fixed)
         rows, z0 = rows[keep], z0[keep]
 
@@ -335,37 +393,26 @@ def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
             lam = lam * e
             zj = np.where(np.isfinite(zj) & (zj.real <= OVERFLOW_RE), e + c, ESCAPED)
         closed = np.isfinite(zj) & (np.abs(zj - z0) <= _closure_bound(tol, lam, z0))
-        fail(rows[~closed], "not-converged", detail="forward orbit does not close")
-        psi_d = 1.0 / lam
-    for k in np.flatnonzero(closed).tolist():
-        i = int(rows[k])
-        results[i] = LandingResult(
-            "landed", point=complex(z0[k]), psi_derivative=complex(psi_d[k]),
-            multiplier=complex(lam[k]), iterations=int(iters[i]),
-            itinerary_ok=bool(itinerary_ok[k]))
-    return results
-
-
-@dataclass
-class PeriodLandings:
-    """The window addresses of one primitive period, each landed once."""
-
-    addresses: list[InfiniteAddress]
-    results: list[LandingResult]
-    points: np.ndarray  # landing points; nan where the ray did not land
-    tol: float  # the landing tolerance the rows were landed with
+        fail(rows[~closed], _NOT_CONVERGED, _NOT_CLOSED)
+    rows = rows[closed]
+    out.status[rows] = _LANDED
+    out.points[rows] = z0[closed]
+    out.multipliers[rows] = lam[closed]
+    out.itinerary_ok[rows] = itinerary_ok[closed]
+    return out
 
 
 def landing_table(m: MapModel, window: int, periods,
                   landing_tol: float = DEFAULT_LANDING_TOL) -> dict[int, PeriodLandings]:
-    """Lands the window addresses of each period, one batched pass per period."""
+    """Lands the primitive window words of each period, _CHUNK_ROWS at a time."""
     table: dict[int, PeriodLandings] = {}
     for p in sorted(set(periods)):
-        addrs = [s for s in enumerate_periodic(window, p) if period_of(s) == p]
-        results = land_periodic(m, [s.period for s in addrs], tol=landing_tol)
-        points = np.array([r.point if r.landed else np.nan for r in results],
-                          dtype=complex)
-        table[p] = PeriodLandings(addrs, results, points, landing_tol)
+        words = primitive_words(window, p)
+        table[p] = row = _unlanded(words, landing_tol)
+        for lo in range(0, len(words), _CHUNK_ROWS):
+            chunk = land_periodic(m, words[lo:lo + _CHUNK_ROWS], tol=landing_tol)
+            for name in _COLUMNS:
+                getattr(row, name)[lo:lo + _CHUNK_ROWS] = getattr(chunk, name)
     return table
 
 

@@ -306,8 +306,8 @@ def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
     arcs: list[Arc] = []
     failures: list[tuple[InfiniteAddress, str]] = []
     table = landing_table(m, window, [d for d in range(1, p + 1) if p % d == 0])
-    landings = [(s, res) for row in table.values()
-                for s, res in zip(row.addresses, row.results)]
+    landings = [(row.address(i), row.result(i)) for row in table.values()
+                for i in range(len(row.words))]
     for s, res in landings:
         if not res.landed:
             failures.append((s, res.status))

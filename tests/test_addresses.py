@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from raycensus.addresses import (
     enumerate_periodic,
     parse_address,
     period_of,
+    primitive_words,
     project,
     shift,
     shift_by,
@@ -137,6 +139,32 @@ class TestEnumerate:
             enumerate_periodic(-1, 2)
         with pytest.raises(ValueError):
             enumerate_periodic(1, 0)
+
+
+class TestPrimitiveWords:
+    @pytest.mark.parametrize("K,p", [(k, p) for k in (0, 1, 2) for p in range(1, 7)])
+    def test_rows_are_the_period_p_addresses_in_order(self, K, p):
+        words = primitive_words(K, p)
+        assert words.dtype == np.int8 and words.shape[1] == p
+        expected = [s.period for s in enumerate_periodic(K, p) if period_of(s) == p]
+        assert [tuple(w) for w in words.tolist()] == expected
+        # and independently of enumerate_periodic
+        assert [tuple(w) for w in words.tolist()] == [
+            w for w in itertools.product(range(-K, K + 1), repeat=p)
+            if InfiniteAddress((), w).period == w]
+
+    def test_window_past_int8_keeps_its_entries(self):
+        assert primitive_words(128, 1)[:, 0].tolist() == list(range(-128, 129))
+
+    def test_window_zero_has_only_the_fixed_word(self):
+        assert primitive_words(0, 1).tolist() == [[0]]
+        assert primitive_words(0, 3).shape == (0, 3)
+
+    def test_bad_args(self):
+        with pytest.raises(ValueError):
+            primitive_words(-1, 2)
+        with pytest.raises(ValueError):
+            primitive_words(1, 0)
 
 
 class TestTextSyntax:

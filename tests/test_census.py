@@ -10,7 +10,7 @@ from raycensus.addresses import parse_address, shift
 from raycensus.census import audit, dumps_canonical, landing_search
 from raycensus.cycles import find_cycles
 from raycensus.exponential import MapModel
-from raycensus.rays import PeriodLandings, land_periodic, landing_table
+from raycensus.rays import land_periodic, landing_table
 
 M2 = MapModel(c=-2)
 BOX = (-3.0, 3.0, -7.0, 7.0)
@@ -73,16 +73,14 @@ class TestLandingSearch:
         # more, against a closure bound near 6e-9: they land elsewhere
         words = ["-1,0,0,-1,0,0,-1,0,0,-1,-1,1", "1,-1,0,1,-1,0,1,-1,0,1,-1,1",
                  "1,0,0,1,0,0,1,0,0,1,1,-1", "-1,1,0,-1,1,0,-1,1,0,-1,1,-1"]
-        addrs = [parse_address(w) for w in words]
-        results = land_periodic(M2, np.array([s.period for s in addrs]))
-        assert all(res.landed for res in results)
+        twelve = land_periodic(M2, np.array([parse_address(w).period for w in words]))
+        assert twelve.landed.all()
         table = landing_table(M2, 1, [3, 6, 9])
-        table[12] = PeriodLandings(addrs, results,
-                                   np.array([res.point for res in results]), table[3].tol)
+        table[12] = twelve
         three = [c for c in find_cycles(M2, 3, BOX, grid=40).cycles if c.period == 3]
         assert len(three) == 4
         for cyc in three:
-            assert min(abs(res.point - z) for res in results for z in cyc.points) < 1e-6
+            assert min(abs(w - z) for w in twelve.points for z in cyc.points) < 1e-6
             ls = landing_search(M2, cyc, table, 12)
             # exactly the three rotations of one period-3 word
             assert len(ls.addresses) == 3

@@ -253,6 +253,21 @@ class TestMeaninglessLimits:
         assert err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("args", [
+        # c=0 fails the singular-value gate, which ends the audit before landing
+        ["audit", "--c", "0,0", "--max-period", "1", "--match-tol", "-1", "--landing-tol", "0"],
+        ["audit", "--c", "0,0", "--max-period", "1", "--match-tol", "0"],
+        ["audit", "--c", "-2,0", "--max-period", "1", "--tol-band", "-1"],
+        ["audit", "--c", "-2,0", "--max-period", "1", "--tol-band", "1"],
+    ])
+    def test_checked_before_use(self, capsys, args):
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestInProcessMain:
     def test_main_returns_exit_code(self, capsys):
         code = main(["land", "--c", "-2,0", "--address", "0"])

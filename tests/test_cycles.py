@@ -32,6 +32,15 @@ class TestClassify:
         assert classify(1 + 0j)[0] == "parabolic-suspected"
         assert classify(cmath.exp(2j * math.pi / 3))[0] == "parabolic-suspected"
 
+    @pytest.mark.parametrize("tol_band", [-1.0, 1.0, 1.5, float("nan")])
+    def test_meaningless_tol_band_rejected(self, tol_band):
+        # a negative band once classified the repelling multiplier 1.5 as attracting
+        with pytest.raises(ValueError, match="tol_band"):
+            classify(1.5, tol_band)
+
+    def test_zero_tol_band_accepted(self):
+        assert classify(1.5, 0.0)[0] == "repelling"
+
     def test_golden_mean_is_indifferent(self):
         lam = cmath.exp(2j * math.pi * theta)
         cls, rho = classify(lam)
@@ -169,3 +178,7 @@ class TestInvariants:
         for tol in (0.0, -1.0):
             with pytest.raises(ValueError, match="tol must be > 0"):
                 find_cycles(M2, 1, BOX, grid=5, tol=tol)
+        # checked before the search, which may find no cycle to classify
+        for tol_band in (-1.0, 1.0):
+            with pytest.raises(ValueError, match="tol_band"):
+                find_cycles(M2, 1, (10.0, 11.0, 0.0, 1.0), grid=1, tol_band=tol_band)

@@ -1,11 +1,17 @@
 import cmath
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from raycensus.addresses import InfiniteAddress, enumerate_periodic, parse_address, shift_by
+from raycensus import rays
+from raycensus.addresses import (
+    InfiniteAddress,
+    enumerate_periodic,
+    parse_address,
+    primitive_words,
+    shift_by,
+)
 from raycensus.exponential import MapModel, SingularValueHit, evaluate
 from raycensus.rays import (
     RoundTripError,
@@ -145,11 +151,6 @@ class TestLanding:
             land_periodic(M2, np.array([[0]]), tol=tol, max_iter=max_iter)
 
 
-def primitive_words(window, p):
-    return [w for w in itertools.product(range(-window, window + 1), repeat=p)
-            if InfiniteAddress((), w).period == w]
-
-
 def assert_same_landing(a, b, what):
     assert (a.status, a.detail, a.iterations, a.itinerary_ok) == \
         (b.status, b.detail, b.iterations, b.itinerary_ok), what
@@ -159,6 +160,15 @@ def assert_same_landing(a, b, what):
         assert abs(a.psi_derivative - b.psi_derivative) <= 1e-12, what
 
 
+def assert_same_columns(a, b):
+    for name in ("words", "status", "detail", "iterations", "points",
+                 "multipliers", "itinerary_ok"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "c"), name
+    assert a.tol == b.tol
+
+
 class TestBatchedLanding:
     @pytest.mark.parametrize("c", [-2, 0, complex(-1, 0.3)])
     def test_matches_landing_point(self, c):
@@ -166,10 +176,12 @@ class TestBatchedLanding:
         statuses = set()
         for p in range(1, 7):
             words = primitive_words(1, p)
-            batch = land_periodic(m, np.array(words))
-            assert len(batch) == len(words)
-            for w, res in zip(words, batch):
-                assert_same_landing(landing_point(m, InfiniteAddress((), w)), res, w)
+            table = land_periodic(m, words)
+            assert len(table.words) == len(words)
+            for i in range(len(words)):
+                s, res = table.address(i), table.result(i)
+                assert s.period == tuple(words[i].tolist())
+                assert_same_landing(landing_point(m, s), res, s)
                 statuses.add((res.status, res.detail))
         if c == 0:
             assert ("singular-hit", "cut") in statuses
@@ -177,33 +189,44 @@ class TestBatchedLanding:
     def test_word_alone_matches_full_batch(self):
         m = MapModel(c=0)
         words = primitive_words(1, 4)
-        batch = land_periodic(m, np.array(words))
-        for w, res in zip(words, batch):
-            assert_same_landing(land_periodic(m, np.array([w]))[0], res, w)
+        table = land_periodic(m, words)
+        for i, w in enumerate(words):
+            assert_same_landing(land_periodic(m, w[None, :]).result(0), table.result(i), w)
 
     def test_empty_batch(self):
-        assert land_periodic(M2, np.empty((0, 2), dtype=int)) == []
+        assert len(land_periodic(M2, np.empty((0, 2), dtype=int)).words) == 0
         # window 0, period 2: the only word 0,0 has primitive period 1
-        assert primitive_words(0, 2) == []
-        assert land_periodic(M2, primitive_words(0, 2)) == []
-        assert landing_table(M2, 0, [2])[2].results == []
+        assert primitive_words(0, 2).shape == (0, 2)
+        assert len(land_periodic(M2, primitive_words(0, 2)).status) == 0
+        assert len(landing_table(M2, 0, [2])[2].status) == 0
 
     def test_addresses_of_mixed_period_keep_their_order(self):
         addrs = enumerate_periodic(1, 2)
         table = landing_table(M2, 1, [2, 1])
-        rows = [(s, res) for row in table.values()
-                for s, res in zip(row.addresses, row.results)]
+        rows = [(row.address(i), row.result(i)) for row in table.values()
+                for i in range(len(row.words))]
         assert [s for s, _ in rows] == addrs
         for s, res in rows:
             assert_same_landing(landing_point(M2, s), res, s)
+
+    @pytest.mark.parametrize("c", [0, -2])
+    def test_chunked_table_equals_one_chunk(self, monkeypatch, c):
+        m = MapModel(c=c)
+        whole = landing_table(m, 1, [1, 2, 3, 4])
+        if c == 0:
+            assert any((row.detail == rays._HIT_CUT).any() for row in whole.values())
+        monkeypatch.setattr(rays, "_CHUNK_ROWS", 7)
+        chunked = landing_table(m, 1, [1, 2, 3, 4])
+        assert chunked.keys() == whole.keys()
+        for p in whole:
+            assert_same_columns(chunked[p], whole[p])
 
     def test_high_period_rays_land_at_attracting_parameter(self):
         # the singular value of e^z - 2 does not escape, so every periodic
         # ray lands (Rempe); the closure test must not reject the landing
         # points of strongly repelling cycles (|lambda| up to ~1e8 here)
         for p in range(1, 10):
-            results = land_periodic(M2, np.array(primitive_words(1, p)))
-            assert all(res.landed for res in results), p
+            assert land_periodic(M2, primitive_words(1, p)).landed.all(), p
         # rejected as "forward orbit does not close" by a closure test of 10*tol
         res = landing_point(M2, parse_address("-1,1,1,1,-1,-1,-1,-1"))
         assert res.landed and abs(res.multiplier) > 1e6
