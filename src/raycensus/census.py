@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .addresses import InfiniteAddress, period_of
-from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, Box, Cycle, CycleSearch, find_cycles
+from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, Box, Cycle, CycleSearch, _fp, find_cycles
 from .exponential import MapModel, evaluate, is_escaped
 from .rays import (
     DEFAULT_LANDING_TOL,
@@ -27,7 +27,7 @@ from .rays import (
     landing_table,
     singular_escape_status,
 )
-from .regions import OnArcError, PointLocationError, build_ray_graph
+from .regions import OnArcError, PointLocationError, _check_graph_limits, build_ray_graph
 from .tails import DEFAULT_HORIZON, choose_radius
 
 SCHEMA_VERSION = "1"
@@ -77,11 +77,9 @@ def landing_search(m: MapModel, cycle: Cycle, table: dict[int, PeriodLandings],
         near = np.zeros(len(row.points), dtype=bool)
         for z in cycle.points:
             near |= np.abs(row.points - z) < match_tol
-        w = fw = row.points[near]
-        with np.errstate(all="ignore"):  # overflow leaves inf or nan, which never closes
-            for _ in range(cycle.period):
-                fw = np.exp(fw) + m.c
-        closes = np.abs(fw - w) <= _closure_bound(row.tol, cycle.multiplier, w)
+        w = row.points[near]
+        fw, _, ok = _fp(m.c, w, cycle.period)
+        closes = ok & (np.abs(fw - w) <= _closure_bound(row.tol, cycle.multiplier, w))
         matched += [row.address(i) for i in np.flatnonzero(near)[closes].tolist()]
     periods_found = {period_of(s) for s in matched}
     return LandingSearch(cycle=cycle, addresses=matched, failures=failures,
@@ -256,6 +254,7 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
     # the singular-value gate can end the audit before any ray is landed
     _check_landing_limits(landing_tol, DEFAULT_MAX_ITER)
     _check_match_tol(match_tol)
+    _check_graph_limits(window, depth, probe_grid)
     search: CycleSearch = find_cycles(m, max_period, box, grid=grid, tol=tol,
                                       tol_band=tol_band)
     cycles = search.cycles

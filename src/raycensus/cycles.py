@@ -11,13 +11,18 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .exponential import MapModel, evaluate, is_escaped
+import numpy as np
+
+from .exponential import MapModel
 
 Box = tuple[float, float, float, float]  # (re_lo, re_hi, im_lo, im_hi)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_TOL_BAND = 1e-6
 _PARABOLIC_MAX_K = 64
+
+#: seeds per numpy batch of find_cycles; bounds the batch's working memory
+_SEED_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -68,74 +73,102 @@ def classify(lam: complex, tol_band: float = DEFAULT_TOL_BAND) -> tuple[str, flo
     return "indifferent", rho % 1.0
 
 
-def _orbit(m: MapModel, z: complex, p: int) -> list[complex] | None:
-    pts = [z]
-    for _ in range(p - 1):
-        w = evaluate(m, pts[-1])
-        if is_escaped(w):
-            return None
-        pts.append(w)
-    return pts
+def _fp(c: complex, z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f^p(z), (f^p)'(z), ok) for each entry of z.
 
-
-def _fp_and_derivative(m: MapModel, z: complex, p: int) -> tuple[complex, complex] | None:
-    """(f^p(z), (f^p)'(z)) or None on overflow."""
-    w = z
-    d = complex(1.0, 0.0)
-    for _ in range(p):
-        if w.real > 600.0 or is_escaped(w):
-            return None
-        e = cmath.exp(w)
-        d *= e
-        w = e + m.c
-    return w, d
-
-
-def _newton_steps(m: MapModel, z: complex, p: int,
-                  max_steps: int) -> tuple[complex, complex] | None:
-    """Newton on f^p(z) - z: (z, last step), or None on overflow or (f^p)' = 1.
-
-    Stops after the first step below 1e-15 * max(1, |z|), or after max_steps.
+    ok is False where an iterate is not finite, or has real part above 600,
+    before it is mapped; the values of such entries are meaningless.
     """
+    w = z
+    d = np.ones(z.shape, dtype=complex)
+    ok = np.ones(z.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(p):
+            ok &= np.isfinite(w) & (w.real <= 600.0)
+            e = np.exp(w)
+            d = d * e
+            w = e + c
+    return w, d, ok
+
+
+def _newton_fp(c: complex, z: np.ndarray, p: int,
+               max_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton on f^p(z) - z from each entry of z: (z, last step, alive).
+
+    An entry stops after its first step below 1e-15 * max(1, |z|), or after
+    max_steps.  It dies (alive False, z kept from before the failed step) on
+    an overflow of f^p or where |(f^p)' - 1| < 1e-30.
+    """
+    z = np.array(z, dtype=complex)
+    step = np.zeros(z.shape, dtype=complex)
+    alive = np.ones(z.shape, dtype=bool)
+    rows = np.arange(z.size)
     for _ in range(max_steps):
-        res = _fp_and_derivative(m, z, p)
-        if res is None:
-            return None
-        g = res[0] - z
-        gp = res[1] - 1.0
-        if abs(gp) < 1e-30:
-            return None
-        step = g / gp
-        z = z - step
-        if abs(step) < 1e-15 * max(1.0, abs(z)):
+        zr = z[rows]
+        f, d, ok = _fp(c, zr, p)
+        gp = d - 1.0
+        ok &= ~(np.abs(gp) < 1e-30)
+        with np.errstate(all="ignore"):
+            st = (f - zr) / gp
+        alive[rows[~ok]] = False
+        rows, st = rows[ok], st[ok]
+        zr = zr[ok] - st
+        z[rows] = zr
+        step[rows] = st
+        rows = rows[~(np.abs(st) < 1e-15 * np.maximum(1.0, np.abs(zr)))]
+        if not rows.size:
             break
-    return z, step
+    return z, step, alive
 
 
-def _newton(m: MapModel, z: complex, p: int, tol: float) -> complex | None:
-    """Newton root of f^p(z) - z whose residual is within 100 * tol."""
-    res = _newton_steps(m, z, p, 80)
-    if res is None:
-        return None
-    z = res[0]
-    res = _fp_and_derivative(m, z, p)
-    if res is None or abs(res[0] - z) > 100.0 * tol * max(1.0, abs(z)):
-        return None
-    return z
+def _roots(c: complex, z: np.ndarray, p: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Newton roots of f^p(z) - z from seeds z: (roots, ok).
+
+    ok is True where Newton survived and the residual is within 100 * tol.
+    """
+    z, _, ok = _newton_fp(c, z, p, 80)
+    f, _, finite = _fp(c, z, p)
+    ok &= finite & (np.abs(f - z) <= 100.0 * tol * np.maximum(1.0, np.abs(z)))
+    return z, ok
 
 
-def _minimal_period(m: MapModel, z: complex, p: int, tol: float) -> int:
-    for d in range(1, p):
+def _minimal_period(c: complex, z: np.ndarray, p: int, tol: float) -> np.ndarray:
+    """Per entry, the least divisor d of p with f^d(z) within 10 * tol of z."""
+    mp = np.full(z.shape, p)
+    for d in range(p - 1, 0, -1):  # descending, so the least divisor is set last
         if p % d:
             continue
-        res = _fp_and_derivative(m, z, d)
-        if res is not None and abs(res[0] - z) < 10.0 * tol * max(1.0, abs(z)):
-            return d
-    return p
+        f, _, ok = _fp(c, z, d)
+        mp[ok & (np.abs(f - z) < 10.0 * tol * np.maximum(1.0, np.abs(z)))] = d
+    return mp
 
 
-def _in_box(z: complex, box: Box) -> bool:
-    return box[0] <= z.real <= box[1] and box[2] <= z.imag <= box[3]
+def _chunk_roots(c: complex, seeds: np.ndarray, p: int, box: Box,
+                 tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, periods, orbits) of the seeds whose root's orbit lies in box.
+
+    Each root is re-solved at its minimal period; row k of orbits starts at
+    the root and is meaningful in its first periods[k] columns.
+    """
+    z, ok = _roots(c, seeds, p, tol)
+    rows = np.flatnonzero(ok)
+    z = z[rows]
+    mp = _minimal_period(c, z, p, tol)
+    for d in range(1, p + 1):  # not np.unique, which imports numpy.ma (~1 MB)
+        at = np.flatnonzero(mp == d)
+        zd, ok = _roots(c, z[at], d, tol)
+        z[at[ok]] = zd[ok]  # a failed re-solve keeps the root
+    # no overflow guard needed: _roots checked every iterate of each root
+    orbits = np.empty((len(z), p), dtype=complex)
+    orbits[:, 0] = z
+    with np.errstate(all="ignore"):
+        for j in range(1, p):
+            orbits[:, j] = np.exp(orbits[:, j - 1]) + c
+    xlo, xhi, ylo, yhi = box
+    inside = ((xlo <= orbits.real) & (orbits.real <= xhi)
+              & (ylo <= orbits.imag) & (orbits.imag <= yhi))
+    keep = (inside | (np.arange(p) >= mp[:, None])).all(axis=1)
+    return rows[keep], mp[keep], orbits[keep]
 
 
 @dataclass
@@ -172,39 +205,35 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
         return any(p == period and abs(z0 - r) < 10.0 * max(tol, 1e-12)
                    for p, r in reps)
 
+    n_seeds = grid * grid
     for p in range(1, max_period + 1):
-        for i in range(grid):
-            for j in range(grid):
-                seed = complex(xlo + (i + 0.5) * (xhi - xlo) / grid,
-                               ylo + (j + 0.5) * (yhi - ylo) / grid)
-                if any(abs(seed - r) < 1e-3 for r in known_roots):
+        for lo in range(0, n_seeds, _SEED_CHUNK):
+            i, j = np.divmod(np.arange(lo, min(lo + _SEED_CHUNK, n_seeds)), grid)
+            seeds = np.empty(len(i), dtype=complex)
+            seeds.real = xlo + (i + 0.5) * (xhi - xlo) / grid
+            seeds.imag = ylo + (j + 0.5) * (yhi - ylo) / grid
+            near = np.zeros(len(seeds), dtype=bool)
+            for r in known_roots:
+                near |= np.abs(seeds - r) < 1e-3
+            rows, periods, orbits = _chunk_roots(m.c, seeds, p, box, tol)
+            # the seeds in grid order: each found cycle masks the seeds near it
+            for k in range(len(rows)):
+                if near[rows[k]]:
                     continue
-                z = _newton(m, seed, p, tol)
-                if z is None:
-                    continue
-                mp = _minimal_period(m, z, p, tol)
-                z = _newton(m, z, mp, tol) or z
-                orbit = _orbit(m, z, mp)
-                if orbit is None or not all(_in_box(w, box) for w in orbit):
-                    continue
-                z0 = min(orbit, key=lambda w: (w.real, w.imag))
+                mp = int(periods[k])
+                z0 = min(orbits[k, :mp].tolist(), key=lambda w: (w.real, w.imag))
                 if already_found(mp, z0):
                     continue
                 # polish every orbit point individually
-                polished = []
-                ok = True
-                for w in orbit:
-                    pw = _newton(m, w, mp, tol)
-                    if pw is None:
-                        ok = False
-                        break
-                    polished.append(pw)
-                if not ok:
+                polished, ok = _roots(m.c, orbits[k, :mp], mp, tol)
+                if not ok.all():
                     continue
+                polished = polished.tolist()
                 z0 = min(polished, key=lambda w: (w.real, w.imag))
                 # polishing can collapse a rough orbit onto a cycle of a
                 # dividing period, which that period's pass reports
-                if _minimal_period(m, z0, mp, tol) != mp or already_found(mp, z0):
+                if (_minimal_period(m.c, np.array([z0]), mp, tol)[0] != mp
+                        or already_found(mp, z0)):
                     continue
                 k0 = polished.index(z0)
                 pts = tuple(polished[(k0 + t) % mp] for t in range(mp))
@@ -214,7 +243,8 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
                 cls, rho = classify(lam, tol_band)
                 cycles.append(Cycle(pts, mp, lam, cls, rho))
                 reps.append((mp, z0))
-                known_roots.append(z)
+                known_roots.append(complex(orbits[k, 0]))
+                near |= np.abs(seeds - known_roots[-1]) < 1e-3
 
     cycles.sort(key=lambda c: (c.period, c.points[0].real, c.points[0].imag))
     warnings: list[str] = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .addresses import InfiniteAddress, period_of, primitive_words
-from .cycles import _newton_steps
+from .cycles import _newton_fp
 from .exponential import (
     ESCAPED,
     OVERFLOW_RE,
@@ -119,14 +119,18 @@ def default_seed(m: MapModel, s: InfiniteAddress) -> complex:
     return complex(m.seed_potential, TWO_PI * s.entry(0))
 
 
-def _newton_polish(m: MapModel, z: complex, p: int, tol: float) -> complex | None:
-    """Newton on f^p(z) - z from an already-close seed; None on failure."""
-    res = _newton_steps(m, z, p, 30)
-    if res is None:
-        return None
-    z, step = res
-    # converged (step below 1e-15 * max(1, |z|)), or the last step is below tol
-    return z if abs(step) < max(tol, 1e-15 * max(1.0, abs(z))) else None
+def _newton_polish(c: complex, w: np.ndarray, p: int, tol: float) -> np.ndarray:
+    """Newton on f^p(z) - z from the pullback limits w, entry by entry.
+
+    An entry keeps its Newton root when Newton converged (last step below
+    1e-15 * max(1, |z|)) or its last step is below tol, and the root lies
+    within 1e3 * tol * max(1, |w|) of w; otherwise it keeps w, as Newton
+    failed or drifted away from the pullback limit.
+    """
+    z, step, alive = _newton_fp(c, w, p, 30)
+    ok = alive & (np.abs(step) < np.maximum(tol, 1e-15 * np.maximum(1.0, np.abs(z))))
+    drift = ~ok | (np.abs(z - w) > 1e3 * tol * np.maximum(1.0, np.abs(w)))
+    return np.where(drift, w, z)
 
 
 def landing_point(m: MapModel, s: InfiniteAddress, tol: float = DEFAULT_LANDING_TOL,
@@ -158,10 +162,7 @@ def landing_point(m: MapModel, s: InfiniteAddress, tol: float = DEFAULT_LANDING_
     else:
         return LandingResult("not-converged", iterations=max_iter)
 
-    z0 = _newton_polish(m, w, p, tol)
-    if z0 is None or abs(z0 - w) > 1e3 * tol * max(1.0, abs(w)):
-        # Newton drifted away from the pullback limit; keep the raw limit.
-        z0 = w
+    z0 = complex(_newton_polish(m.c, np.array([w]), p, tol)[0])
     try:
         psi_z0 = apply_branches(m, labels, z0)
     except SingularValueHit as exc:
@@ -290,38 +291,6 @@ def _psi_batch(c: complex, shifts: np.ndarray,
     return w, hit
 
 
-def _newton_polish_batch(c: complex, w: np.ndarray, p: int,
-                         tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """_newton_polish on every row: (points, rows where it succeeded)."""
-    z = w.copy()
-    ok = np.zeros(len(w), dtype=bool)
-    rows = np.arange(len(w))
-    step = np.zeros(len(w), dtype=complex)
-    for _ in range(30):
-        zr = z[rows]
-        f = zr
-        d = np.ones(len(rows), dtype=complex)
-        failed = np.zeros(len(rows), dtype=bool)
-        for _ in range(p):
-            failed |= f.real > 600.0
-            e = np.exp(f)
-            d = d * e
-            f = e + c
-        gp = d - 1.0
-        failed |= np.abs(gp) < 1e-30
-        st = (f - zr) / gp
-        zr = zr - st
-        done = ~failed & (np.abs(st) < 1e-15 * np.maximum(1.0, np.abs(zr)))
-        z[rows[~failed]] = zr[~failed]
-        step[rows] = st
-        ok[rows[done]] = True
-        rows = rows[~failed & ~done]
-        if not rows.size:
-            return z, ok
-    ok[rows] = np.abs(step[rows]) < tol
-    return z, ok
-
-
 def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> PeriodLandings:
     """landing_point for many purely periodic addresses at once.
@@ -371,10 +340,7 @@ def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
 
         rows = np.flatnonzero(converged)
         w = limit[rows]
-        z0, ok = _newton_polish_batch(c, w, p, tol)
-        # Newton failed or drifted away from the pullback limit: keep the limit
-        drift = ~ok | (np.abs(z0 - w) > 1e3 * tol * np.maximum(1.0, np.abs(w)))
-        z0 = np.where(drift, w, z0)
+        z0 = _newton_polish(c, w, p, tol)
         psi_z0, hit = _psi_batch(c, shifts[rows], z0)
         hit_rows = hit != _NO_HIT
         fail(rows[hit_rows], _SINGULAR_HIT, hit[hit_rows])

@@ -289,6 +289,13 @@ def _arc_polyline(m: MapModel, s: InfiniteAddress, z0: complex, depth: int,
     return None
 
 
+def _check_graph_limits(window: int, depth: int, grid: int):
+    for name, value, least in (("window", window, 0), ("depth", depth, 0),
+                               ("grid", grid, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+
+
 def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
                     box: Box = (-3.0, 3.0, -7.0, 7.0), grid: int = 200) -> RayGraph:
     """Graph of the landed rays fixed by f^p with window-bounded addresses.
@@ -299,10 +306,7 @@ def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
+    _check_graph_limits(window, depth, grid)
     arcs: list[Arc] = []
     failures: list[tuple[InfiniteAddress, str]] = []
     table = landing_table(m, window, [d for d in range(1, p + 1) if p % d == 0])

@@ -259,6 +259,11 @@ class TestMeaninglessLimits:
         ["audit", "--c", "0,0", "--max-period", "1", "--match-tol", "0"],
         ["audit", "--c", "-2,0", "--max-period", "1", "--tol-band", "-1"],
         ["audit", "--c", "-2,0", "--max-period", "1", "--tol-band", "1"],
+        # each once exited 0, 5 or 6: checked only where a graph was built
+        ["audit", "--c", "-2,0", "--max-period", "1", "--depth", "-1"],
+        ["audit", "--c", "-2,0", "--max-period", "1", "--probe-grid", "0"],
+        ["audit", "--c", "-2,0", "--max-period", "2", "--window", "0", "--probe-grid", "0"],
+        ["audit", "--c", "0,0", "--max-period", "1", "--window", "-1"],
     ])
     def test_checked_before_use(self, capsys, args):
         code = main(args)

@@ -1,8 +1,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+from raycensus import cycles
 from raycensus.cycles import classify, find_cycles
 from raycensus.exponential import MapModel, evaluate
 
@@ -169,6 +171,23 @@ class TestInvariants:
         assert [(c.period, c.points) for c in a] == [(c.period, c.points) for c in b]
         keys = [(c.period, c.points[0].real, c.points[0].imag) for c in a]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("c, box", [
+        (-2, BOX),
+        (0, BOX),
+        (SIEGEL_C, (-1, 2, 2, 6)),
+        (-2 + 0.15 * cmath.exp(1j * math.radians(40.1)), BOX),
+    ], ids=["-2", "0", "siegel", "bench-circle"])
+    def test_chunked_search_equals_one_chunk(self, monkeypatch, c, box):
+        # chunks of 7 split the grid's rows, so the grid order and the skip of
+        # seeds near known roots run across chunk boundaries
+        def bits(search):
+            return [(np.array([*cyc.points, cyc.multiplier]).tobytes(), cyc.cls,
+                     cyc.rotation) for cyc in search.cycles]
+
+        whole = find_cycles(MapModel(c=c), 3, box)
+        monkeypatch.setattr(cycles, "_SEED_CHUNK", 7)
+        assert bits(find_cycles(MapModel(c=c), 3, box)) == bits(whole)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
