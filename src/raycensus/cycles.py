@@ -144,15 +144,14 @@ def _minimal_period(c: complex, z: np.ndarray, p: int, tol: float) -> np.ndarray
 
 
 def _chunk_roots(c: complex, seeds: np.ndarray, p: int, box: Box,
-                 tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, periods, orbits) of the seeds whose root's orbit lies in box.
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(periods, orbits) of the seeds whose root's orbit lies in box, in seed order.
 
     Each root is re-solved at its minimal period; row k of orbits starts at
     the root and is meaningful in its first periods[k] columns.
     """
     z, ok = _roots(c, seeds, p, tol)
-    rows = np.flatnonzero(ok)
-    z = z[rows]
+    z = z[ok]
     mp = _minimal_period(c, z, p, tol)
     for d in range(1, p + 1):  # not np.unique, which imports numpy.ma (~1 MB)
         at = np.flatnonzero(mp == d)
@@ -168,7 +167,7 @@ def _chunk_roots(c: complex, seeds: np.ndarray, p: int, box: Box,
     inside = ((xlo <= orbits.real) & (orbits.real <= xhi)
               & (ylo <= orbits.imag) & (orbits.imag <= yhi))
     keep = (inside | (np.arange(p) >= mp[:, None])).all(axis=1)
-    return rows[keep], mp[keep], orbits[keep]
+    return mp[keep], orbits[keep]
 
 
 @dataclass
@@ -199,7 +198,6 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
 
     cycles: list[Cycle] = []
     reps: list[tuple[int, complex]] = []  # (period, z0) for dedup
-    known_roots: list[complex] = []
 
     def already_found(period: int, z0: complex) -> bool:
         return any(p == period and abs(z0 - r) < 10.0 * max(tol, 1e-12)
@@ -212,14 +210,8 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
             seeds = np.empty(len(i), dtype=complex)
             seeds.real = xlo + (i + 0.5) * (xhi - xlo) / grid
             seeds.imag = ylo + (j + 0.5) * (yhi - ylo) / grid
-            near = np.zeros(len(seeds), dtype=bool)
-            for r in known_roots:
-                near |= np.abs(seeds - r) < 1e-3
-            rows, periods, orbits = _chunk_roots(m.c, seeds, p, box, tol)
-            # the seeds in grid order: each found cycle masks the seeds near it
-            for k in range(len(rows)):
-                if near[rows[k]]:
-                    continue
+            periods, orbits = _chunk_roots(m.c, seeds, p, box, tol)
+            for k in range(len(periods)):
                 mp = int(periods[k])
                 z0 = min(orbits[k, :mp].tolist(), key=lambda w: (w.real, w.imag))
                 if already_found(mp, z0):
@@ -243,8 +235,6 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
                 cls, rho = classify(lam, tol_band)
                 cycles.append(Cycle(pts, mp, lam, cls, rho))
                 reps.append((mp, z0))
-                known_roots.append(complex(orbits[k, 0]))
-                near |= np.abs(seeds - known_roots[-1]) < 1e-3
 
     cycles.sort(key=lambda c: (c.period, c.points[0].real, c.points[0].imag))
     warnings: list[str] = []

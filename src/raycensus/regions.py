@@ -8,7 +8,6 @@ components of the plane minus the graph are not finitely computable.
 
 from __future__ import annotations
 
-import array
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -69,27 +68,6 @@ def segments_cross(a, b, c, d):
     return proper | touch
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        # machine ints: a list of n int objects would be the largest
-        # allocation of a labelled grid
-        self.parent = array.array("l", range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            if rj < ri:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
-
-
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -104,7 +82,7 @@ class RayGraph:
     failures: list[tuple[InfiniteAddress, str]]
     _segs: np.ndarray = field(default=None, repr=False)  # (n, 2): ends a, b
     _cells: dict[tuple[int, int], list[int]] = field(default_factory=dict, repr=False)
-    _region_of_probe: list[int] = field(default_factory=list, repr=False)
+    _region_of_probe: np.ndarray = field(default=None, repr=False)  # (grid * grid,) ids
     _representatives: list[complex] = field(default_factory=list, repr=False)
 
     # -- grid helpers -------------------------------------------------------
@@ -174,23 +152,34 @@ class RayGraph:
     def _build_regions(self):
         g = self.grid
         n = g * g
-        uf = _UnionFind(n)
+        right = np.zeros((g, g - 1), dtype=bool)  # open edge (ix, iy)-(ix + 1, iy)
+        up = np.zeros((g - 1, g), dtype=bool)  # open edge (ix, iy)-(ix, iy + 1)
         for iy in range(g):
-            right, up = self._edge_crosses(iy)
-            i0 = iy * g
-            for ix in np.flatnonzero(~right).tolist():
-                uf.union(i0 + ix, i0 + ix + 1)
-            for ix in np.flatnonzero(~up).tolist():
-                uf.union(i0 + ix, i0 + g + ix)
-        ids: dict[int, int] = {}
-        self._region_of_probe = [0] * n
-        self._representatives = []
-        for i in range(n):
-            root = uf.find(i)
-            if root not in ids:
-                ids[root] = len(ids)
-                self._representatives.append(self._probe(i % self.grid, i // self.grid))
-            self._region_of_probe[i] = ids[root]
+            crossed_right, crossed_up = self._edge_crosses(iy)
+            right[iy] = ~crossed_right
+            if iy + 1 < g:
+                up[iy] = ~crossed_up
+        # min-label propagation with pointer jumping: every label is the
+        # index of a probe in the same component, never above its own, so
+        # the fixed point labels each probe with its component's least index
+        lab = np.arange(n, dtype=np.int32).reshape(g, g)
+        while True:
+            new = lab.copy()
+            np.minimum(new[:, :-1], lab[:, 1:], out=new[:, :-1], where=right)
+            np.minimum(new[:, 1:], lab[:, :-1], out=new[:, 1:], where=right)
+            np.minimum(new[:-1], lab[1:], out=new[:-1], where=up)
+            np.minimum(new[1:], lab[:-1], out=new[1:], where=up)
+            new = new.ravel()[new]
+            if np.array_equal(new, lab):
+                break
+            lab = new
+        # a component's least index is where it first appears in probe order
+        lab = lab.ravel()
+        roots = np.flatnonzero(lab == np.arange(n, dtype=np.int32))
+        ids = np.empty(n, dtype=np.int32)
+        ids[roots] = np.arange(len(roots), dtype=np.int32)
+        self._region_of_probe = ids[lab]
+        self._representatives = [self._probe(i % g, i // g) for i in roots.tolist()]
 
     # -- queries ------------------------------------------------------------
     def distance_to_graph(self, z: complex) -> float:
@@ -225,7 +214,7 @@ class RayGraph:
                 probe = self._probe(ix, iy)
                 tried += 1
                 if self._crossings_all(z, probe) == 0:
-                    return self._region_of_probe[iy * self.grid + ix]
+                    return int(self._region_of_probe[iy * self.grid + ix])
                 if tried > 600:
                     raise PointLocationError(f"no crossing-free path from {z!r}")
         raise PointLocationError(f"point location failed for {z!r}")
@@ -291,7 +280,7 @@ def _arc_polyline(m: MapModel, s: InfiniteAddress, z0: complex, depth: int,
 
 def _check_graph_limits(window: int, depth: int, grid: int):
     for name, value, least in (("window", window, 0), ("depth", depth, 0),
-                               ("grid", grid, 1)):
+                               ("probe grid", grid, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}")
 

@@ -272,6 +272,13 @@ class TestMeaninglessLimits:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_zero_grid_errors_name_their_flag(self, capsys):
+        errors = []
+        for flag in ("--probe-grid", "--grid"):
+            assert main(["audit", "--c", "-2,0", "--max-period", "1", flag, "0"]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] != errors[1]
+
 
 class TestInProcessMain:
     def test_main_returns_exit_code(self, capsys):

@@ -9,6 +9,7 @@ from raycensus.cycles import find_cycles
 from raycensus.exponential import MapModel, evaluate
 from raycensus.regions import (
     OnArcError,
+    RayGraph,
     build_ray_graph,
     interior_fixed_point_audit,
     segments_cross,
@@ -79,37 +80,66 @@ class TestSegmentsCross:
             for r, s in zip(c, d)]
 
 
+def union_find_labels(g):
+    """Reference labelling of g's probe grid, checking _edge_crosses on the way.
+
+    A probe edge is open exactly when it meets no segment at all, and regions
+    are the components of the open edges, numbered in probe order.  Returns
+    (label of every probe, representative probe of every region).
+    """
+    grid = g.grid
+    parent = list(range(grid * grid))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for iy in range(grid):
+        right, up = g._edge_crosses(iy)
+        assert len(right) == grid - 1
+        assert len(up) == (grid if iy + 1 < grid else 0)
+        for crossed, dx, dy in ((right, 1, 0), (up, 0, 1)):
+            for ix in range(len(crossed)):
+                a, b = g._probe(ix, iy), g._probe(ix + dx, iy + dy)
+                free = g._crossings_all(a, b) == 0
+                assert crossed[ix] != free, (ix, iy, dx, dy)
+                if free:
+                    parent[root((iy + dy) * grid + ix + dx)] = root(iy * grid + ix)
+    ids: dict[int, int] = {}
+    labels = [ids.setdefault(root(i), len(ids)) for i in range(grid * grid)]
+    firsts = [labels.index(r) for r in range(len(ids))]
+    return labels, [g._probe(i % grid, i // grid) for i in firsts]
+
+
 class TestLabelling:
-    @pytest.mark.parametrize("grid", [40, 120])
-    def test_probe_edges_open_iff_crossing_free(self, grid):
-        # reference: a probe edge is open exactly when it meets no segment at
-        # all, and regions are the components of the open edges, numbered in
-        # probe order
-        g = build_ray_graph(M2, 2, 1, depth=40, box=BOX, grid=grid)
-        parent = list(range(grid * grid))
+    # near the real axis the p=3, window-2 graph at c=-2 cuts the grid into
+    # 36 regions
+    @pytest.mark.parametrize("p, window, box, grid", [
+        (2, 1, BOX, 40), (2, 1, BOX, 120), (3, 2, (1.2, 2.8, -1.5, 1.5), 60),
+    ], ids=["40", "120", "p3-window2-60"])
+    def test_probe_edges_open_iff_crossing_free(self, p, window, box, grid):
+        g = build_ray_graph(M2, p, window, depth=40, box=box, grid=grid)
+        labels, representatives = union_find_labels(g)
+        assert g._region_of_probe.tolist() == labels
+        assert g._representatives == representatives
 
-        def root(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for iy in range(grid):
-            right, up = g._edge_crosses(iy)
-            assert len(right) == grid - 1
-            assert len(up) == (grid if iy + 1 < grid else 0)
-            for crossed, dx, dy in ((right, 1, 0), (up, 0, 1)):
-                for ix in range(len(crossed)):
-                    a, b = g._probe(ix, iy), g._probe(ix + dx, iy + dy)
-                    free = g._crossings_all(a, b) == 0
-                    assert crossed[ix] != free, (ix, iy, dx, dy)
-                    if free:
-                        parent[root((iy + dy) * grid + ix + dx)] = root(iy * grid + ix)
-        ids: dict[int, int] = {}
-        labels = [ids.setdefault(root(i), len(ids)) for i in range(grid * grid)]
-        assert g._region_of_probe == labels
-        firsts = [labels.index(r) for r in range(len(ids))]
-        assert g._representatives == [g._probe(i % grid, i // grid) for i in firsts]
+    def test_serpentine_corridor(self):
+        # a wall between each two neighbouring columns, open alternately at
+        # the top and at the bottom row: one corridor through every probe,
+        # the longest path min-label propagation can meet on this grid
+        grid = 40
+        walls = [(complex(x, -1), complex(x, grid - 1)) if x % 2
+                 else (complex(x, 1), complex(x, grid + 1)) for x in range(1, grid)]
+        g = RayGraph(map=M2, p=1, window=0, depth=0, box=(0.0, grid, 0.0, grid),
+                     grid=grid, arcs=[], failures=[], _segs=np.array(walls))
+        g._index_segments()
+        g._build_regions()
+        labels, representatives = union_find_labels(g)
+        assert len(representatives) == 1
+        assert g._region_of_probe.tolist() == labels
+        assert g._representatives == representatives
 
 
 class TestBuild:
