@@ -28,7 +28,7 @@ from .rays import (
     singular_escape_status,
 )
 from .regions import OnArcError, PointLocationError, _check_graph_limits, build_ray_graph
-from .tails import DEFAULT_HORIZON, choose_radius
+from .tails import DEFAULT_HORIZON, choose_radius, cycle_regions
 
 SCHEMA_VERSION = "1"
 DEFAULT_MATCH_TOL = 1e-6
@@ -223,7 +223,7 @@ def _trichotomy_evidence(m: MapModel, cycle: Cycle, window: int, depth: int,
     try:
         graph = build_ray_graph(m, cycle.period, window, depth=depth, box=box,
                                 grid=grid)
-        b_regions = tuple(graph.region_near(z) for z in cycle.points)
+        b_regions, _ = cycle_regions(graph, cycle)
         res = choose_radius(m, cycle, graph, b_regions, horizon)
         evidence["graph_failures"] = [[str(s), st] for s, st in graph.failures]
         evidence["radius_status"] = res.status

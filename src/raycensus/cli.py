@@ -20,7 +20,13 @@ from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, find_cycles
 from .exponential import MapModel, SingularValueHit
 from .rays import DEFAULT_LANDING_TOL, DEFAULT_MAX_ITER, landing_point, sweep_hair
 from .regions import PointLocationError, build_ray_graph, interior_fixed_point_audit
-from .tails import DEFAULT_HORIZON, TrappedSingularOrbit, make_tail_context, tail_diagnostics
+from .tails import (
+    DEFAULT_HORIZON,
+    TrappedSingularOrbit,
+    _check_tail_limits,
+    make_tail_context,
+    tail_diagnostics,
+)
 
 EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
@@ -211,6 +217,7 @@ def _cmd_tails(args: argparse.Namespace) -> int:
     p = period_of(s)
     if p <= 0:
         raise UsageError("tails subcommand needs a purely periodic address")
+    _check_tail_limits(args.max_level, args.samples)
     res = landing_point(m, s)
     if not res.landed:
         print(f"address {s} does not land ({res.status}); no tail context",

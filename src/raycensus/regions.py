@@ -23,6 +23,16 @@ SNAP_TOL = 1e-9
 ARC_LAND_TOL = 1e-6  # a traced arc ends once it comes this close to its landing point
 LANDING_MATCH_TOL = 1e-8  # a fixed point this close to a landing point is not interior
 _X_FAR = 1e7  # horizontal extension of arcs beyond truncation
+_PAIR_CAP = 8192  # point x segment pairs held by one numpy pass
+_MAX_PROBES = 600  # probes a point may find blocked before location fails
+
+#: status of a located point: region found, on the graph, or no region
+#: (not finite, or every probe tried was blocked)
+LOCATED, ON_ARC, NO_REGION = 0, 1, 2
+
+#: offsets of compass probing, in the order they are tried
+_COMPASS = tuple(radius * complex(math.cos(math.pi * k / 4.0), math.sin(math.pi * k / 4.0))
+                 for radius in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2) for k in range(8))
 
 
 class OnArcError(ValueError):
@@ -95,37 +105,54 @@ class RayGraph:
         dx, dy = self._cell_size()
         return complex(xlo + (ix + 0.5) * dx, ylo + (iy + 0.5) * dy)
 
-    def _probe_row(self, iy: int) -> np.ndarray:
-        """_probe(ix, iy) for every ix, bit for bit."""
-        xlo, _, ylo, _ = self.box
-        dx, dy = self._cell_size()
-        return xlo + (np.arange(self.grid) + 0.5) * dx + 1j * (ylo + (iy + 0.5) * dy)
+    def _cells_of(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell of each finite point (x, y), clamped to the grid.
 
-    def _cell_of(self, z: complex) -> tuple[int, int]:
+        The clamp comes before the integer cast: an orbit point can reach
+        |z| ~ e^700, which the cast would wrap instead of clamping.
+        """
         xlo, _, ylo, _ = self.box
         dx, dy = self._cell_size()
-        ix = min(self.grid - 1, max(0, int((z.real - xlo) / dx)))
-        iy = min(self.grid - 1, max(0, int((z.imag - ylo) / dy)))
-        return ix, iy
+        top = self.grid - 1
+        return (np.clip((x - xlo) / dx, 0, top).astype(np.int64),
+                np.clip((y - ylo) / dy, 0, top).astype(np.int64))
+
+    def _probes(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+        """_probe(ix, iy) elementwise, bit for bit."""
+        xlo, _, ylo, _ = self.box
+        dx, dy = self._cell_size()
+        out = np.empty(len(ix), dtype=complex)
+        out.real = xlo + (ix + 0.5) * dx
+        out.imag = ylo + (iy + 0.5) * dy
+        return out
 
     def _index_segments(self):
         xlo, xhi, ylo, yhi = self.box
-        for si in range(len(self._segs)):
-            a, b = self._segs[si]
-            x0, x1 = min(a.real, b.real), max(a.real, b.real)
-            y0, y1 = min(a.imag, b.imag), max(a.imag, b.imag)
-            if x1 < xlo or x0 > xhi or y1 < ylo or y0 > yhi:
-                continue
-            a0, b0 = self._cell_of(complex(x0, y0))
-            a1, b1 = self._cell_of(complex(x1, y1))
+        a, b = self._segs.T
+        x0, x1 = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
+        y0, y1 = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
+        keep = np.flatnonzero((x1 >= xlo) & (x0 <= xhi) & (y1 >= ylo) & (y0 <= yhi))
+        lo = self._cells_of(x0[keep], y0[keep])
+        hi = self._cells_of(x1[keep], y1[keep])
+        for si, a0, b0, a1, b1 in zip(keep.tolist(), *(v.tolist() for v in lo + hi)):
             for ix in range(max(0, a0 - 1), min(self.grid, a1 + 2)):
                 for iy in range(max(0, b0 - 1), min(self.grid, b1 + 2)):
                     self._cells.setdefault((ix, iy), []).append(si)
 
     # -- crossing machinery -------------------------------------------------
-    def _crossings_all(self, a: complex, b: complex) -> int:
-        """Number of stored segments meeting segment ab."""
-        return int(np.count_nonzero(segments_cross(a, b, *self._segs.T)))
+    def _chunks(self, n: int):
+        """Slices of n points that meet every segment in about _PAIR_CAP pairs."""
+        step = max(1, _PAIR_CAP // max(1, len(self._segs)))
+        return (slice(lo, lo + step) for lo in range(0, n, step))
+
+    def _blocked(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """True where segment a[i] b[i] meets a stored segment."""
+        out = np.zeros(len(a), dtype=bool)
+        if len(self._segs):
+            c, d = self._segs.T
+            for part in self._chunks(len(a)):
+                out[part] = segments_cross(a[part, None], b[part, None], c, d).any(axis=1)
+        return out
 
     def _edge_crosses(self, iy: int) -> tuple[np.ndarray, np.ndarray]:
         """Which probe edges leaving grid row iy meet a stored segment.
@@ -140,13 +167,14 @@ class RayGraph:
         lists = [self._cells.get((ix, iy), ()) for ix in range(g)]
         col = np.repeat(np.arange(g), [len(cell) for cell in lists])
         seg = np.fromiter(itertools.chain.from_iterable(lists), np.intp, len(col))
-        row, (c, d) = self._probe_row(iy), self._segs[seg].T
+        cols = np.arange(g)
+        row, (c, d) = self._probes(cols, np.full(g, iy)), self._segs[seg].T
         k = col < g - 1
         hit = segments_cross(row[col[k]], row[col[k] + 1], c[k], d[k])
         right = np.bincount(col[k][hit], minlength=g - 1) > 0
         if iy + 1 == g:
             return right, np.zeros(0, dtype=bool)
-        hit = segments_cross(row[col], self._probe_row(iy + 1)[col], c, d)
+        hit = segments_cross(row[col], self._probes(cols, np.full(g, iy + 1))[col], c, d)
         return right, np.bincount(col[hit], minlength=g) > 0
 
     def _build_regions(self):
@@ -182,66 +210,131 @@ class RayGraph:
         self._representatives = [self._probe(i % g, i // g) for i in roots.tolist()]
 
     # -- queries ------------------------------------------------------------
-    def distance_to_graph(self, z: complex) -> float:
+    def distance_to_graph(self, points: np.ndarray) -> np.ndarray:
+        """Distance from each point to the nearest stored segment."""
+        out = np.full(len(points), math.inf)
         if len(self._segs) == 0:
-            return math.inf
+            return out
         a, b = self._segs.T
         ax, ay, bx, by = a.real, a.imag, b.real, b.imag
         ux, uy = bx - ax, by - ay
         denom = ux * ux + uy * uy
-        t = ((z.real - ax) * ux + (z.imag - ay) * uy) / np.where(denom == 0, 1.0, denom)
-        t = np.clip(t, 0.0, 1.0)
-        px, py = ax + t * ux, ay + t * uy
-        return float(np.sqrt(np.min((z.real - px) ** 2 + (z.imag - py) ** 2)))
+        denom = np.where(denom == 0, 1.0, denom)
+        for part in self._chunks(len(points)):
+            x, y = points[part, None].real, points[part, None].imag
+            t = np.clip(((x - ax) * ux + (y - ay) * uy) / denom, 0.0, 1.0)
+            px, py = ax + t * ux, ay + t * uy
+            out[part] = np.sqrt(np.min((x - px) ** 2 + (y - py) ** 2, axis=1))
+        return out
+
+    def regions_of(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Region id (-1 where none) and status of every point.
+
+        A point within SNAP_TOL of the graph is ON_ARC; a point that is not
+        finite, or whose every tried probe is blocked, has NO_REGION.  The
+        snap test, the cell lookup and the crossing test to the point's own
+        cell probe are numpy passes over all points; a point whose own probe
+        is blocked searches the rings of cells around it on its own.
+        """
+        z = np.asarray(points, dtype=complex).reshape(-1)
+        ids = np.full(len(z), -1, dtype=np.int64)
+        status = np.full(len(z), NO_REGION, dtype=np.int8)
+        with np.errstate(all="ignore"):  # far orbit points overflow the squares
+            idx = np.flatnonzero(np.isfinite(z))
+            on_arc = self.distance_to_graph(z[idx]) < SNAP_TOL
+            status[idx[on_arc]] = ON_ARC
+            idx = idx[~on_arc]
+            ix, iy = self._cells_of(z[idx].real, z[idx].imag)
+            blocked = self._blocked(z[idx], self._probes(ix, iy))
+            ids[idx] = self._region_of_probe[iy * self.grid + ix]
+            status[idx] = LOCATED
+            for k in np.flatnonzero(blocked).tolist():
+                rid = self._ring_search(complex(z[idx[k]]), int(ix[k]), int(iy[k]))
+                ids[idx[k]] = rid
+                if rid < 0:
+                    status[idx[k]] = NO_REGION
+        return ids, status
+
+    def _ring_search(self, z: complex, cx: int, cy: int) -> int:
+        """Region of the nearest crossing-free probe in the rings around cell
+        (cx, cy), whose own probe is blocked; -1 once more than _MAX_PROBES
+        probes were blocked or the grid is exhausted.
+
+        Each ring is tested in one numpy pass and read nearest probe first.
+        """
+        tried = 1
+        for ring in range(1, self.grid):
+            cand = sorted((abs(self._probe(ix, iy) - z), ix, iy)
+                          for ix in range(max(0, cx - ring), min(self.grid, cx + ring + 1))
+                          for iy in range(max(0, cy - ring), min(self.grid, cy + ring + 1))
+                          if max(abs(ix - cx), abs(iy - cy)) == ring)
+            probes = np.array([self._probe(ix, iy) for _, ix, iy in cand], dtype=complex)
+            blocked = self._blocked(np.full(len(cand), z), probes)
+            for (_, ix, iy), hit in zip(cand, blocked.tolist()):
+                if tried > _MAX_PROBES:
+                    return -1
+                tried += 1
+                if not hit:
+                    return int(self._region_of_probe[iy * self.grid + ix])
+        return -1
+
+    def regions_near(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """regions_of with on-arc points moved off the graph by compass probing.
+
+        Returns ids, witnesses (the point that located each id) and the
+        status of each point itself.  An ON_ARC point takes the id of the
+        first compass offset, in (radius, direction) order, that locates;
+        one pass tests one offset for every point still unresolved.  ids are
+        -1 where no region was found.
+        """
+        z = np.asarray(points, dtype=complex).reshape(-1)
+        ids, status = self.regions_of(z)
+        witnesses = z.copy()
+        todo = np.flatnonzero(status == ON_ARC)
+        for offset in _COMPASS:
+            if len(todo) == 0:
+                break
+            w = z[todo] + offset
+            rid, st = self.regions_of(w)
+            hit = st == LOCATED
+            ids[todo[hit]] = rid[hit]
+            witnesses[todo[hit]] = w[hit]
+            todo = todo[~hit]
+        return ids, witnesses, status
+
+    def location_error(self, z: complex, status: int) -> Exception:
+        """The error a point location of z with this failed status raises.
+
+        A finite point without a region had more than _MAX_PROBES probes
+        blocked, unless the whole grid holds fewer probes.
+        """
+        if status == ON_ARC:
+            return OnArcError(f"{z!r} lies on the ray graph")
+        if is_escaped(z):
+            return PointLocationError("escaped point has no region")
+        if self.grid * self.grid > _MAX_PROBES:
+            return PointLocationError(f"no crossing-free path from {z!r}")
+        return PointLocationError(f"point location failed for {z!r}")
 
     def basic_region_of(self, z: complex) -> int:
         """Region id of z; OnArcError within SNAP_TOL of the graph."""
-        if is_escaped(z):
-            raise PointLocationError("escaped point has no region")
-        if self.distance_to_graph(z) < SNAP_TOL:
-            raise OnArcError(f"{z!r} lies on the ray graph")
-        cx, cy = self._cell_of(z)
-        tried = 0
-        for ring in range(0, self.grid):
-            cand = []
-            for ix in range(cx - ring, cx + ring + 1):
-                for iy in range(cy - ring, cy + ring + 1):
-                    if max(abs(ix - cx), abs(iy - cy)) != ring:
-                        continue
-                    if 0 <= ix < self.grid and 0 <= iy < self.grid:
-                        cand.append((abs(self._probe(ix, iy) - z), ix, iy))
-            for _, ix, iy in sorted(cand):
-                probe = self._probe(ix, iy)
-                tried += 1
-                if self._crossings_all(z, probe) == 0:
-                    return int(self._region_of_probe[iy * self.grid + ix])
-                if tried > 600:
-                    raise PointLocationError(f"no crossing-free path from {z!r}")
-        raise PointLocationError(f"point location failed for {z!r}")
+        ids, status = self.regions_of([z])
+        if status[0] != LOCATED:
+            raise self.location_error(z, status[0])
+        return int(ids[0])
 
     def region_near_with_witness(self, z: complex) -> tuple[int, complex]:
         """Tolerant region id plus the (possibly offset) point that located it.
 
         On-arc points resolve to a deterministic side via compass probing.
         """
-        try:
-            return self.basic_region_of(z), z
-        except OnArcError:
-            for radius in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
-                for k in range(8):
-                    ang = math.pi * k / 4.0
-                    w = z + radius * complex(math.cos(ang), math.sin(ang))
-                    try:
-                        return self.basic_region_of(w), w
-                    except (OnArcError, PointLocationError):
-                        continue
-            raise
+        ids, witnesses, status = self.regions_near([z])
+        if ids[0] < 0:
+            raise self.location_error(z, status[0])
+        return int(ids[0]), complex(witnesses[0])
 
     def region_near(self, z: complex) -> int:
         return self.region_near_with_witness(z)[0]
-
-    def on_graph(self, z: complex) -> bool:
-        return self.distance_to_graph(z) < SNAP_TOL
 
     def to_json_dict(self) -> dict:
         return {

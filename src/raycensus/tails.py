@@ -27,7 +27,7 @@ from .exponential import (
     strip_of,
 )
 from .rays import ESCAPE_THRESHOLD, apply_branches
-from .regions import OnArcError, PointLocationError, RayGraph
+from .regions import ON_ARC, OnArcError, PointLocationError, RayGraph
 
 DEFAULT_HORIZON = 1000
 RADIUS_MARGIN = 1.25
@@ -93,7 +93,9 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
     Follows each singular value while its itinerary matches the cycle's
     regions.  If the orbit escapes while still conformant the trichotomy
     cannot be in case (3) at this horizon and a trapped/unbounded verdict is
-    returned instead of a radius.
+    returned instead of a radius.  The orbit up to the horizon is located in
+    windows of doubling length, each in one call and read in order, so at
+    most about twice the points the orbit follows are located.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -104,29 +106,46 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
         try:
             rid = graph.region_near(s)
         except (OnArcError, PointLocationError):
-            rid = None
+            continue
         if rid not in b_regions:
             continue
         i0 = b_regions.index(rid)
-        tracked = [s]
-        w = s
-        for j in range(1, horizon + 1):
-            w = evaluate(m, w)
+        orbit = [s]
+        for _ in range(horizon):
+            w = evaluate(m, orbit[-1])
             if is_escaped(w) or abs(w) > ESCAPE_THRESHOLD:
-                return RadiusResult("trapped-unbounded", None, follow)
-            try:
-                rw = graph.region_near(w)
-            except OnArcError:
                 break
-            if rw != b_regions[(i0 + j) % mper]:
-                break
-            tracked.append(w)
-            follow = j
-        best = max(best, max(abs(t) for t in tracked))
-        img = evaluate(m, tracked[-1])
+            orbit.append(w)
+        tracked = lo = 1
+        while tracked == lo < len(orbit):
+            hi = min(2 * lo, len(orbit))
+            ids, _, status = graph.regions_near(orbit[lo:hi])
+            for j, rw, st in zip(range(lo, hi), ids.tolist(), status.tolist()):
+                if rw != b_regions[(i0 + j) % mper]:
+                    if rw < 0 and st != ON_ARC:
+                        raise graph.location_error(orbit[j], st)
+                    break
+                tracked = j + 1
+            lo = hi
+        if tracked > 1:
+            follow = tracked - 1
+        if tracked == len(orbit) <= horizon:  # followed until the orbit escaped
+            return RadiusResult("trapped-unbounded", None, follow)
+        best = max(best, max(abs(t) for t in orbit[:tracked]))
+        img = evaluate(m, orbit[tracked - 1])
         if not is_escaped(img):
             best = max(best, abs(img))
     return RadiusResult("radius", RADIUS_MARGIN * best, follow)
+
+
+def cycle_regions(graph: RayGraph, cycle: Cycle) -> tuple[tuple[int, ...], bool]:
+    """Region of every cycle point, located in one call, and whether any lies
+    on the graph (those take the adjacent region found by compass probing)."""
+    ids, _, status = graph.regions_near(cycle.points)
+    for z, rid, st in zip(cycle.points, ids.tolist(), status.tolist()):
+        if rid < 0:
+            raise graph.location_error(z, st)
+    return tuple(ids.tolist()), bool((status == ON_ARC).any())
 
 
 def make_tail_context(m: MapModel, cycle: Cycle, graph: RayGraph,
@@ -143,8 +162,7 @@ def make_tail_context(m: MapModel, cycle: Cycle, graph: RayGraph,
         raise ValueError("tails are defined relative to a repelling cycle")
     if graph.p % cycle.period != 0:
         raise ValueError("graph iterate p must be a multiple of the cycle period")
-    on_graph = any(graph.on_graph(z) for z in cycle.points)
-    b_regions = tuple(graph.region_near(z) for z in cycle.points)
+    b_regions, on_graph = cycle_regions(graph, cycle)
     if r is None:
         res = choose_radius(m, cycle, graph, b_regions, horizon)
         if res.status != "radius":
@@ -161,6 +179,54 @@ def make_tail_context(m: MapModel, cycle: Cycle, graph: RayGraph,
 # ---------------------------------------------------------------------------
 # membership predicates
 
+def _verdict(result: bool | Exception) -> bool:
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _marches_right(ctx: TailContext, label: int, z: complex) -> bool:
+    """Exact F_label membership persists on a rightward march from z."""
+    m = ctx.map
+    x_safe = math.log(ctx.r + abs(m.c)) + 0.1
+    x = z.real + 0.1
+    while x <= min(x_safe, m.truncation):
+        if not in_fundamental_domain_exact(m, complex(x, z.imag), label,
+                                           radius=ctx.r):
+            return False
+        x += 0.1
+    return True
+
+
+def _tail1_verdicts(ctx: TailContext, label: int,
+                    points: list[complex]) -> list[bool | Exception]:
+    """tail1_membership of every point, or the location error it raises.
+
+    The points in F_label are located in one call and the rightward probe
+    certificate is one crossing test over all of them.
+    """
+    m = ctx.map
+    graph = ctx.graph
+    out: list[bool | Exception] = [False] * len(points)
+    cand = [i for i, z in enumerate(points) if not is_escaped(z)
+            and in_fundamental_domain_exact(m, z, label, radius=ctx.r)]
+    ids, witnesses, status = graph.regions_near([points[i] for i in cand])
+    in_b0 = ids == ctx.b_regions[0]
+    # unbounded-component certificate: march right, conditions must persist
+    # (the crossing test runs from the located side when z sits on an arc)
+    start = witnesses[in_b0]
+    end = start.copy()
+    end.real = m.truncation + 1.0
+    clear = in_b0.copy()
+    clear[in_b0] = ~graph._blocked(start, end)
+    for k, i in enumerate(cand):
+        if ids[k] < 0:
+            out[i] = graph.location_error(points[i], status[k])
+        elif clear[k]:
+            out[i] = _marches_right(ctx, label, points[i])
+    return out
+
+
 def tail1_membership(ctx: TailContext, label: int, z: complex) -> bool:
     """z in the level-1 tail of `label`: fundamental-domain slice beyond r.
 
@@ -168,27 +234,50 @@ def tail1_membership(ctx: TailContext, label: int, z: complex) -> bool:
     image outside the closed disk of radius r and off delta_r, region equal
     to B_0, and the rightward probe certificate of unboundedness.
     """
-    m = ctx.map
-    if is_escaped(z):
-        return False
-    if not in_fundamental_domain_exact(m, z, label, radius=ctx.r):
-        return False
-    rid, z_loc = ctx.graph.region_near_with_witness(z)
-    if rid != ctx.b_regions[0]:
-        return False
-    # unbounded-component certificate: march right, conditions must persist
-    # (the crossing test runs from the located side when z sits on an arc)
-    trunc = m.truncation
-    if ctx.graph._crossings_all(z_loc, complex(trunc + 1.0, z_loc.imag)) != 0:
-        return False
-    x_safe = math.log(ctx.r + abs(m.c)) + 0.1
-    x = z.real + 0.1
-    while x <= min(x_safe, trunc):
-        if not in_fundamental_domain_exact(m, complex(x, z.imag), label,
-                                           radius=ctx.r):
-            return False
-        x += 0.1
-    return True
+    return _verdict(_tail1_verdicts(ctx, label, [z])[0])
+
+
+def _tail_verdicts(ctx: TailContext, address: tuple[int, ...], points: list[complex],
+                   lengths: tuple[int, ...]) -> list[list[bool | Exception]]:
+    """tail_membership(ctx, address[:n], z), or the error it raises, for
+    every length n in `lengths` and every point.
+
+    Each orbit runs while it stays unescaped in the strips of the address
+    labels; those orbit points are located in one call and then read in
+    order, so an error is kept only where the scalar walk would meet it.
+    """
+    mper = ctx.cycle.period
+    orbits = []
+    for w in points:
+        orbit = [w]
+        for label in address[:max(lengths) - 1]:
+            if is_escaped(w) or strip_of(w) != label:
+                break
+            w = evaluate(ctx.map, w)
+            orbit.append(w)
+        orbits.append(orbit)
+    ids, _, status = ctx.graph.regions_near([w for orbit in orbits for w in orbit[:-1]])
+    ids, status = ids.tolist(), status.tolist()
+    out = []
+    for n in lengths:
+        verdicts: list[bool | Exception] = [False] * len(points)
+        finals, owners = [], []
+        base = 0
+        for k, orbit in enumerate(orbits):
+            for i in range(min(len(orbit), n) - 1):
+                if ids[base + i] != ctx.b_regions[i % mper]:
+                    if ids[base + i] < 0:
+                        verdicts[k] = ctx.graph.location_error(orbit[i], status[base + i])
+                    break
+            else:
+                if len(orbit) >= n and not is_escaped(orbit[n - 1]):
+                    finals.append(orbit[n - 1])
+                    owners.append(k)
+            base += len(orbit) - 1
+        for k, verdict in zip(owners, _tail1_verdicts(ctx, address[n - 1], finals)):
+            verdicts[k] = verdict
+        out.append(verdicts)
+    return out
 
 
 def tail_membership(ctx: TailContext, address: tuple[int, ...], z: complex) -> bool:
@@ -201,18 +290,7 @@ def tail_membership(ctx: TailContext, address: tuple[int, ...], z: complex) -> b
     if (len(address) - 1) % mper != 0:
         raise ValueError(f"address length {len(address)} is not m(n-1)+1 "
                          f"for m={mper}")
-    w = z
-    for i in range(len(address) - 1):
-        if is_escaped(w):
-            return False
-        if strip_of(w) != address[i]:
-            return False
-        if ctx.graph.region_near(w) != ctx.b_regions[i % mper]:
-            return False
-        w = evaluate(ctx.map, w)
-    if is_escaped(w):
-        return False
-    return tail1_membership(ctx, address[-1], w)
+    return _verdict(_tail_verdicts(ctx, address, [z], (len(address),))[0][0])
 
 
 def tail_exists(ctx: TailContext, s: InfiniteAddress, n: int) -> TailAddressRecord:
@@ -256,19 +334,17 @@ def _piece_image_samples(ctx: TailContext, label: int,
     x_lo = math.log(max(r - abs(m.c), 1e-6))
     x_hi = r
     y_c = TWO_PI * label
+    grid = [complex(x_lo + (i + 0.5) * (x_hi - x_lo) / grid_side,
+                    y_c - math.pi + (j + 0.5) * TWO_PI / grid_side)
+            for i in range(grid_side) for j in range(grid_side)]
+    grid = [z for z in grid if abs(z) <= r]
     pts: list[complex] = []
     excluded = 0
-    for i in range(grid_side):
-        for j in range(grid_side):
-            z = complex(x_lo + (i + 0.5) * (x_hi - x_lo) / grid_side,
-                        y_c - math.pi + (j + 0.5) * TWO_PI / grid_side)
-            if abs(z) > r:
-                continue
-            try:
-                if tail1_membership(ctx, label, z):
-                    pts.append(z)
-            except OnArcError:
-                excluded += 1
+    for z, verdict in zip(grid, _tail1_verdicts(ctx, label, grid)):
+        if isinstance(verdict, OnArcError):
+            excluded += 1
+        elif _verdict(verdict):
+            pts.append(z)
     return tuple(pts), excluded
 
 
@@ -316,35 +392,42 @@ def piece_mapping_check(ctx: TailContext, s: InfiniteAddress, j: int,
         raise ValueError("piece mapping needs j >= 2 (P_0 is undefined)")
     mper = ctx.cycle.period
     points, excluded = _piece_points(ctx, s, j, samples)
-    sa = shift_by(s, mper)
-    checked = 0
-    failed = 0
+    images = []
     for w in points:
         for _ in range(mper):
             w = evaluate(ctx.map, w)
-        if is_escaped(w):
-            failed += 1
-            checked += 1
-            continue
-        try:
-            in_hi = tail_membership(ctx, project(sa, j, mper), w)
-            in_lo = tail_membership(ctx, project(sa, j - 1, mper), w)
-        except OnArcError:
+        images.append(w)
+    inside = [w for w in images if not is_escaped(w)]
+    address = project(shift_by(s, mper), j, mper)
+    in_hi, in_lo = _tail_verdicts(ctx, address, inside,
+                                  (len(address), len(address) - mper))
+    failed = len(images) - len(inside)
+    checked = failed
+    for hi, lo in zip(in_hi, in_lo):
+        error = next((v for v in (hi, lo) if isinstance(v, Exception)), None)
+        if isinstance(error, OnArcError):
             excluded += 1
             continue
+        if error is not None:
+            raise error
         checked += 1
-        if not (in_hi and not in_lo):
+        if not (hi and not lo):
             failed += 1
     return PieceMapCheck(passed=(checked > 0 and failed == 0), level=j,
                          n_checked=checked, n_excluded=excluded,
                          n_failed=failed)
 
 
+def _check_tail_limits(max_level: int, samples: int):
+    for name, value in (("max_level", max_level), ("samples", samples)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 def tail_diagnostics(ctx: TailContext, s: InfiniteAddress, max_level: int,
                      samples: int = 16) -> list[dict]:
     """JSON-friendly per-level record: existence, witness, piece diameter."""
-    if max_level < 1:
-        raise ValueError("max_level must be >= 1")
+    _check_tail_limits(max_level, samples)
     out = []
     for n in range(1, max_level + 1):
         rec = tail_exists(ctx, s, n)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from raycensus import cli
 from raycensus.cli import main
 
 AUDIT_ARGS = ["audit", "--c", "-2,0", "--box", "-3,3,-7,7",
@@ -271,6 +272,19 @@ class TestMeaninglessLimits:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, message", [("--max-level", "max_level must be >= 1"),
+                                               ("--samples", "samples must be >= 1")])
+    def test_tails_limits_checked_before_any_work(self, capsys, monkeypatch, flag, message):
+        def not_before_the_limits(*args, **kwargs):
+            raise AssertionError("work started before the limits were checked")
+
+        for name in ("landing_point", "build_ray_graph", "find_cycles"):
+            monkeypatch.setattr(cli, name, not_before_the_limits)
+        # c=0: the ray lands nowhere, which would exit 4 if landing came first
+        for c in ("-2,0", "0,0"):
+            assert main(["tails", "--c", c, "--address", "0", flag, "0"]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_zero_grid_errors_name_their_flag(self, capsys):
         errors = []

@@ -4,11 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from raycensus import regions
 from raycensus.addresses import parse_address
 from raycensus.cycles import find_cycles
 from raycensus.exponential import MapModel, evaluate
 from raycensus.regions import (
+    LOCATED,
+    NO_REGION,
+    ON_ARC,
     OnArcError,
+    PointLocationError,
     RayGraph,
     build_ray_graph,
     interior_fixed_point_audit,
@@ -101,11 +106,12 @@ def union_find_labels(g):
         assert len(right) == grid - 1
         assert len(up) == (grid if iy + 1 < grid else 0)
         for crossed, dx, dy in ((right, 1, 0), (up, 0, 1)):
+            ends = np.array([[g._probe(ix, iy), g._probe(ix + dx, iy + dy)]
+                             for ix in range(len(crossed))]).reshape(-1, 2)
+            free = ~g._blocked(ends[:, 0], ends[:, 1])
             for ix in range(len(crossed)):
-                a, b = g._probe(ix, iy), g._probe(ix + dx, iy + dy)
-                free = g._crossings_all(a, b) == 0
-                assert crossed[ix] != free, (ix, iy, dx, dy)
-                if free:
+                assert crossed[ix] != free[ix], (ix, iy, dx, dy)
+                if free[ix]:
                     parent[root((iy + dy) * grid + ix + dx)] = root(iy * grid + ix)
     ids: dict[int, int] = {}
     labels = [ids.setdefault(root(i), len(ids)) for i in range(grid * grid)]
@@ -237,6 +243,187 @@ class TestPointLocation:
             assert g1.basic_region_of(z) == g2.basic_region_of(z)
 
 
+def scalar_locate(g, z):
+    """Reference point location, one point and one probe at a time.
+
+    The snap distance is taken segment by segment in Python floats, the cell
+    by int() with the clamp after it, and the ring search tries the probes
+    nearest first, giving up after _MAX_PROBES blocked ones.  Returns (id,
+    status).
+    """
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        return -1, NO_REGION
+    dist = math.inf
+    for a, b in g._segs.tolist():
+        ux, uy = b.real - a.real, b.imag - a.imag
+        denom = ux * ux + uy * uy
+        t = ((z.real - a.real) * ux + (z.imag - a.imag) * uy) / (denom if denom else 1.0)
+        t = min(max(t, 0.0), 1.0)
+        ex, ey = z.real - (a.real + t * ux), z.imag - (a.imag + t * uy)
+        dist = min(dist, math.sqrt(ex * ex + ey * ey))
+    if dist < regions.SNAP_TOL:
+        return -1, ON_ARC
+    xlo, _, ylo, _ = g.box
+    dx, dy = g._cell_size()
+    cx = min(g.grid - 1, max(0, int((z.real - xlo) / dx)))
+    cy = min(g.grid - 1, max(0, int((z.imag - ylo) / dy)))
+    tried = 0
+    for ring in range(g.grid):
+        cand = sorted((abs(g._probe(ix, iy) - z), ix, iy)
+                      for ix in range(cx - ring, cx + ring + 1)
+                      for iy in range(cy - ring, cy + ring + 1)
+                      if max(abs(ix - cx), abs(iy - cy)) == ring
+                      and 0 <= ix < g.grid and 0 <= iy < g.grid)
+        for _, ix, iy in cand:
+            tried += 1
+            hits = segments_cross(z, g._probe(ix, iy), *g._segs.T) if len(g._segs) else []
+            if not np.any(hits):
+                return int(g._region_of_probe[iy * g.grid + ix]), LOCATED
+            if tried > regions._MAX_PROBES:
+                return -1, NO_REGION
+    return -1, NO_REGION
+
+
+def scalar_locate_near(g, z):
+    """Reference compass probing: (id, witness, status of z itself)."""
+    rid, status = scalar_locate(g, z)
+    if status != ON_ARC:
+        return rid, complex(z), status
+    for radius in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+        for k in range(8):
+            ang = math.pi * k / 4.0
+            w = complex(z) + radius * complex(math.cos(ang), math.sin(ang))
+            wid, wst = scalar_locate(g, w)
+            if wst == LOCATED:
+                return wid, w, ON_ARC
+    return -1, complex(z), ON_ARC
+
+
+def enclosure(z, half=0.05):
+    """Four segments of a small square around z."""
+    corners = [z + half * complex(sx, sy) for sx, sy in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+    return [(corners[i], corners[(i + 1) % 4]) for i in range(4)]
+
+
+def hand_graph(segs, box=BOX, grid=20):
+    g = RayGraph(map=M2, p=1, window=0, depth=0, box=box, grid=grid, arcs=[], failures=[],
+                 _segs=np.array(segs, dtype=complex).reshape(-1, 2))
+    g._index_segments()
+    g._build_regions()
+    return g
+
+
+def assert_parity(g, points):
+    """regions_of and regions_near equal the references point by point
+    (compared by repr, so NaN witnesses and signed zeros count)."""
+    with np.errstate(all="ignore"):  # far points overflow the reference too
+        ids, status = g.regions_of(points)
+        assert list(zip(ids.tolist(), status.tolist())) == [scalar_locate(g, z) for z in points]
+        ids, witnesses, status = g.regions_near(points)
+        assert repr(list(zip(ids.tolist(), witnesses.tolist(), status.tolist()))) == \
+            repr([scalar_locate_near(g, z) for z in points])
+
+
+class TestBatchedLocation:
+    def test_random_points(self, graph_m2):
+        rng = np.random.default_rng(1)
+        z = rng.uniform(-3.5, 3.5, 400) + 1j * rng.uniform(-7.5, 7.5, 400)
+        assert_parity(graph_m2, z)
+
+    def test_points_on_arcs(self, graph_m2):
+        # the real axis right of the landing point is the arc of ray 0
+        on_axis = [complex(x, 0.0) for x in np.linspace(FIX_REPELLING, 6.0, 40)]
+        vertices = [v for arc in graph_m2.arcs for v in arc.vertices[:60:3]]
+        points = [FIX_REPELLING + 0j, *on_axis, *vertices, -1.0 + 0j]
+        _, status = graph_m2.regions_of(points)
+        assert (status == ON_ARC).sum() >= len(on_axis) + len(vertices)
+        assert_parity(graph_m2, points)
+
+    @staticmethod
+    def near_arcs(g):
+        """Points just off the arcs in the box, some with their own probe
+        across the arc."""
+        z = np.array([a + t * (b - a) + side * 1e-3j * (b - a) / abs(b - a)
+                      for a, b in g._segs.tolist() if abs(b - a) > 0
+                      and abs((a + b).real / 2) < 3 and abs((a + b).imag / 2) < 7
+                      for t in np.linspace(0.05, 0.95, 15) for side in (1, -1)])
+        ix, iy = g._cells_of(z.real, z.imag)
+        return z[g._blocked(z, g._probes(ix, iy))]
+
+    def test_own_cell_probe_blocked(self, graph_m2):
+        z = self.near_arcs(graph_m2)
+        assert len(z) >= 10
+        assert_parity(graph_m2, z)
+
+    def test_probe_cap(self, graph_m2, monkeypatch):
+        # the own-cell probe counts as the first one tried
+        z = self.near_arcs(graph_m2)
+        located = []
+        for cap in range(0, 6):
+            monkeypatch.setattr(regions, "_MAX_PROBES", cap)
+            assert_parity(graph_m2, z)
+            located.append(int((graph_m2.regions_of(z)[1] == LOCATED).sum()))
+        assert located[0] == 0 and located[-1] == len(z)
+        assert any(0 < n < len(z) for n in located)
+
+    def test_not_finite(self, graph_m2):
+        nan, inf = math.nan, math.inf
+        points = [complex(nan, 0), complex(0, nan), complex(inf, 0), complex(-inf, inf), 1 + 1j]
+        ids, status = graph_m2.regions_of(points)
+        assert status.tolist() == [NO_REGION] * 4 + [LOCATED]
+        assert_parity(graph_m2, points)
+        with pytest.raises(PointLocationError, match="escaped point has no region"):
+            graph_m2.basic_region_of(complex(inf, 0))
+
+    def test_far_outside_the_box(self, graph_m2):
+        # a cast before the clamp would wrap these to cell 0, not grid - 1
+        points = [complex(x, y) for x in (1e300, -1e300, 1e20, 50.0)
+                  for y in (1e300, -1e300, 0.5, 1e10)]
+        assert_parity(graph_m2, points)
+        ix, iy = graph_m2._cells_of(np.array([1e300]), np.array([-1e300]))
+        assert (ix[0], iy[0]) == (graph_m2.grid - 1, 0)
+
+    def test_graph_without_segments(self):
+        g = build_ray_graph(MapModel(c=0), 1, 0, depth=40, box=BOX, grid=40)
+        assert len(g._segs) == 0
+        rng = np.random.default_rng(2)
+        z = rng.uniform(-4, 4, 50) + 1j * rng.uniform(-8, 8, 50)
+        assert_parity(g, z)
+        assert (g.regions_of(z)[0] == 0).all()
+
+    @pytest.mark.parametrize("grid, message", [
+        (3, "point location failed for"), (30, "no crossing-free path from")])
+    def test_enclosed_point_has_no_region(self, grid, message):
+        # 9 probes are exhausted before 600 are blocked; 900 are not
+        z = 1.0 + 0.3j
+        g = hand_graph(enclosure(z), box=(0.0, 3.0, 0.0, 3.0), grid=grid)
+        assert_parity(g, [z, z + 0.01, 2.5 + 2.5j])
+        with pytest.raises(PointLocationError, match=message):
+            g.basic_region_of(z)
+        with pytest.raises(PointLocationError, match=message):
+            g.region_near(z)
+
+    def test_chunked_equals_one_chunk(self, graph_m2, monkeypatch):
+        rng = np.random.default_rng(3)
+        z = np.concatenate([
+            rng.uniform(-3.5, 3.5, 150) + 1j * rng.uniform(-7.5, 7.5, 150),
+            [complex(x, 0.0) for x in np.linspace(1.2, 5.0, 30)]])
+        whole = graph_m2.regions_near(z)
+        monkeypatch.setattr(regions, "_PAIR_CAP", 7)
+        assert list(graph_m2._chunks(4)) == [slice(i, i + 1) for i in range(4)]
+        for a, b in zip(graph_m2.regions_near(z), whole):
+            assert a.tolist() == b.tolist()
+
+    def test_one_element_calls(self, graph_m2):
+        with pytest.raises(OnArcError, match="lies on the ray graph"):
+            graph_m2.basic_region_of(FIX_REPELLING + 0j)
+        rid, witness = graph_m2.region_near_with_witness(FIX_REPELLING + 0j)
+        assert (rid, witness) == scalar_locate_near(graph_m2, FIX_REPELLING)[:2]
+        assert witness != FIX_REPELLING
+        assert graph_m2.region_near(-1.0 + 0j) == graph_m2.basic_region_of(-1.0 + 0j)
+
+
 def orbit_regions(graph, z, n_steps):
     """Region ids of z, f(z), ..., f^{n_steps}(z) for a bounded orbit."""
     out = []
@@ -260,7 +447,7 @@ class TestItinerary:
     def test_cycle_itinerary_periodic(self, graph_m2):
         two = [c for c in find_cycles(M2, 2, BOX, grid=30).cycles if c.period == 2]
         for cyc in two:
-            if any(graph_m2.on_graph(z) for z in cyc.points):
+            if (graph_m2.regions_of(cyc.points)[1] == ON_ARC).any():
                 continue
             out = orbit_regions(graph_m2, cyc.points[0], 4)
             assert out[0] == out[2] == out[4]

@@ -1,15 +1,31 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from raycensus import tails
-from raycensus.addresses import InfiniteAddress, parse_address, project
+from raycensus.addresses import InfiniteAddress, parse_address, project, shift_by
 from raycensus.cycles import find_cycles
-from raycensus.exponential import MapModel, evaluate
-from raycensus.rays import ladder_descend, landing_point, pullback_sequence
-from raycensus.regions import build_ray_graph
+from raycensus.exponential import (
+    MapModel,
+    evaluate,
+    in_fundamental_domain_exact,
+    is_escaped,
+    singular_values,
+    strip_of,
+)
+from raycensus.rays import ESCAPE_THRESHOLD, ladder_descend, landing_point, pullback_sequence
+from raycensus.regions import (
+    OnArcError,
+    PointLocationError,
+    RayGraph,
+    build_ray_graph,
+    segments_cross,
+)
 from raycensus.tails import (
+    RadiusResult,
+    TailContext,
     TrappedSingularOrbit,
     choose_radius,
     make_tail_context,
@@ -292,3 +308,235 @@ class TestPeriodTwoContext:
         assert all(w.exists for w in wits)
         target = min(rep2.points, key=lambda z: abs(z - wits[-1].witness))
         assert abs(wits[-1].witness - target) < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# scalar references: one point and one location call at a time
+
+def ref_tail1(ctx, label, z):
+    m = ctx.map
+    if is_escaped(z) or not in_fundamental_domain_exact(m, z, label, radius=ctx.r):
+        return False
+    rid, z_loc = ctx.graph.region_near_with_witness(z)
+    if rid != ctx.b_regions[0]:
+        return False
+    far = complex(m.truncation + 1.0, z_loc.imag)
+    if np.any(segments_cross(z_loc, far, *ctx.graph._segs.T)):
+        return False
+    x = z.real + 0.1
+    while x <= min(math.log(ctx.r + abs(m.c)) + 0.1, m.truncation):
+        if not in_fundamental_domain_exact(m, complex(x, z.imag), label, radius=ctx.r):
+            return False
+        x += 0.1
+    return True
+
+
+def ref_tail_membership(ctx, address, z):
+    w = z
+    for i in range(len(address) - 1):
+        if is_escaped(w) or strip_of(w) != address[i]:
+            return False
+        if ctx.graph.region_near(w) != ctx.b_regions[i % ctx.cycle.period]:
+            return False
+        w = evaluate(ctx.map, w)
+    return not is_escaped(w) and ref_tail1(ctx, address[-1], w)
+
+
+def ref_choose_radius(m, cycle, graph, b_regions, horizon):
+    best = max(m.R, max(abs(z) for z in cycle.points))
+    follow = 0
+    for s in singular_values(m):
+        try:
+            rid = graph.region_near(s)
+        except (OnArcError, PointLocationError):
+            continue
+        if rid not in b_regions:
+            continue
+        i0 = b_regions.index(rid)
+        tracked = [s]
+        w = s
+        for j in range(1, horizon + 1):
+            w = evaluate(m, w)
+            if is_escaped(w) or abs(w) > ESCAPE_THRESHOLD:
+                return RadiusResult("trapped-unbounded", None, follow)
+            try:
+                rw = graph.region_near(w)
+            except OnArcError:
+                break
+            if rw != b_regions[(i0 + j) % cycle.period]:
+                break
+            tracked.append(w)
+            follow = j
+        best = max(best, max(abs(t) for t in tracked))
+        img = evaluate(m, tracked[-1])
+        if not is_escaped(img):
+            best = max(best, abs(img))
+    return RadiusResult("radius", 1.25 * best, follow)
+
+
+def ref_piece_mapping_check(ctx, s, j, samples):
+    mper = ctx.cycle.period
+    points, excluded = tails._piece_points(ctx, s, j, samples)
+    sa = shift_by(s, mper)
+    checked = failed = 0
+    for w in points:
+        for _ in range(mper):
+            w = evaluate(ctx.map, w)
+        if is_escaped(w):
+            failed += 1
+            checked += 1
+            continue
+        try:
+            in_hi = ref_tail_membership(ctx, project(sa, j, mper), w)
+            in_lo = ref_tail_membership(ctx, project(sa, j - 1, mper), w)
+        except OnArcError:
+            excluded += 1
+            continue
+        checked += 1
+        if not (in_hi and not in_lo):
+            failed += 1
+    return tails.PieceMapCheck(checked > 0 and failed == 0, j, checked, excluded, failed)
+
+
+def outcome(fn, *args):
+    """What fn returns, or the type and message of the location error it raises."""
+    try:
+        return fn(*args)
+    except (OnArcError, PointLocationError) as exc:
+        return type(exc), str(exc)
+
+
+def enclosed_graph(centre, half=0.005, wall=False):
+    """Hand-made graph of a small square around the centre: every probe is in
+    region 0 and the centre is blocked from all of them.  With a wall
+    through the centre, the centre lies on the graph and no compass offset
+    leaves the square."""
+    corners = [centre + half * complex(sx, sy) for sx, sy in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+    segs = [(corners[i], corners[(i + 1) % 4]) for i in range(4)]
+    if wall:
+        segs.append((centre - half, centre + half))
+    g = RayGraph(map=M2, p=2, window=0, depth=0, box=BOX, grid=20, arcs=[], failures=[],
+                 _segs=np.array(segs))
+    g._index_segments()
+    g._build_regions()
+    return g
+
+
+@pytest.fixture(scope="module")
+def ctx2():
+    rep2 = [c for c in find_cycles(M2, 2, BOX, grid=40).cycles
+            if c.period == 2 and c.points[0].imag > 0][0]
+    return make_tail_context(M2, rep2, build_ray_graph(M2, 2, 1, depth=40, box=BOX, grid=60),
+                             horizon=300)
+
+
+class TestBatchedParity:
+    def test_tail_membership(self, ctx):
+        rng = np.random.default_rng(4)
+        points = [*tails._piece_points(ctx, ZERO, 3, 8)[0], *tails._piece_points(ctx, ZERO, 6, 8)[0],
+                  *(rng.uniform(-1, 4, 20) + 1j * rng.uniform(-3.5, 3.5, 20)).tolist(),
+                  FIX_REPELLING + 0j, 50 + 0j, complex(math.inf, 0)]
+        foreign = dataclasses.replace(ctx, b_regions=(ctx.b_regions[0] + 1,))
+        verdicts = []
+        for context in (ctx, foreign):
+            for n in (1, 2, 4, 7):
+                address = project(ZERO, n, 1)
+                got = [outcome(tail_membership, context, address, z) for z in points]
+                assert got == [outcome(ref_tail_membership, context, address, z) for z in points]
+                verdicts += got
+        assert True in verdicts and False in verdicts
+
+    def test_tail_membership_period_two(self, ctx2):
+        s = parse_address("0,1")
+        points = tails._piece_points(ctx2, s, 3, 8)[0][::3] + [z + 0.05 for z in ctx2.cycle.points]
+        for n in (1, 2, 3):
+            address = project(s, n, 2)
+            assert ([outcome(tail_membership, ctx2, address, z) for z in points]
+                    == [outcome(ref_tail_membership, ctx2, address, z) for z in points])
+
+    def test_unlocatable_point_after_a_mismatch(self, ctx):
+        z0 = 0.3 + 0.2j
+        z1 = evaluate(M2, z0)
+        z2 = evaluate(M2, z1)
+        assert strip_of(z0) == strip_of(z1) == strip_of(z2) == 0
+        for unlocatable, wall, b_regions, address, expected in (
+                # a region mismatch at z0, then z1 enclosed
+                (z1, False, (1,), (0, 0, 0), False),
+                (z1, True, (1,), (0, 0, 0), False),
+                # a strip mismatch at z1, then z2 enclosed
+                (z2, False, (0,), (0, 1, 0), False),
+                (z2, True, (0,), (0, 1, 0), False),
+                # no mismatch before the enclosed z1: the walk meets it
+                (z1, False, (0,), (0, 0, 0), PointLocationError),
+                (z1, True, (0,), (0, 0, 0), OnArcError)):
+            g = enclosed_graph(unlocatable, half=0.012, wall=wall)
+            with pytest.raises(OnArcError if wall else PointLocationError):
+                g.region_near(unlocatable)
+            context = TailContext(map=M2, cycle=ctx.cycle, graph=g, b_regions=b_regions,
+                                  r=ctx.r, horizon=10)
+            got = outcome(tail_membership, context, address, z0)
+            assert got == outcome(ref_tail_membership, context, address, z0)
+            assert got is False if expected is False else got[0] is expected
+
+    def test_choose_radius(self, ctx, graph_m2, ctx2):
+        m0 = MapModel(c=0)
+        g0 = build_ray_graph(m0, 1, 1, depth=40, box=BOX, grid=60)
+        rep0 = [c for c in find_cycles(m0, 1, BOX, grid=40).cycles
+                if c.is_repelling and c.points[0].imag > 0][0]
+        b0 = tuple(g0.region_near(z) for z in rep0.points)
+        cases = [(M2, ctx.cycle, graph_m2, ctx.b_regions),
+                 (M2, ctx.cycle, graph_m2, (ctx.b_regions[0] + 1,)),
+                 (M2, ctx2.cycle, ctx2.graph, ctx2.b_regions),
+                 (m0, rep0, g0, b0)]
+        # the singular orbit of c=-2 with its third point enclosed: met after
+        # two matching steps for a fixed point, after a mismatch for a 2-cycle
+        # (walled: on the graph, so the orbit stops following there)
+        w2 = evaluate(M2, evaluate(M2, -2))
+        g, walled = enclosed_graph(w2), enclosed_graph(w2, half=0.012, wall=True)
+        cases += [(M2, ctx.cycle, walled, (0,)),
+                  (M2, ctx.cycle, g, (0,)), (M2, ctx2.cycle, g, (0, 5))]
+        for case in cases:
+            for horizon in (1, 2, 3, 7, 60):
+                assert (outcome(choose_radius, *case, horizon)
+                        == outcome(ref_choose_radius, *case, horizon)), (case[3], horizon)
+        assert outcome(choose_radius, *cases[-2], 3)[0] is PointLocationError
+        assert choose_radius(*cases[-1], 3).status == "radius"
+        assert choose_radius(*cases[-3], 3).follow_steps == 1
+
+    @pytest.mark.parametrize("j", [2, 3, 6])
+    def test_piece_mapping_check(self, ctx, ctx2, j):
+        assert (piece_mapping_check(ctx, ZERO, j, samples=12)
+                == ref_piece_mapping_check(ctx, ZERO, j, 12))
+        if j < 6:
+            s = parse_address("0,1")
+            assert (piece_mapping_check(ctx2, s, j, samples=10)
+                    == ref_piece_mapping_check(ctx2, s, j, 10))
+
+    def test_piece_mapping_reads_errors_in_scalar_order(self, ctx, monkeypatch):
+        # per point: the level-j verdict first; an on-arc error excludes the
+        # point before the level-(j-1) verdict is read, any other error raises
+        on_arc, lost = OnArcError("on arc"), PointLocationError("lost")
+        rows = [(True, False), (True, True), (False, False), (on_arc, lost),
+                (True, on_arc), (on_arc, True)]
+        monkeypatch.setattr(tails, "_piece_points", lambda *a: ([1 + 0j] * len(rows), 2))
+        monkeypatch.setattr(tails, "_tail_verdicts",
+                            lambda ctx, address, points, lengths: [list(v) for v in zip(*rows)])
+        assert piece_mapping_check(ctx, ZERO, 3) == tails.PieceMapCheck(False, 3, 3, 5, 2)
+        rows.append((False, lost))
+        with pytest.raises(PointLocationError, match="lost"):
+            piece_mapping_check(ctx, ZERO, 3)
+
+    def test_location_calls_do_not_grow_with_points(self, ctx, monkeypatch):
+        warm = dataclasses.replace(ctx)
+        assert piece_mapping_check(warm, ZERO, 6, samples=12).n_checked > 50
+        calls = []
+        regions_near = RayGraph.regions_near
+
+        def counted(graph, points):
+            calls.append(len(points))
+            return regions_near(graph, points)
+
+        monkeypatch.setattr(RayGraph, "regions_near", counted)
+        piece_mapping_check(warm, ZERO, 6, samples=12)
+        # the orbits, then the level-1 tests of both levels
+        assert len(calls) == 3 and calls[0] > 200
