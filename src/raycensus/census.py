@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .addresses import InfiniteAddress, period_of
+from .addresses import InfiniteAddress
 from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, Box, Cycle, CycleSearch, _fp, find_cycles
 from .exponential import MapModel, evaluate, is_escaped
 from .rays import (
@@ -30,7 +30,7 @@ from .rays import (
 from .regions import OnArcError, PointLocationError, _check_graph_limits, build_ray_graph
 from .tails import DEFAULT_HORIZON, choose_radius, cycle_regions
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 DEFAULT_MATCH_TOL = 1e-6
 _BASIN_STREAK = 50
 
@@ -40,7 +40,6 @@ class LandingSearch:
     cycle: Cycle
     addresses: list[InfiniteAddress]          # addresses landing at the cycle
     failures: list[tuple[InfiniteAddress, str]]  # searched addresses that did not land
-    equal_period_ok: bool
 
     @property
     def invisible_candidate(self) -> bool:
@@ -52,38 +51,57 @@ def _check_match_tol(match_tol: float):
         raise ValueError("match tolerance must be > 0")
 
 
-def landing_search(m: MapModel, cycle: Cycle, table: dict[int, PeriodLandings],
-                   period_cap: int, match_tol: float = DEFAULT_MATCH_TOL
-                   ) -> LandingSearch:
-    """All window addresses whose rays land on the cycle (finite search).
+def landing_search(m: MapModel, cycle: Cycle, row: PeriodLandings,
+                   match_tol: float = DEFAULT_MATCH_TOL) -> LandingSearch:
+    """The window addresses of one ray period whose rays land on the cycle.
 
-    Candidate ray periods are the multiples of the cycle period up to
-    period_cap; rays landing at a period-m orbit always have period a
-    multiple of m.  `table` (see landing_table) holds the landings of those
-    periods.  A landing point within match_tol of a cycle point matches
-    only if it also closes under f^m within the closure bound of the
-    cycle's multiplier: a repelling point of higher period can sit that
-    close to the cycle.
+    row (one period of landing_table) holds the landings of the window
+    words of one multiple of the cycle period; rays landing at a period-m
+    orbit always have period a multiple of m.  A landing point within
+    match_tol of a cycle point matches only if it also closes under f^m
+    within the closure bound of the cycle's multiplier: a repelling point
+    of higher period can sit that close to the cycle.
     """
     if not cycle.is_repelling:
         raise ValueError("landing search is defined for repelling cycles")
     _check_match_tol(match_tol)
-    matched: list[InfiniteAddress] = []
-    failures: list[tuple[InfiniteAddress, str]] = []
-    for p in range(cycle.period, period_cap + 1, cycle.period):
-        row = table[p]
-        failures += [(row.address(i), row.result(i).status)
-                     for i in np.flatnonzero(~row.landed).tolist()]
-        near = np.zeros(len(row.points), dtype=bool)
-        for z in cycle.points:
-            near |= np.abs(row.points - z) < match_tol
-        w = row.points[near]
-        fw, _, ok = _fp(m.c, w, cycle.period)
-        closes = ok & (np.abs(fw - w) <= _closure_bound(row.tol, cycle.multiplier, w))
-        matched += [row.address(i) for i in np.flatnonzero(near)[closes].tolist()]
-    periods_found = {period_of(s) for s in matched}
-    return LandingSearch(cycle=cycle, addresses=matched, failures=failures,
-                         equal_period_ok=len(periods_found) <= 1)
+    failures = [(row.address(i), row.result(i).status)
+                for i in np.flatnonzero(~row.landed).tolist()]
+    near = np.zeros(len(row.points), dtype=bool)
+    for z in cycle.points:
+        near |= np.abs(row.points - z) < match_tol
+    w = row.points[near]
+    fw, _, ok = _fp(m.c, w, cycle.period)
+    closes = ok & (np.abs(fw - w) <= _closure_bound(row.tol, cycle.multiplier, w))
+    matched = [row.address(i) for i in np.flatnonzero(near)[closes].tolist()]
+    return LandingSearch(cycle=cycle, addresses=matched, failures=failures)
+
+
+def _staged_search(m: MapModel, repelling: list[Cycle], window: int, max_period: int,
+                   landing_tol: float = DEFAULT_LANDING_TOL,
+                   match_tol: float = DEFAULT_MATCH_TOL
+                   ) -> tuple[list[LandingSearch], list[int]]:
+    """One LandingSearch per repelling cycle, and the sorted ray periods landed.
+
+    All rays landing at one periodic point have the same period (Milnor,
+    Dynamics in One Complex Variable, Lemma 18.12), and f maps the rays at
+    one cycle point onto those at the next.  So stage q = 1, 2, ...,
+    max_period lands only the periods q*m that cycles still without an
+    address need, reusing the periods landed before, and a cycle leaves
+    the search at the first stage that matches it.  A cycle's failures are
+    those of every period it searched.
+    """
+    searches = [LandingSearch(cyc, [], []) for cyc in repelling]
+    table: dict[int, PeriodLandings] = {}
+    for q in range(1, max_period + 1):
+        todo = [ls for ls in searches if ls.invisible_candidate]
+        table.update(landing_table(m, window, {q * ls.cycle.period for ls in todo}
+                                   - table.keys(), landing_tol))
+        for ls in todo:
+            found = landing_search(m, ls.cycle, table[q * ls.cycle.period], match_tol)
+            ls.addresses = found.addresses
+            ls.failures += found.failures
+    return searches, sorted(table)
 
 
 def _basin_absorbed(m: MapModel, cycles: list[Cycle], horizon: int,
@@ -129,6 +147,7 @@ class CensusReport:
     n_invisible_candidates: int = 0
     q: int = 1
     q_effective: int = 1
+    ray_periods_landed: list[int] = field(default_factory=list)
     singular_status: str = "undetermined"
     rays_land_in_window: bool = True
     warnings: list[str] = field(default_factory=list)
@@ -145,7 +164,6 @@ class CensusReport:
                 if search is not None:
                     d["landing_addresses"] = [str(a) for a in search.addresses]
                     d["invisible_candidate"] = search.invisible_candidate
-                    d["equal_period_ok"] = search.equal_period_ok
             cycles_json.append(d)
         fate_json = {
             "kind": self.fate.kind,
@@ -170,6 +188,7 @@ class CensusReport:
             },
             "q": self.q,
             "q_effective": self.q_effective,
+            "ray_periods_landed": self.ray_periods_landed,
             "singular": {
                 "status": self.singular_status,
                 "escape": fate_json,
@@ -286,21 +305,14 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
             "the census requires no such escape")
         return report
 
-    repelling = [cyc for cyc in cycles if cyc.is_repelling]
-    table = landing_table(m, window, {q * cyc.period for cyc in repelling
-                                      for q in range(1, max_period + 1)},
-                          landing_tol)
-    for cyc in repelling:
-        ls = landing_search(m, cyc, table, max_period * cyc.period,
-                            match_tol=match_tol)
-        report.searches.append(ls)
-        if not ls.equal_period_ok:
-            report.warnings.append(
-                f"cycle at {cyc.points[0]!r}: landing addresses of unequal "
-                "period (numerics red flag)")
-        for s, status in ls.failures:
-            report.rays_land_in_window = False
-            report.warnings.append(f"address {s} did not land: {status}")
+    report.searches, report.ray_periods_landed = _staged_search(
+        m, [cyc for cyc in cycles if cyc.is_repelling], window, max_period,
+        landing_tol, match_tol)
+    # cycles of one period search the same rows: one warning per address
+    failed = list(dict.fromkeys(f"address {s} did not land: {status}"
+                                for ls in report.searches for s, status in ls.failures))
+    report.rays_land_in_window = not failed
+    report.warnings.extend(failed)
 
     report.n_invisible_candidates = sum(
         ls.invisible_candidate for ls in report.searches)

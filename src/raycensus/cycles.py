@@ -23,6 +23,8 @@ _PARABOLIC_MAX_K = 64
 
 #: seeds per numpy batch of find_cycles; bounds the batch's working memory
 _SEED_CHUNK = 4096
+#: point pairs per numpy comparison of find_cycles' duplicate test
+_PAIR_CAP = 65_536
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,15 @@ def _chunk_roots(c: complex, seeds: np.ndarray, p: int, box: Box,
     return mp[keep], orbits[keep]
 
 
+def _near(z: np.ndarray, pts: np.ndarray, dist: float) -> np.ndarray:
+    """Per entry of z, whether some entry of pts lies closer than dist."""
+    out = np.zeros(len(z), dtype=bool)
+    step = max(1, _PAIR_CAP // max(1, len(pts)))
+    for lo in range(0, len(z), step):
+        out[lo:lo + step] = (np.abs(z[lo:lo + step, None] - pts) < dist).any(axis=1)
+    return out
+
+
 @dataclass
 class CycleSearch:
     cycles: list[Cycle]
@@ -197,11 +208,11 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
         raise ValueError("empty box")
 
     cycles: list[Cycle] = []
-    reps: list[tuple[int, complex]] = []  # (period, z0) for dedup
-
-    def already_found(period: int, z0: complex) -> bool:
-        return any(p == period and abs(z0 - r) < 10.0 * max(tol, 1e-12)
-                   for p, r in reps)
+    # every point of the cycles kept, by period.  A root is new unless it
+    # lies near one of them: round-off can change which point of a cycle
+    # is least, so no single representative point is enough
+    kept = {p: np.empty(0, dtype=complex) for p in range(1, max_period + 1)}
+    near = 10.0 * max(tol, 1e-12)
 
     n_seeds = grid * grid
     for p in range(1, max_period + 1):
@@ -211,11 +222,15 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
             seeds.real = xlo + (i + 0.5) * (xhi - xlo) / grid
             seeds.imag = ylo + (j + 0.5) * (yhi - ylo) / grid
             periods, orbits = _chunk_roots(m.c, seeds, p, box, tol)
-            for k in range(len(periods)):
-                mp = int(periods[k])
-                z0 = min(orbits[k, :mp].tolist(), key=lambda w: (w.real, w.imag))
-                if already_found(mp, z0):
+            roots = orbits[:, 0]
+            new = np.ones(len(roots), dtype=bool)
+            for d in range(1, p + 1):
+                at = np.flatnonzero(periods == d)
+                new[at] = ~_near(roots[at], kept[d], near)
+            for k in np.flatnonzero(new).tolist():
+                if not new[k]:  # near a cycle kept earlier in this chunk
                     continue
+                mp = int(periods[k])
                 # polish every orbit point individually
                 polished, ok = _roots(m.c, orbits[k, :mp], mp, tol)
                 if not ok.all():
@@ -225,7 +240,7 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
                 # polishing can collapse a rough orbit onto a cycle of a
                 # dividing period, which that period's pass reports
                 if (_minimal_period(m.c, np.array([z0]), mp, tol)[0] != mp
-                        or already_found(mp, z0)):
+                        or _near(np.array([z0]), kept[mp], near)[0]):
                     continue
                 k0 = polished.index(z0)
                 pts = tuple(polished[(k0 + t) % mp] for t in range(mp))
@@ -234,7 +249,9 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
                     lam *= cmath.exp(w)
                 cls, rho = classify(lam, tol_band)
                 cycles.append(Cycle(pts, mp, lam, cls, rho))
-                reps.append((mp, z0))
+                kept[mp] = np.append(kept[mp], pts)
+                new[k + 1:] &= ((periods[k + 1:] != mp)
+                                | ~_near(roots[k + 1:], np.array(pts), near))
 
     cycles.sort(key=lambda c: (c.period, c.points[0].real, c.points[0].imag))
     warnings: list[str] = []

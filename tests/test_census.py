@@ -6,11 +6,12 @@ import pytest
 
 import numpy as np
 
-from raycensus.addresses import parse_address, shift
-from raycensus.census import audit, dumps_canonical, landing_search
+from raycensus import census
+from raycensus.addresses import parse_address, period_of, shift
+from raycensus.census import _staged_search, audit, dumps_canonical, landing_search
 from raycensus.cycles import find_cycles
 from raycensus.exponential import MapModel
-from raycensus.rays import land_periodic, landing_table
+from raycensus.rays import _NOT_CONVERGED, land_periodic, landing_table
 
 M2 = MapModel(c=-2)
 BOX = (-3.0, 3.0, -7.0, 7.0)
@@ -23,9 +24,19 @@ FIX_STRIP1 = complex(2.1310754576665873, 7.341435092197778)
 
 
 def search(m, cycle, window, period_cap, **kw):
-    """landing_search over a table of the candidate periods, as audit builds it."""
-    table = landing_table(m, window, range(cycle.period, period_cap + 1, cycle.period))
-    return landing_search(m, cycle, table, period_cap, **kw)
+    """The staged landing search of audit for one cycle, up to ray period period_cap."""
+    [ls], _ = _staged_search(m, [cycle], window, period_cap // cycle.period, **kw)
+    return ls
+
+
+def exhaustive(m, cycle, table, period_cap):
+    """Addresses matched by landing_search at every multiple of the cycle period."""
+    return [s for p in range(cycle.period, period_cap + 1, cycle.period)
+            for s in landing_search(m, cycle, table[p]).addresses]
+
+
+def one_period(addresses):
+    return len({period_of(s) for s in addresses}) == 1
 
 
 class TestLandingSearch:
@@ -34,7 +45,7 @@ class TestLandingSearch:
                if c.is_repelling][0]
         ls = search(M2, rep, 1, 3)
         assert [str(a) for a in ls.addresses] == ["0"]
-        assert ls.equal_period_ok
+        assert one_period(ls.addresses)
         assert not ls.failures
 
     def test_strip_one_fixed_point_found_by_one_bar(self):
@@ -52,7 +63,7 @@ class TestLandingSearch:
         cyc = two[0]
         ls = search(M2, cyc, 1, 4)
         assert {str(a) for a in ls.addresses} == {"0,1", "1,0"}
-        assert ls.equal_period_ok
+        assert one_period(ls.addresses)
 
     def test_attracting_cycle_rejected(self):
         att = [c for c in find_cycles(M2, 1, BOX, grid=30).cycles
@@ -81,11 +92,12 @@ class TestLandingSearch:
         assert len(three) == 4
         for cyc in three:
             assert min(abs(w - z) for w in twelve.points for z in cyc.points) < 1e-6
-            ls = landing_search(M2, cyc, table, 12)
+            assert not landing_search(M2, cyc, twelve).addresses
+            addresses = exhaustive(M2, cyc, table, 12)
             # exactly the three rotations of one period-3 word
-            assert len(ls.addresses) == 3
-            assert {shift(s) for s in ls.addresses} == set(ls.addresses)
-            assert ls.equal_period_ok
+            assert len(addresses) == 3
+            assert {shift(s) for s in addresses} == set(addresses)
+            assert one_period(addresses)
 
     def test_period_three_census_lands_every_ray(self):
         report = audit(M2, BOX, 3, 1)
@@ -93,6 +105,58 @@ class TestLandingSearch:
         assert report.warnings == []
         assert report.verdict == "satisfied"
         assert all(ls.addresses and not ls.failures for ls in report.searches)
+
+    def test_staged_search_equals_exhaustive_search(self):
+        # the audit stops each cycle's search at the first ray period that
+        # lands on it; searching every multiple of the period finds nothing more
+        for c in (-2, -1 + 0.3j):
+            m = MapModel(c=c)
+            report = audit(m, BOX, 3, 1)
+            periods = {q * ls.cycle.period for ls in report.searches for q in (1, 2, 3)}
+            table = landing_table(m, 1, periods)
+            assert report.searches
+            for ls in report.searches:
+                assert ls.addresses == exhaustive(m, ls.cycle, table, 3 * ls.cycle.period)
+                assert one_period(ls.addresses)
+
+    @pytest.mark.parametrize("max_period, window, landed", [(3, 1, [1, 2, 3]),
+                                                            (2, 0, [1, 2, 4])])
+    def test_ray_periods_landed(self, max_period, window, landed):
+        # at window 0 the 2-cycles find no period-2 word and reach the q = 2
+        # stage; the matched fixed point needs no period-2 or period-3 rays
+        report = audit(M2, BOX, max_period, window)
+        assert report.ray_periods_landed == landed
+        assert json.loads(report.to_json())["ray_periods_landed"] == landed
+
+    def test_rows_landed_by_the_staged_search(self, monkeypatch):
+        rows = []
+
+        def counting_table(*args, **kw):
+            table = landing_table(*args, **kw)
+            rows.extend(len(row.words) for row in table.values())
+            return table
+
+        monkeypatch.setattr(census, "landing_table", counting_table)
+        report = audit(M2, BOX, 3, 2)
+        assert sum(rows) == 145
+        assert all(ls.addresses for ls in report.searches)
+
+    def test_each_landing_failure_reported_once(self, monkeypatch):
+        # all three repelling 2-cycles search the period-2 rows; the failed
+        # row is in each search but named in one warning
+        def failing_table(*args, **kw):
+            table = landing_table(*args, **kw)
+            if 2 in table:
+                table[2].status[0] = _NOT_CONVERGED
+            return table
+
+        monkeypatch.setattr(census, "landing_table", failing_table)
+        report = audit(M2, BOX, 2, 1)
+        failed = [w for w in report.warnings if "did not land" in w]
+        assert failed == ["address -1,0 did not land: not-converged"]
+        assert sum(len(ls.failures) for ls in report.searches) == 3
+        assert not report.rays_land_in_window
+        assert report.verdict == "not-applicable"
 
     def test_monotone_in_window_and_cap(self):
         rep = [c for c in find_cycles(M2, 1, BOX, grid=30).cycles
@@ -144,7 +208,9 @@ class TestAuditHyperbolic:
         doc = json.loads(report.to_json())
         assert doc["verdict"] == "satisfied"
         assert doc["counts"]["invisible_candidates"] == 0
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
+        assert doc["ray_periods_landed"] == [1, 2]
+        assert "equal_period_ok" not in json.dumps(doc)
         assert doc["hypotheses"]["periodic_rays_land_in_window"] is True
 
     def test_csv_rows(self, report):

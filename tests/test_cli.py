@@ -193,6 +193,18 @@ class TestOtherCommands:
         classes = {c["class"] for c in doc["cycles"]}
         assert classes == {"attracting", "repelling"}
 
+    def test_grid_300_lists_each_period_four_cycle_once(self, capsys):
+        # the self-conjugate 4-cycle through 1.4044 +/- 6.0209i is listed,
+        # and counted as repelling, once
+        assert main(["cycles", "--c", "-2,0", "--box", "-3,3,-7,7",
+                     "--max-period", "4", "--grid", "300"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["cycles"]) == 16
+        assert main(["audit", "--c", "-2,0", "--box", "-3,3,-7,7", "--max-period", "4",
+                     "--window", "1", "--grid", "300"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["counts"]["repelling"] == 15
+        assert doc["ray_periods_landed"] == [1, 2, 3, 4]
+
     def test_regions_json(self):
         result = run_cli(["regions", "--c", "-2,0", "--p", "1",
                           "--window", "1", "--probe-grid", "60"])

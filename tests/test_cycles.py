@@ -106,6 +106,18 @@ class TestFindCyclesHyperbolic:
             for j in range(i + 1, len(pts)):
                 assert abs(pts[i] - pts[j]) > 1e-6
 
+    @pytest.mark.parametrize("c, grid, n_cycles", [(-2, 300, 16), (0, 40, 14)])
+    def test_self_conjugate_period_four_cycle_listed_once(self, c, grid, n_cycles):
+        # round-off flips which of the conjugate points 1.4044 -/+ 6.0209i
+        # (c = -2) or 0.8084 -/+ 5.5939i (c = 0) is least; the cycle must
+        # still be listed once
+        out = find_cycles(MapModel(c=c), 4, BOX, grid=grid).cycles
+        assert len(out) == n_cycles
+        for i, a in enumerate(out):
+            for b in out[i + 1:]:
+                assert a.period != b.period or \
+                    min(abs(z - w) for z in a.points for w in b.points) > 1e-6
+
     def test_grid_refinement_monotone(self):
         coarse = find_cycles(M2, 2, BOX, grid=15).cycles
         fine = find_cycles(M2, 2, BOX, grid=30).cycles
@@ -187,6 +199,9 @@ class TestInvariants:
 
         whole = find_cycles(MapModel(c=c), 3, box)
         monkeypatch.setattr(cycles, "_SEED_CHUNK", 7)
+        assert bits(find_cycles(MapModel(c=c), 3, box)) == bits(whole)
+        # and the duplicate test compares one point pair at a time
+        monkeypatch.setattr(cycles, "_PAIR_CAP", 1)
         assert bits(find_cycles(MapModel(c=c), 3, box)) == bits(whole)
 
     def test_bad_args(self):
