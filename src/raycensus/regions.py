@@ -233,8 +233,8 @@ class RayGraph:
         A point within SNAP_TOL of the graph is ON_ARC; a point that is not
         finite, or whose every tried probe is blocked, has NO_REGION.  The
         snap test, the cell lookup and the crossing test to the point's own
-        cell probe are numpy passes over all points; a point whose own probe
-        is blocked searches the rings of cells around it on its own.
+        cell probe are numpy passes over all points, and so is each ring of
+        cells searched around the points whose own probe is blocked.
         """
         z = np.asarray(points, dtype=complex).reshape(-1)
         ids = np.full(len(z), -1, dtype=np.int64)
@@ -248,35 +248,56 @@ class RayGraph:
             blocked = self._blocked(z[idx], self._probes(ix, iy))
             ids[idx] = self._region_of_probe[iy * self.grid + ix]
             status[idx] = LOCATED
-            for k in np.flatnonzero(blocked).tolist():
-                rid = self._ring_search(complex(z[idx[k]]), int(ix[k]), int(iy[k]))
-                ids[idx[k]] = rid
-                if rid < 0:
-                    status[idx[k]] = NO_REGION
+            if blocked.any():
+                far = idx[blocked]
+                ids[far] = self._ring_search(z[far], ix[blocked], iy[blocked])
+                status[far[ids[far] < 0]] = NO_REGION
         return ids, status
 
-    def _ring_search(self, z: complex, cx: int, cy: int) -> int:
+    def _ring_search(self, z: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         """Region of the nearest crossing-free probe in the rings around cell
-        (cx, cy), whose own probe is blocked; -1 once more than _MAX_PROBES
-        probes were blocked or the grid is exhausted.
+        (cx[i], cy[i]), whose own probe is blocked, for every point z[i]; -1
+        once more than _MAX_PROBES probes were blocked or the grid is
+        exhausted.
 
-        Each ring is tested in one numpy pass and read nearest probe first.
+        One numpy pass per ring tests the ring's probes of every point still
+        searching; each point reads its own in (distance, ix, iy) order.
         """
-        tried = 1
-        for ring in range(1, self.grid):
-            cand = sorted((abs(self._probe(ix, iy) - z), ix, iy)
-                          for ix in range(max(0, cx - ring), min(self.grid, cx + ring + 1))
-                          for iy in range(max(0, cy - ring), min(self.grid, cy + ring + 1))
-                          if max(abs(ix - cx), abs(iy - cy)) == ring)
-            probes = np.array([self._probe(ix, iy) for _, ix, iy in cand], dtype=complex)
-            blocked = self._blocked(np.full(len(cand), z), probes)
-            for (_, ix, iy), hit in zip(cand, blocked.tolist()):
-                if tried > _MAX_PROBES:
-                    return -1
-                tried += 1
-                if not hit:
-                    return int(self._region_of_probe[iy * self.grid + ix])
-        return -1
+        g = self.grid
+        out = np.full(len(z), -1, dtype=np.int64)
+        tried = np.ones(len(z), dtype=np.int64)  # the own-cell probe
+        todo = np.arange(len(z))
+        for ring in range(1, g):
+            if not len(todo):
+                break
+            # offsets of the cells at Chebyshev distance ring; clipped below
+            dx, dy = (d.ravel() for d in np.meshgrid(np.arange(-ring, ring + 1),
+                                                     np.arange(-ring, ring + 1)))
+            edge = np.maximum(abs(dx), abs(dy)) == ring
+            dx, dy = dx[edge], dy[edge]
+            own = np.repeat(todo, len(dx))
+            ix = (cx[todo, None] + dx).ravel()
+            iy = (cy[todo, None] + dy).ravel()
+            keep = (ix >= 0) & (ix < g) & (iy >= 0) & (iy < g)
+            own, ix, iy = own[keep], ix[keep], iy[keep]
+            probes = self._probes(ix, iy)
+            order = np.lexsort((iy, ix, np.abs(probes - z[own]), own))
+            own, ix, iy, probes = own[order], ix[order], iy[order], probes[order]
+            clear = ~self._blocked(z[own], probes)
+            # position of each probe in its point's reading order of the ring
+            rank = np.arange(len(own)) - np.searchsorted(own, own)
+            first = np.flatnonzero(clear)
+            first = first[np.unique(own[first], return_index=True)[1]]
+            hit = first[tried[own[first]] + rank[first] <= _MAX_PROBES]
+            out[own[hit]] = self._region_of_probe[iy[hit] * g + ix[hit]]
+            tried += np.bincount(own, minlength=len(z))
+            # a point searches on while its ring had probes but none clear,
+            # and fewer than the cap were blocked
+            going = np.zeros(len(z), dtype=bool)
+            going[own] = True
+            going[own[first]] = False
+            todo = np.flatnonzero(going & (tried <= _MAX_PROBES))
+        return out
 
     def regions_near(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """regions_of with on-arc points moved off the graph by compass probing.

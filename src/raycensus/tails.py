@@ -10,6 +10,7 @@ horizon-qualified.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ from .regions import ON_ARC, OnArcError, PointLocationError, RayGraph
 
 DEFAULT_HORIZON = 1000
 RADIUS_MARGIN = 1.25
+_PAIR_CAP = 65536  # point pairs held by one numpy pass of piece_diameter
 
 
 class TrappedSingularOrbit(RuntimeError):
@@ -53,9 +55,14 @@ class TailContext:
     r: float
     horizon: int
     cycle_on_graph: bool = False
-    # tau_1 image grids of the pieces by (label, samples); they depend only on
-    # the fields above, which is why the context is frozen
+    # tau_1 image grids of the pieces by (label, samples), the tau_1 witness
+    # verdict of each label and the newest pull-back of each _pull_back slot;
+    # they depend only on the fields above, which is why the context is frozen
     _image_grids: dict[tuple[int, int], tuple[tuple[complex, ...], int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _tail1_witness: dict[int, bool | OnArcError] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _pullbacks: dict[tuple, tuple[int, list[complex | SingularValueHit]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -293,24 +300,65 @@ def tail_membership(ctx: TailContext, address: tuple[int, ...], z: complex) -> b
     return _verdict(_tail_verdicts(ctx, address, [z], (len(address),))[0][0])
 
 
+def _pull_back(ctx: TailContext, key: tuple, s: InfiniteAddress, depth: int,
+               start: Sequence[complex]) -> list[complex | SingularValueHit]:
+    """Every point of `start` pulled back along s.prefix(depth), or the
+    SingularValueHit that stopped it.
+
+    For a purely periodic s of period P the newest result is kept on the
+    context per key and residue of depth mod P, so callers pass the same
+    `start` for every depth of one slot.  A kept depth d0 <= depth is
+    continued along s.prefix(depth - d0): the last d0 entries of
+    s.prefix(depth) are s.prefix(d0) and branches apply rightmost first, so
+    the inverse_branch calls are the same, in the same order, and a point
+    that hit a singular value at d0 hits it again.  Other addresses start
+    from scratch.
+    """
+    slot = None if s.preperiod else (key, s, depth % len(s.period))
+    done, points = ctx._pullbacks.get(slot, (0, start))
+    if done > depth:
+        done, points = 0, start
+    labels = s.prefix(depth - done)
+    out: list[complex | SingularValueHit] = []
+    for q in points:
+        if not isinstance(q, SingularValueHit):
+            try:
+                q = apply_branches(ctx.map, labels, q)
+            except SingularValueHit as exc:
+                q = exc.with_traceback(None)
+        out.append(q)
+    if slot is not None:
+        ctx._pullbacks[slot] = (depth, out)
+    return out
+
+
 def tail_exists(ctx: TailContext, s: InfiniteAddress, n: int) -> TailAddressRecord:
-    """Pull a level-1 witness back along the address and verify membership."""
+    """Pull a level-1 witness back along the address and verify membership.
+
+    The tau_1 witness of a label is tested once per context, and for a
+    purely periodic address the witness is pulled back from the newest
+    level of the same residue (_pull_back).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     labels = project(s, n, ctx.cycle.period)
     last = labels[-1]
     x_w = max(ctx.map.seed_potential, ctx.r + 1.0)
     w1 = complex(x_w, TWO_PI * last)
-    try:
-        if not tail1_membership(ctx, last, w1):
-            return TailAddressRecord(labels, n, False, reason="no-tail1-witness")
-    except OnArcError:
+    if last not in ctx._tail1_witness:
+        try:
+            ctx._tail1_witness[last] = tail1_membership(ctx, last, w1)
+        except OnArcError as exc:
+            ctx._tail1_witness[last] = exc.with_traceback(None)
+    accepted = ctx._tail1_witness[last]
+    if isinstance(accepted, OnArcError):
         return TailAddressRecord(labels, n, False, reason="on-arc")
-    try:
-        witness = apply_branches(ctx.map, labels[:-1], w1)
-    except SingularValueHit as exc:
+    if not accepted:
+        return TailAddressRecord(labels, n, False, reason="no-tail1-witness")
+    witness = _pull_back(ctx, ("witness",), s, len(labels) - 1, [w1])[0]
+    if isinstance(witness, SingularValueHit):
         return TailAddressRecord(labels, n, False,
-                                 reason="singular-hit" if not exc.on_cut else "cut-hit")
+                                 reason="singular-hit" if not witness.on_cut else "cut-hit")
     try:
         ok = tail_membership(ctx, labels, witness)
     except OnArcError:
@@ -353,7 +401,8 @@ def _piece_points(ctx: TailContext, s: InfiniteAddress, n: int,
     """Sampled points of the level-n piece P_n(s) and the samples excluded.
 
     The grid of tau_1(sigma^{mn} s) in D_r is sampled once per context; each
-    sample is pulled back mn steps along the address labels.
+    sample is pulled back mn steps along the address labels, for a purely
+    periodic address from the newest level of the same residue (_pull_back).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -362,27 +411,29 @@ def _piece_points(ctx: TailContext, s: InfiniteAddress, n: int,
     if key not in ctx._image_grids:
         ctx._image_grids[key] = _piece_image_samples(ctx, *key)
     image_pts, excluded = ctx._image_grids[key]
-    labels = s.prefix(mn)
-    points: list[complex] = []
-    for q in image_pts:
-        try:
-            points.append(apply_branches(ctx.map, labels, q))
-        except SingularValueHit:
-            excluded += 1
-    return points, excluded
+    pulled = _pull_back(ctx, ("piece", samples), s, mn, image_pts)
+    points = [w for w in pulled if not isinstance(w, SingularValueHit)]
+    return points, excluded + len(pulled) - len(points)
 
 
 def piece_diameter(ctx: TailContext, s: InfiniteAddress, n: int,
                    samples: int = 24) -> PieceEstimate:
-    """Sampled diameter of the level-n piece P_n(s) (a lower bound)."""
+    """Sampled diameter of the level-n piece P_n(s) (a lower bound).
+
+    The largest pairwise distance is taken over each unordered pair once,
+    in rows of about _PAIR_CAP pairs at a time, so memory stays flat in the
+    number of samples (|a - b| and |b - a| are the same float).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     cloud, excluded = _piece_points(ctx, s, n, samples)
     if not cloud:
         return PieceEstimate(0.0, n, 0, excluded, empty=True)
     arr = np.array(cloud)
-    d = np.abs(arr[:, None] - arr[None, :])
-    return PieceEstimate(float(d.max()), n, len(cloud), excluded, empty=False)
+    step = max(1, _PAIR_CAP // len(arr))
+    diameter = np.max([np.abs(arr[lo:lo + step, None] - arr[None, lo:]).max()
+                       for lo in range(0, len(arr), step)])
+    return PieceEstimate(float(diameter), n, len(cloud), excluded, empty=False)
 
 
 def piece_mapping_check(ctx: TailContext, s: InfiniteAddress, j: int,

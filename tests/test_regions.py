@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -366,6 +367,99 @@ class TestBatchedLocation:
             located.append(int((graph_m2.regions_of(z)[1] == LOCATED).sum()))
         assert located[0] == 0 and located[-1] == len(z)
         assert any(0 < n < len(z) for n in located)
+
+    @staticmethod
+    def blocked_calls(g, points, monkeypatch):
+        """Number of _blocked passes one regions_of call makes."""
+        calls = []
+        blocked = RayGraph._blocked
+
+        def counted(graph, a, b):
+            calls.append(len(a))
+            return blocked(graph, a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RayGraph, "_blocked", counted)
+            g.regions_of(points)
+        return len(calls)
+
+    @staticmethod
+    def edge_graph(halves=(0.04,)):
+        """Grid-6 graph of the box [0, 3]^2 with a short wall between each of
+        the points and its own cell probe: points in the corner and edge
+        cells, and beyond the box (clamped to an edge cell).  The walls take
+        their half-lengths from `halves` in turn; 0.1 shuts a corner point
+        off from every probe."""
+        box = (0.0, 3.0, 0.0, 3.0)
+        g = hand_graph([], box=box, grid=6)
+        points = [complex(x, y) for x, y in (
+            (0.1, 0.1), (2.9, 0.1), (0.1, 2.9), (2.9, 2.9),  # corners
+            (1.3, 0.05), (0.05, 1.8), (2.95, 1.1), (1.6, 2.95),  # edges
+            (-0.5, 1.3), (3.7, 3.9), (1.4, -2.0))]  # clamped
+        walls = []
+        for z, half in zip(points, itertools.cycle(halves)):
+            ix, iy = g._cells_of(np.array([z.real]), np.array([z.imag]))
+            q = g._probe(int(ix[0]), int(iy[0]))
+            mid, across = (z + q) / 2, half * 1j * (q - z) / abs(q - z)
+            walls.append((mid - across, mid + across))
+        return hand_graph(walls, box=box, grid=6), points
+
+    def test_edges_and_corners(self):
+        g, points = self.edge_graph()
+        ix, iy = g._cells_of(np.array(points).real, np.array(points).imag)
+        assert g._blocked(np.array(points), g._probes(ix, iy)).all()
+        assert {0, 5} <= set(ix.tolist()) and {0, 5} <= set(iy.tolist())
+        assert_parity(g, points)
+        assert (g.regions_of(points)[1] == LOCATED).all()
+
+    def test_blocked_points_search_together(self, graph_m2, monkeypatch):
+        # one pass for the own-cell probes, then one per ring while any
+        # point still searches
+        passes = []
+        for g, points in (self.edge_graph((0.1, 0.04, 0.04)),
+                          (graph_m2, self.near_arcs(graph_m2))):
+            assert_parity(g, points)
+            alone = [self.blocked_calls(g, [z], monkeypatch) for z in points]
+            assert self.blocked_calls(g, points, monkeypatch) == max(alone)
+            passes.append(max(alone))
+        # two corner points exhaust all 5 rings of the grid-6 graph; ring 1
+        # is enough near the arcs of graph_m2
+        assert passes == [6, 2]
+
+    def test_probe_cap_at_edges_and_corners(self, monkeypatch):
+        g, points = self.edge_graph((0.04, 0.06, 0.08))
+        located = []
+        for cap in range(0, 6):
+            monkeypatch.setattr(regions, "_MAX_PROBES", cap)
+            assert_parity(g, points)
+            located.append(int((g.regions_of(points)[1] == LOCATED).sum()))
+            if cap == 0:  # every point stops after its first ring
+                assert self.blocked_calls(g, points, monkeypatch) == 2
+        assert located[0] == 0 and len(set(located)) > 2
+
+    def test_equidistant_probes_read_by_ix_then_iy(self):
+        # z is blocked from its own probe (0, 0) and as far from probe (1, 0)
+        # as from probe (0, 1), which the diagonal wall puts in other regions
+        g = hand_graph([(0.2 + 0.35j, 0.35 + 0.2j), (0.36 + 0.36j, 4 + 4j)],
+                       box=(0.0, 3.0, 0.0, 3.0), grid=6)
+        z = 0.3 + 0.3j
+        by_probe = g._region_of_probe.reshape(6, 6)
+        assert by_probe[0, 1] != by_probe[1, 0]
+        assert_parity(g, [z])
+        assert g.basic_region_of(z) == by_probe[1, 0]  # row iy = 1, column ix = 0
+
+    def test_grid_exhausted_before_the_cap(self, monkeypatch):
+        # 16 probes, all blocked for the two enclosed points, far below 600
+        inside = [0.8 + 0.7j, 2.2 + 1.7j]
+        g = hand_graph(enclosure(inside[0], 0.1) + enclosure(inside[1], 0.1),
+                       box=(0.0, 3.0, 0.0, 3.0), grid=4)
+        points = [inside[0], 1.5 + 1.5j, inside[1], 2.9 + 0.1j]
+        assert_parity(g, points)
+        assert g.regions_of(points)[1].tolist() == [NO_REGION, LOCATED, NO_REGION, LOCATED]
+        # rings 1 to 3 around the cell of the first point cover the grid
+        assert self.blocked_calls(g, points, monkeypatch) == 4
+        with pytest.raises(PointLocationError, match="point location failed for"):
+            g.basic_region_of(inside[1])
 
     def test_not_finite(self, graph_m2):
         nan, inf = math.nan, math.inf

@@ -4,18 +4,25 @@ import math
 import numpy as np
 import pytest
 
-from raycensus import tails
+from raycensus import rays, tails
 from raycensus.addresses import InfiniteAddress, parse_address, project, shift_by
 from raycensus.cycles import find_cycles
 from raycensus.exponential import (
     MapModel,
+    SingularValueHit,
     evaluate,
     in_fundamental_domain_exact,
     is_escaped,
     singular_values,
     strip_of,
 )
-from raycensus.rays import ESCAPE_THRESHOLD, ladder_descend, landing_point, pullback_sequence
+from raycensus.rays import (
+    ESCAPE_THRESHOLD,
+    apply_branches,
+    ladder_descend,
+    landing_point,
+    pullback_sequence,
+)
 from raycensus.regions import (
     OnArcError,
     PointLocationError,
@@ -540,3 +547,251 @@ class TestBatchedParity:
         piece_mapping_check(warm, ZERO, 6, samples=12)
         # the orbits, then the level-1 tests of both levels
         assert len(calls) == 3 and calls[0] > 200
+
+
+# ---------------------------------------------------------------------------
+# level-by-level references: every level pulled back from scratch
+
+def ref_piece_points(ctx, s, n, samples, grids):
+    """_piece_points with every sample pulled back mn steps from its tau_1
+    grid; `grids` keeps the grids per (label, samples)."""
+    mn = ctx.cycle.period * n
+    key = (s.entry(mn), samples)
+    if key not in grids:
+        grids[key] = tails._piece_image_samples(ctx, *key)
+    image_pts, excluded = grids[key]
+    labels = s.prefix(mn)
+    points = []
+    for q in image_pts:
+        try:
+            points.append(apply_branches(ctx.map, labels, q))
+        except SingularValueHit:
+            excluded += 1
+    return points, excluded
+
+
+def ref_tail_exists(ctx, s, n):
+    """One level on its own: a tau_1 witness tested and pulled back."""
+    labels = project(s, n, ctx.cycle.period)
+    last = labels[-1]
+    w1 = complex(max(ctx.map.seed_potential, ctx.r + 1.0), tails.TWO_PI * last)
+    try:
+        if not tail1_membership(ctx, last, w1):
+            return tails.TailAddressRecord(labels, n, False, reason="no-tail1-witness")
+    except OnArcError:
+        return tails.TailAddressRecord(labels, n, False, reason="on-arc")
+    try:
+        witness = apply_branches(ctx.map, labels[:-1], w1)
+    except SingularValueHit as exc:
+        return tails.TailAddressRecord(labels, n, False,
+                                       reason="singular-hit" if not exc.on_cut else "cut-hit")
+    try:
+        ok = tail_membership(ctx, labels, witness)
+    except OnArcError:
+        return tails.TailAddressRecord(labels, n, False, witness=witness, reason="on-arc")
+    return tails.TailAddressRecord(labels, n, ok, witness=witness,
+                                   reason="" if ok else "membership-failed")
+
+
+def ref_tail_diagnostics(ctx, s, max_level, samples):
+    out = []
+    for n in range(1, max_level + 1):
+        rec = ref_tail_exists(ctx, s, n)
+        entry = {"address": list(rec.address), "level": n, "exists": rec.exists,
+                 "reason": rec.reason}
+        if rec.witness is not None:
+            entry["witness"] = [rec.witness.real, rec.witness.imag]
+        est = piece_diameter(ctx, s, n, samples=samples)
+        entry["piece_diameter"] = est.diameter
+        entry["piece_samples"] = est.n_samples
+        entry["piece_empty"] = est.empty
+        out.append(entry)
+    return out
+
+
+@pytest.fixture(scope="module")
+def wide_ctx(ctx):
+    """ctx on a graph whose box holds the landing points of rays +-1, so
+    labels -1 and 1 have tau_1 witnesses too."""
+    g = build_ray_graph(M2, 1, 1, depth=40, box=(-3, 3, -9, 9), grid=140)
+    return make_tail_context(M2, ctx.cycle, g, horizon=300)
+
+
+def stand_in_singular_values(monkeypatch, on_cut=False):
+    """inverse_branch raises SingularValueHit on the half-plane Re w < 1.3,
+    which pull-backs along address 0 at c = -2 reach after a few steps."""
+    branch = rays.inverse_branch
+
+    def guarded(m, w, k):
+        if w.real < 1.3:
+            raise SingularValueHit(w, on_cut=on_cut)
+        return branch(m, w, k)
+
+    monkeypatch.setattr(rays, "inverse_branch", guarded)
+
+
+class TestIncrementalPullBack:
+    @staticmethod
+    def assert_levels(ctx, s, levels, samples=8):
+        grids = {}
+        for n in levels:
+            got = tails._piece_points(ctx, s, n, samples)
+            want = ref_piece_points(ctx, s, n, samples, grids)
+            assert repr(got) == repr(want), (str(s), n, samples)
+
+    @pytest.mark.parametrize("context, address", [
+        ("ctx", "0"), ("ctx2", "0,1"), ("ctx2", "1,-1"),
+        ("ctx", "0,1"),  # period 2 on a fixed point: k = 2
+        ("ctx", "1:0")])
+    def test_levels_one_to_thirty(self, request, context, address):
+        warm = dataclasses.replace(request.getfixturevalue(context))
+        self.assert_levels(warm, parse_address(address), range(1, 31))
+        if address == "1:0":
+            assert not warm._pullbacks  # preperiodic: from scratch every time
+
+    def test_levels_out_of_order(self, ctx):
+        warm = dataclasses.replace(ctx)
+        self.assert_levels(warm, ZERO, [10, 3, 11, 2, 30, 29, 30])
+        self.assert_levels(warm, parse_address("0,1"), [10, 3, 9, 4, 30, 1])
+
+    def test_sample_counts_alternating(self, ctx):
+        warm = dataclasses.replace(ctx)
+        for n in range(1, 31):
+            self.assert_levels(warm, ZERO, [n], samples=8 if n % 2 else 11)
+            self.assert_levels(warm, ZERO, [n], samples=11 if n % 2 else 8)
+
+    def test_only_the_newest_level_is_kept(self, ctx):
+        warm = dataclasses.replace(ctx)
+        for n in range(1, 12):
+            piece_diameter(warm, ZERO, n, samples=8)
+            piece_diameter(warm, parse_address("0,1"), n, samples=8)
+        depths = sorted(depth for depth, _ in warm._pullbacks.values())
+        assert depths == [10, 11, 11]  # 0 once, 0,1 once per residue
+
+    def test_singular_hits_stay_excluded(self, ctx, monkeypatch):
+        stand_in_singular_values(monkeypatch)
+        warm = dataclasses.replace(ctx)
+        self.assert_levels(warm, ZERO, range(1, 31))
+        image_pts, excluded = warm._image_grids[(0, 8)]
+        kept = [len(tails._piece_points(warm, ZERO, n, 8)[0]) for n in range(1, 31)]
+        assert kept[0] == len(image_pts) and kept[-1] == 0
+        assert any(0 < k < len(image_pts) for k in kept)
+        assert tails._piece_points(warm, ZERO, 30, 8)[1] == excluded + len(image_pts)
+
+
+class TestDiameterRows:
+    def test_rows_equal_one_matrix(self, ctx, monkeypatch):
+        cloud = np.array(tails._piece_points(ctx, ZERO, 4, 16)[0])
+        assert len(cloud) > 100
+        whole = float(np.abs(cloud[:, None] - cloud[None, :]).max())
+        for cap in (1, 7, len(cloud) ** 2):
+            monkeypatch.setattr(tails, "_PAIR_CAP", cap)
+            assert piece_diameter(ctx, ZERO, 4, samples=16).diameter == whole
+
+
+class TestLevelRecords:
+    @staticmethod
+    def assert_records(context, s, levels=range(1, 31)):
+        """tail_exists on one warm context, level after level, equals the
+        reference on a fresh one (repr: witness bits, address, reason)."""
+        warm = dataclasses.replace(context)
+        want = [outcome(ref_tail_exists, context, s, n) for n in levels]
+        assert repr([outcome(tail_exists, warm, s, n) for n in levels]) == repr(want)
+        return want
+
+    @pytest.mark.parametrize("context, address", [
+        ("ctx", "0"), ("ctx2", "0,1"), ("ctx", "0,1"), ("ctx", "1:0"),
+        ("wide_ctx", "0,1"), ("wide_ctx", "1,-1"), ("wide_ctx", "0,0,1")])
+    def test_real_contexts(self, request, context, address):
+        records = self.assert_records(request.getfixturevalue(context), parse_address(address))
+        if address == "0":
+            assert all(rec.exists for rec in records)
+        if context == "wide_ctx":  # a fixed point is no landing point of these
+            assert all(rec.exists for rec in records[:15])
+            assert records[-1].reason == "membership-failed"
+
+    def test_levels_out_of_order(self, ctx):
+        self.assert_records(ctx, ZERO, [10, 3, 11, 2, 30, 29, 30])
+
+    def test_no_tail1_witness(self, ctx):
+        foreign = dataclasses.replace(ctx, b_regions=(ctx.b_regions[0] + 1,))
+        records = self.assert_records(foreign, ZERO, range(1, 6))
+        assert {rec.reason for rec in records} == {"no-tail1-witness"}
+
+    @pytest.mark.parametrize("on_cut, reason", [(False, "singular-hit"), (True, "cut-hit")])
+    def test_singular_hit(self, ctx, monkeypatch, on_cut, reason):
+        stand_in_singular_values(monkeypatch, on_cut)
+        records = self.assert_records(ctx, ZERO, range(1, 13))
+        assert records[0].exists and records[-1].reason == reason
+
+    @staticmethod
+    def walled_context(ctx, centre, wall):
+        """Every probe in region 0, the centre enclosed (and on the graph
+        with a wall)."""
+        return TailContext(map=M2, cycle=ctx.cycle, graph=enclosed_graph(centre, 0.012, wall),
+                           b_regions=(0,), r=ctx.r, horizon=10)
+
+    def test_on_arc(self, ctx):
+        # the tau_1 witness on the graph: every level is on-arc without a witness
+        w1 = complex(max(M2.seed_potential, ctx.r + 1.0), 0.0)
+        records = self.assert_records(self.walled_context(ctx, w1, True), ZERO, range(1, 7))
+        assert [(rec.reason, rec.witness) for rec in records] == [("on-arc", None)] * 6
+        # the level-3 witness on the graph: the orbits from level 3 on meet it
+        w3 = tail_exists(ctx, ZERO, 3).witness
+        records = self.assert_records(self.walled_context(ctx, w3, True), ZERO, range(1, 9))
+        assert [rec.reason for rec in records] == ["", "", *["on-arc"] * 6]
+        assert records[2].witness == w3
+
+    def test_unlocatable_tail1_witness_raises_at_every_level(self, ctx):
+        w1 = complex(max(M2.seed_potential, ctx.r + 1.0), 0.0)
+        enclosed = self.walled_context(ctx, w1, False)
+        records = self.assert_records(enclosed, ZERO, range(1, 4))
+        assert records == [(PointLocationError, f"point location failed for {w1!r}")] * 3
+
+    @pytest.mark.parametrize("level", [1, 3, 5])
+    def test_location_error_raised_at_its_level(self, ctx, level):
+        w = tail_exists(ctx, ZERO, level).witness
+        for wall in (False, True):
+            enclosed = self.walled_context(ctx, w, wall)
+            want = outcome(ref_tail_diagnostics, enclosed, ZERO, 8, 6)
+            assert outcome(tail_diagnostics, dataclasses.replace(enclosed), ZERO, 8, 6) == want
+            if wall:
+                assert want[level - 1]["reason"] == "on-arc"
+            else:
+                assert want == (PointLocationError, f"point location failed for {w!r}")
+
+    def test_piece_error_before_a_later_record_error(self, ctx):
+        # an enclosed tau_1 grid sample fails the level-1 piece before the
+        # enclosed level-3 witness fails its record
+        side, r = 6, ctx.r
+        x_lo = math.log(r - 2.0)
+        sample = complex(x_lo + (side - 0.5) * (r - x_lo) / side,
+                         -math.pi + (side // 2 + 0.5) * tails.TWO_PI / side)
+        w3 = tail_exists(ctx, ZERO, 3).witness
+        g = enclosed_graph(w3, 0.012)
+        g._segs = np.concatenate([g._segs, enclosed_graph(sample, 0.012)._segs])
+        g._cells = {}
+        g._index_segments()
+        g._build_regions()
+        enclosed = TailContext(map=M2, cycle=ctx.cycle, graph=g, b_regions=(0,), r=r, horizon=10)
+        want = outcome(ref_tail_diagnostics, enclosed, ZERO, 5, side)
+        assert want == (PointLocationError, f"point location failed for {sample!r}")
+        assert outcome(tail_diagnostics, dataclasses.replace(enclosed), ZERO, 5, side) == want
+
+    def test_diagnostics_match_the_walk(self, ctx, ctx2, wide_ctx):
+        for context, s in ((ctx, ZERO), (ctx2, parse_address("0,1")),
+                           (wide_ctx, parse_address("0,1"))):
+            assert (tail_diagnostics(dataclasses.replace(context), s, 12, samples=8)
+                    == ref_tail_diagnostics(dataclasses.replace(context), s, 12, 8))
+
+    def test_one_tail1_witness_test_per_label(self, wide_ctx, monkeypatch):
+        tested = []
+        tail1 = tails.tail1_membership
+
+        def counted(context, label, z):
+            tested.append(label)
+            return tail1(context, label, z)
+
+        monkeypatch.setattr(tails, "tail1_membership", counted)
+        tail_diagnostics(dataclasses.replace(wide_ctx), parse_address("0,1"), 9, samples=4)
+        assert tested == [0, 1]
