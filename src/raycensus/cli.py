@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from pathlib import Path
@@ -302,8 +303,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the sub-parser of each command."""
+    """The top-level parser and the sub-parser of each command, built once."""
     ap = argparse.ArgumentParser(
         prog="raycensus",
         description="Dynamic rays, cycles, tails and a refined "
@@ -403,10 +405,13 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Flags override config-file values, which override the parser's defaults."""
-    ap, commands = _build_parser()
-    args = ap.parse_args(argv)
+    """Flags override config-file values, which override the parser's defaults.
+
+    A config file changes its command's defaults in a parser of its own, not
+    in the one that runs without --config share."""
+    args = _build_parser()[0].parse_args(argv)
     if args.config:
+        ap, commands = _build_parser.__wrapped__()
         _apply_config(commands[args.command], args.config)
         args = ap.parse_args(argv)
     return args

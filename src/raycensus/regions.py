@@ -8,7 +8,6 @@ components of the plane minus the graph are not finitely computable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -91,7 +90,7 @@ class RayGraph:
     arcs: list[Arc]
     failures: list[tuple[InfiniteAddress, str]]
     _segs: np.ndarray = field(default=None, repr=False)  # (n, 2): ends a, b
-    _cells: dict[tuple[int, int], list[int]] = field(default_factory=dict, repr=False)
+    _index: np.ndarray = field(default=None, repr=False)  # (2, k): cell ids, segment ids
     _region_of_probe: np.ndarray = field(default=None, repr=False)  # (grid * grid,) ids
     _representatives: list[complex] = field(default_factory=list, repr=False)
 
@@ -99,11 +98,6 @@ class RayGraph:
     def _cell_size(self) -> tuple[float, float]:
         xlo, xhi, ylo, yhi = self.box
         return (xhi - xlo) / self.grid, (yhi - ylo) / self.grid
-
-    def _probe(self, ix: int, iy: int) -> complex:
-        xlo, _, ylo, _ = self.box
-        dx, dy = self._cell_size()
-        return complex(xlo + (ix + 0.5) * dx, ylo + (iy + 0.5) * dy)
 
     def _cells_of(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cell of each finite point (x, y), clamped to the grid.
@@ -118,7 +112,7 @@ class RayGraph:
                 np.clip((y - ylo) / dy, 0, top).astype(np.int64))
 
     def _probes(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-        """_probe(ix, iy) elementwise, bit for bit."""
+        """The probe of each cell (ix[i], iy[i]): the centre of the cell."""
         xlo, _, ylo, _ = self.box
         dx, dy = self._cell_size()
         out = np.empty(len(ix), dtype=complex)
@@ -127,17 +121,24 @@ class RayGraph:
         return out
 
     def _index_segments(self):
+        """(cell id iy * grid + ix, segment id) pairs, stably sorted by cell:
+        each segment whose bounding box meets the box is listed in the cells
+        that bounding box meets and in their neighbours."""
         xlo, xhi, ylo, yhi = self.box
         a, b = self._segs.T
         x0, x1 = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
         y0, y1 = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
         keep = np.flatnonzero((x1 >= xlo) & (x0 <= xhi) & (y1 >= ylo) & (y0 <= yhi))
-        lo = self._cells_of(x0[keep], y0[keep])
-        hi = self._cells_of(x1[keep], y1[keep])
-        for si, a0, b0, a1, b1 in zip(keep.tolist(), *(v.tolist() for v in lo + hi)):
-            for ix in range(max(0, a0 - 1), min(self.grid, a1 + 2)):
-                for iy in range(max(0, b0 - 1), min(self.grid, b1 + 2)):
-                    self._cells.setdefault((ix, iy), []).append(si)
+        # the block of cells (ix, iy) of each kept segment, lo <= (ix, iy) < hi
+        lo = np.maximum(np.array(self._cells_of(x0[keep], y0[keep]), dtype=np.int32) - 1, 0)
+        hi = np.minimum(np.array(self._cells_of(x1[keep], y1[keep]), dtype=np.int32) + 2, self.grid)
+        width, count = hi[0] - lo[0], np.prod(hi - lo, axis=0, dtype=np.int32)
+        # pair j lists segment keep[n] in cell k of its block, row by row
+        n = np.repeat(np.arange(len(keep), dtype=np.int32), count)
+        k = np.arange(len(n), dtype=np.int32) - (np.cumsum(count, dtype=np.int32) - count)[n]
+        cell = (lo[1, n] + k // width[n]) * self.grid + lo[0, n] + k % width[n]
+        order = np.argsort(cell, kind="stable")
+        self._index = np.stack([cell[order], keep[n[order]].astype(np.int32)])
 
     # -- crossing machinery -------------------------------------------------
     def _chunks(self, n: int):
@@ -154,60 +155,52 @@ class RayGraph:
                 out[part] = segments_cross(a[part, None], b[part, None], c, d).any(axis=1)
         return out
 
-    def _edge_crosses(self, iy: int) -> tuple[np.ndarray, np.ndarray]:
-        """Which probe edges leaving grid row iy meet a stored segment.
+    def _edge_crosses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Crossed masks of the probe edges: right[iy, ix] for the edge from
+        probe (ix, iy) to (ix + 1, iy), up[iy, ix] for the one to (ix, iy + 1).
 
-        Returns (right, up): right[ix] for the edge from probe (ix, iy) to
-        (ix + 1, iy), up[ix] for the edge to (ix, iy + 1), empty on the top
-        row.  The index lists a segment in every cell its bounding box meets
-        and in their neighbours, so a segment that meets an edge from probe
-        (ix, iy) is listed in cell (ix, iy); only those are tested.
-        """
+        A segment that meets an edge from probe (ix, iy) is listed in cell
+        (ix, iy), so only the pairs of the index are tested, _PAIR_CAP at a
+        time; edges leaving the grid are tested too, then dropped."""
         g = self.grid
-        lists = [self._cells.get((ix, iy), ()) for ix in range(g)]
-        col = np.repeat(np.arange(g), [len(cell) for cell in lists])
-        seg = np.fromiter(itertools.chain.from_iterable(lists), np.intp, len(col))
-        cols = np.arange(g)
-        row, (c, d) = self._probes(cols, np.full(g, iy)), self._segs[seg].T
-        k = col < g - 1
-        hit = segments_cross(row[col[k]], row[col[k] + 1], c[k], d[k])
-        right = np.bincount(col[k][hit], minlength=g - 1) > 0
-        if iy + 1 == g:
-            return right, np.zeros(0, dtype=bool)
-        hit = segments_cross(row[col], self._probes(cols, np.full(g, iy + 1))[col], c, d)
-        return right, np.bincount(col[hit], minlength=g) > 0
+        crossed = np.zeros((2, g * g), dtype=bool)
+        for lo in range(0, self._index.shape[1], _PAIR_CAP):
+            cell, seg = self._index[:, lo:lo + _PAIR_CAP]
+            ix, iy = cell % g, cell // g
+            probe, (c, d) = self._probes(ix, iy), self._segs[seg].T
+            for out, end in zip(crossed, (self._probes(ix + 1, iy), self._probes(ix, iy + 1))):
+                out[cell[segments_cross(probe, end, c, d)]] = True
+        right, up = crossed.reshape(2, g, g)
+        return right[:, :-1], up[:-1]
 
     def _build_regions(self):
         g = self.grid
-        n = g * g
-        right = np.zeros((g, g - 1), dtype=bool)  # open edge (ix, iy)-(ix + 1, iy)
-        up = np.zeros((g - 1, g), dtype=bool)  # open edge (ix, iy)-(ix, iy + 1)
-        for iy in range(g):
-            crossed_right, crossed_up = self._edge_crosses(iy)
-            right[iy] = ~crossed_right
-            if iy + 1 < g:
-                up[iy] = ~crossed_up
-        # min-label propagation with pointer jumping: every label is the
-        # index of a probe in the same component, never above its own, so
-        # the fixed point labels each probe with its component's least index
-        lab = np.arange(n, dtype=np.int32).reshape(g, g)
-        while True:
-            new = lab.copy()
-            np.minimum(new[:, :-1], lab[:, 1:], out=new[:, :-1], where=right)
-            np.minimum(new[:, 1:], lab[:, :-1], out=new[:, 1:], where=right)
-            np.minimum(new[:-1], lab[1:], out=new[:-1], where=up)
-            np.minimum(new[1:], lab[:-1], out=new[1:], where=up)
-            new = new.ravel()[new]
-            if np.array_equal(new, lab):
-                break
-            lab = new
-        # a component's least index is where it first appears in probe order
-        lab = lab.ravel()
-        roots = np.flatnonzero(lab == np.arange(n, dtype=np.int32))
-        ids = np.empty(n, dtype=np.int32)
-        ids[roots] = np.arange(len(roots), dtype=np.int32)
-        self._region_of_probe = ids[lab]
-        self._representatives = [self._probe(i % g, i // g) for i in roots.tolist()]
+        right, up = self._edge_crosses()
+        # runs: the pieces of each row between crossed right edges, numbered
+        # in probe order, and the pairs of runs that open up edges join, less
+        # those that the open up edge left of them joins already
+        start = np.ones((g, g), dtype=bool)
+        start[:, 1:] = right
+        run = np.cumsum(start, dtype=np.int32).reshape(g, g)
+        run -= 1
+        joins = ~up
+        joins[:, 1:] &= ~(joins[:, :-1] & ~right[:-1] & ~right[1:])
+        lo, hi = run[:-1][joins], run[1:][joins]
+        # hook, then shortcut until every parent is a root.  A parent is a run
+        # of the same component, never above its child, so once no pair joins
+        # two roots, each root is its component's least run and least probe.
+        par = np.arange(run[-1, -1] + 1, dtype=np.int32)
+        while not np.array_equal(pa := par[lo], pb := par[hi]):
+            least = np.minimum(pa, pb)
+            for ends in (pa, pb, lo, hi):
+                np.minimum.at(par, ends, least)
+            while not np.array_equal(jumped := par[par], par):
+                par = jumped
+        # region ids number the roots, that is in order of first appearance
+        root = par == np.arange(len(par), dtype=np.int32)
+        self._region_of_probe = (np.cumsum(root, dtype=np.int32) - 1)[par][run].ravel()
+        first = np.searchsorted(run.ravel(), np.flatnonzero(root))
+        self._representatives = self._probes(first % g, first // g).tolist()
 
     # -- queries ------------------------------------------------------------
     def distance_to_graph(self, points: np.ndarray) -> np.ndarray:

@@ -125,6 +125,24 @@ class TestConfigFile:
         result = run_cli(["audit", "--config", str(cfg)])
         assert result.returncode == 2
 
+    def test_config_does_not_reach_later_runs(self, tmp_path, capsys):
+        # runs without --config share one parser; the file's defaults go to
+        # a parser of the --config run alone
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol=1e-9\nmax-iter=500\nradius=6\n")
+        argv = ["land", "--c", "-2,0", "--address", "0"]
+        outputs = []
+        for extra in ([], ["--config", str(cfg)], []):
+            assert main([*argv, *extra]) == 0
+            outputs.append(json.loads(capsys.readouterr().out)["config"])
+        assert (outputs[1]["tol"], outputs[1]["max_iter"], outputs[1]["R"]) == (1e-9, 500, 6.0)
+        assert outputs[2] == outputs[0]
+        assert (outputs[2]["tol"], outputs[2]["max_iter"]) == (
+            cli.DEFAULT_LANDING_TOL, cli.DEFAULT_MAX_ITER)
+        land = cli._build_parser()[1]["land"]
+        assert land.get_default("tol") == cli.DEFAULT_LANDING_TOL
+        assert land.get_default("radius") == 0.0
+
     # per case: the command, its settings as flags, the same settings as
     # config lines, a flag to override in the file, an int or float flag
     @pytest.mark.parametrize("command,flags,lines,override,typed", [

@@ -86,6 +86,35 @@ class TestSegmentsCross:
             for r, s in zip(c, d)]
 
 
+def probe(g, ix, iy):
+    """Reference probe of cell (ix, iy): its centre, in Python floats."""
+    xlo, _, ylo, _ = g.box
+    dx, dy = g._cell_size()
+    return complex(xlo + (ix + 0.5) * dx, ylo + (iy + 0.5) * dy)
+
+
+def loop_index(g):
+    """Reference cell index, built segment by segment in Python loops.
+
+    A segment whose bounding box meets the box is listed in every cell that
+    bounding box meets and in their neighbours.  Returns the sorted
+    (cell id iy * grid + ix, segment id) pairs.
+    """
+    xlo, xhi, ylo, yhi = g.box
+    a, b = g._segs.T
+    x0, x1 = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
+    y0, y1 = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
+    keep = np.flatnonzero((x1 >= xlo) & (x0 <= xhi) & (y1 >= ylo) & (y0 <= yhi))
+    lo = g._cells_of(x0[keep], y0[keep])
+    hi = g._cells_of(x1[keep], y1[keep])
+    pairs = []
+    for si, a0, b0, a1, b1 in zip(keep.tolist(), *(v.tolist() for v in lo + hi)):
+        for ix in range(max(0, a0 - 1), min(g.grid, a1 + 2)):
+            for iy in range(max(0, b0 - 1), min(g.grid, b1 + 2)):
+                pairs.append((iy * g.grid + ix, si))
+    return sorted(pairs)
+
+
 def union_find_labels(g):
     """Reference labelling of g's probe grid, checking _edge_crosses on the way.
 
@@ -102,22 +131,53 @@ def union_find_labels(g):
             i = parent[i]
         return i
 
-    for iy in range(grid):
-        right, up = g._edge_crosses(iy)
-        assert len(right) == grid - 1
-        assert len(up) == (grid if iy + 1 < grid else 0)
-        for crossed, dx, dy in ((right, 1, 0), (up, 0, 1)):
-            ends = np.array([[g._probe(ix, iy), g._probe(ix + dx, iy + dy)]
-                             for ix in range(len(crossed))]).reshape(-1, 2)
-            free = ~g._blocked(ends[:, 0], ends[:, 1])
-            for ix in range(len(crossed)):
-                assert crossed[ix] != free[ix], (ix, iy, dx, dy)
-                if free[ix]:
-                    parent[root((iy + dy) * grid + ix + dx)] = root(iy * grid + ix)
+    right, up = g._edge_crosses()
+    assert right.shape == (grid, grid - 1) and up.shape == (grid - 1, grid)
+    for crossed, dx, dy in ((right, 1, 0), (up, 0, 1)):
+        rows, cols = crossed.shape
+        ends = np.array([[probe(g, ix, iy), probe(g, ix + dx, iy + dy)]
+                         for iy in range(rows) for ix in range(cols)]).reshape(-1, 2)
+        free = ~g._blocked(ends[:, 0], ends[:, 1])
+        wrong = np.flatnonzero(crossed.ravel() == free)
+        assert not len(wrong), [(i % cols, i // cols, dx, dy) for i in wrong[:5].tolist()]
+        for i in np.flatnonzero(free).tolist():
+            iy, ix = divmod(i, cols)
+            parent[root((iy + dy) * grid + ix + dx)] = root(iy * grid + ix)
     ids: dict[int, int] = {}
     labels = [ids.setdefault(root(i), len(ids)) for i in range(grid * grid)]
     firsts = [labels.index(r) for r in range(len(ids))]
-    return labels, [g._probe(i % grid, i // grid) for i in firsts]
+    return labels, [probe(g, i % grid, i // grid) for i in firsts]
+
+
+class TestIndex:
+    # in the box [0, 3]^2: segments wholly inside, partly outside, across
+    # the box, on its edge, wholly outside with a bounding box that meets
+    # it, wholly outside, of zero length, and far outside
+    SEGMENTS = [(0.4 + 0.4j, 1.1 + 0.9j), (-1 + 1j, 1 + 1j), (2 + 2j, 5 + 5j),
+                (1.5 - 2j, 1.5 + 10j), (-1e7 + 0.2j, 1e7 + 2.9j), (3 + 1j, 3 + 2j),
+                (-1 + 2j, 1 + 5j), (4 + 4j, 5 + 5j), (-2 - 2j, -1 - 1j),
+                (1.2 + 1.7j, 1.2 + 1.7j), (0j, 0j), (1e300 + 0j, 1e300 + 1j)]
+
+    @pytest.mark.parametrize("grid", [1, 2, 7, 30])
+    def test_pairs_equal_the_loop(self, grid):
+        g = hand_graph(self.SEGMENTS, box=(0.0, 3.0, 0.0, 3.0), grid=grid)
+        pairs = list(zip(*g._index.tolist()))
+        assert 0 < len(pairs) and sorted(pairs) == loop_index(g)
+        # sorted by cell, each cell's segments in segment order
+        assert pairs == sorted(pairs)
+        assert g._index.dtype == np.int32
+
+    def test_arc_graph(self, graph_m2):
+        pairs = list(zip(*graph_m2._index.tolist()))
+        assert pairs == loop_index(graph_m2)
+
+    def test_no_segments(self):
+        g = hand_graph([], box=(0.0, 3.0, 0.0, 3.0), grid=5)
+        assert g._segs.shape == (0, 2) and g._index.shape == (2, 0)
+        assert loop_index(g) == []
+        right, up = g._edge_crosses()
+        assert not right.any() and not up.any()
+        assert g._region_of_probe.tolist() == [0] * 25
 
 
 class TestLabelling:
@@ -133,20 +193,20 @@ class TestLabelling:
         assert g._representatives == representatives
 
     def test_serpentine_corridor(self):
-        # a wall between each two neighbouring columns, open alternately at
-        # the top and at the bottom row: one corridor through every probe,
-        # the longest path min-label propagation can meet on this grid
-        grid = 40
+        # a wall between each two neighbouring columns (then rows), open
+        # alternately at either end: one corridor through every probe.  With
+        # vertical walls every run is one probe wide and the corridor joins
+        # 89,701 runs; with horizontal ones each row is one run.
+        grid = 300
         walls = [(complex(x, -1), complex(x, grid - 1)) if x % 2
                  else (complex(x, 1), complex(x, grid + 1)) for x in range(1, grid)]
-        g = RayGraph(map=M2, p=1, window=0, depth=0, box=(0.0, grid, 0.0, grid),
-                     grid=grid, arcs=[], failures=[], _segs=np.array(walls))
-        g._index_segments()
-        g._build_regions()
-        labels, representatives = union_find_labels(g)
-        assert len(representatives) == 1
-        assert g._region_of_probe.tolist() == labels
-        assert g._representatives == representatives
+        for segs in (walls, [(complex(a.imag, a.real), complex(b.imag, b.real))
+                             for a, b in walls]):
+            g = hand_graph(segs, box=(0.0, grid, 0.0, grid), grid=grid)
+            labels, representatives = union_find_labels(g)
+            assert len(representatives) == 1
+            assert g._region_of_probe.tolist() == labels
+            assert g._representatives == representatives
 
 
 class TestBuild:
@@ -271,14 +331,14 @@ def scalar_locate(g, z):
     cy = min(g.grid - 1, max(0, int((z.imag - ylo) / dy)))
     tried = 0
     for ring in range(g.grid):
-        cand = sorted((abs(g._probe(ix, iy) - z), ix, iy)
+        cand = sorted((abs(probe(g, ix, iy) - z), ix, iy)
                       for ix in range(cx - ring, cx + ring + 1)
                       for iy in range(cy - ring, cy + ring + 1)
                       if max(abs(ix - cx), abs(iy - cy)) == ring
                       and 0 <= ix < g.grid and 0 <= iy < g.grid)
         for _, ix, iy in cand:
             tried += 1
-            hits = segments_cross(z, g._probe(ix, iy), *g._segs.T) if len(g._segs) else []
+            hits = segments_cross(z, probe(g, ix, iy), *g._segs.T) if len(g._segs) else []
             if not np.any(hits):
                 return int(g._region_of_probe[iy * g.grid + ix]), LOCATED
             if tried > regions._MAX_PROBES:
@@ -399,7 +459,7 @@ class TestBatchedLocation:
         walls = []
         for z, half in zip(points, itertools.cycle(halves)):
             ix, iy = g._cells_of(np.array([z.real]), np.array([z.imag]))
-            q = g._probe(int(ix[0]), int(iy[0]))
+            q = probe(g, int(ix[0]), int(iy[0]))
             mid, across = (z + q) / 2, half * 1j * (q - z) / abs(q - z)
             walls.append((mid - across, mid + across))
         return hand_graph(walls, box=box, grid=6), points

@@ -770,7 +770,6 @@ class TestLevelRecords:
         w3 = tail_exists(ctx, ZERO, 3).witness
         g = enclosed_graph(w3, 0.012)
         g._segs = np.concatenate([g._segs, enclosed_graph(sample, 0.012)._segs])
-        g._cells = {}
         g._index_segments()
         g._build_regions()
         enclosed = TailContext(map=M2, cycle=ctx.cycle, graph=g, b_regions=(0,), r=r, horizon=10)
