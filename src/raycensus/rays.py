@@ -8,26 +8,23 @@ verdicts: "not-converged" never claims non-landing.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .addresses import InfiniteAddress, period_of, primitive_words
+from .addresses import InfiniteAddress, primitive_words
 from .cycles import _newton_fp
 from .exponential import (
     ESCAPED,
     OVERFLOW_RE,
     TWO_PI,
     MapModel,
-    SingularValueHit,
     evaluate,
     fundamental_domain_of,
     inverse_branch,
     is_escaped,
-    strip_of,
 )
 
 #: |z| beyond this is treated as escaped in forward orbits
@@ -135,58 +132,14 @@ def _newton_polish(c: complex, w: np.ndarray, p: int, tol: float) -> np.ndarray:
 
 def landing_point(m: MapModel, s: InfiniteAddress, tol: float = DEFAULT_LANDING_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> LandingResult:
-    """Pullback-iteration landing decision for a purely periodic address.
+    """Landing decision for one purely periodic address.
 
-    Iterates the one-period inverse composition psi = L_{s_0} o ... o
-    L_{s_{p-1}}; on convergence the limit is Newton-polished on f^p(z) - z
-    and reported together with psi'(z0) = 1/(f^p)'(z0).
+    This is the one-row call into land_periodic: the LandingResult of row 0
+    of a batch holding only the period word of s.
     """
-    p = period_of(s)
-    if p <= 0:
+    if s.preperiod:
         raise ValueError("landing_point requires a purely periodic address")
-    _check_landing_limits(tol, max_iter)
-    w = default_seed(m, s)
-    labels = tuple(s.entry(i) for i in range(p))
-    for it in range(1, max_iter + 1):
-        try:
-            w_next = apply_branches(m, labels, w)
-        except SingularValueHit as exc:
-            return LandingResult("singular-hit", iterations=it,
-                                 detail="cut" if exc.on_cut else "singular-value")
-        if abs(w_next) > ESCAPE_THRESHOLD:
-            return LandingResult("escaped-pullback", iterations=it)
-        if abs(w_next - w) < tol:
-            w = w_next
-            break
-        w = w_next
-    else:
-        return LandingResult("not-converged", iterations=max_iter)
-
-    z0 = complex(_newton_polish(m.c, np.array([w]), p, tol)[0])
-    try:
-        psi_z0 = apply_branches(m, labels, z0)
-    except SingularValueHit as exc:
-        return LandingResult("singular-hit", iterations=it,
-                             detail="cut" if exc.on_cut else "singular-value")
-    if abs(psi_z0 - z0) >= tol * max(1.0, abs(z0)):
-        return LandingResult("not-converged", iterations=it,
-                             detail="limit is not a psi fixed point")
-
-    orbit = [z0]
-    lam = complex(1.0, 0.0)
-    itinerary_ok = True
-    for j in range(p):
-        zj = orbit[-1]
-        if strip_of(zj) != s.entry(j):
-            itinerary_ok = False
-        lam *= cmath.exp(zj)
-        orbit.append(evaluate(m, zj))
-    if is_escaped(orbit[-1]) or abs(orbit[-1] - z0) > _closure_bound(tol, lam, z0):
-        return LandingResult("not-converged", iterations=it,
-                             detail="forward orbit does not close")
-    return LandingResult("landed", point=z0, psi_derivative=1.0 / lam,
-                         multiplier=lam, iterations=it,
-                         itinerary_ok=itinerary_ok)
+    return land_periodic(m, np.array([s.period]), tol, max_iter).result(0)
 
 
 def _check_landing_limits(tol: float, max_iter: int):
@@ -207,7 +160,7 @@ def _closure_bound(tol: float, lam, z0):
 
 
 # ---------------------------------------------------------------------------
-# batched landing: landing_point along the address axis
+# the landing engine: pullback landing along the address axis
 
 #: status codes of the landing columns
 _STATUSES = ("landed", "not-converged", "escaped-pullback", "singular-hit")
@@ -249,7 +202,7 @@ class PeriodLandings:
         return InfiniteAddress((), tuple(self.words[i].tolist()))
 
     def result(self, i: int) -> LandingResult:
-        """The LandingResult that landing_point gives row i, up to round-off."""
+        """Row i as a LandingResult, the form landing_point returns."""
         iterations = int(self.iterations[i])
         if self.status[i] != _LANDED:
             return LandingResult(_STATUSES[self.status[i]], iterations=iterations,
@@ -293,13 +246,17 @@ def _psi_batch(c: complex, shifts: np.ndarray,
 
 def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> PeriodLandings:
-    """landing_point for many purely periodic addresses at once.
+    """Pullback-iteration landing decisions for many purely periodic addresses.
 
     words is an (N, p) integer array whose rows are primitive period words
-    s_0 ... s_{p-1}.  The pullback, the Newton polish and every check of
-    landing_point run in numpy along the address axis; each row gets the
-    status, detail and iteration count landing_point gives its address,
-    with points equal up to round-off.
+    s_0 ... s_{p-1}.  Each row iterates its one-period inverse composition
+    psi = L_{s_0} o ... o L_{s_{p-1}} from the default seed until a step is
+    below tol (or a branch hits the singular value or the cut, or the
+    pullback escapes, or max_iter runs out).  A converged limit is
+    Newton-polished on f^p(z) - z and landed when it is a psi fixed point
+    whose forward orbit closes within _closure_bound; the row records the
+    multiplier (f^p)'(z0) and whether the orbit follows the word's strips.
+    All of it runs in numpy along the address axis.
     """
     _check_landing_limits(tol, max_iter)
     words = np.asarray(words)

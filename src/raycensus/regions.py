@@ -15,8 +15,8 @@ import numpy as np
 
 from .addresses import InfiniteAddress
 from .cycles import Box, Cycle
-from .exponential import MapModel, is_escaped
-from .rays import SingularValueHit, _ladder_sample, landing_table
+from .exponential import MapModel, SingularValueHit, is_escaped
+from .rays import _ladder_sample, landing_table
 
 SNAP_TOL = 1e-9
 ARC_LAND_TOL = 1e-6  # a traced arc ends once it comes this close to its landing point

@@ -2,7 +2,8 @@
 
 Every public module-level function or class, and every public method or
 property, must be referenced by name somewhere in the package (outside
-__init__), or be imported by the acceptance tests.
+__init__), or be imported by the acceptance tests.  Nor does a package
+module import a name it never reads.
 """
 
 import ast
@@ -49,3 +50,29 @@ def test_every_public_name_is_used_by_the_package():
     used = referenced_names() | acceptance_imports()
     unused = [name for name in public_definitions() if name.split(".")[-1] not in used]
     assert unused == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_guard_sees_module_level_imports():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from math import pi, tau\nprint(np.zeros(1), tau)\n")
+    assert unused_imports(source) == ["os", "pi"]
+
+
+def test_no_unused_imports():
+    unused = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py" and (names := unused_imports(path.read_text()))}
+    assert unused == {}

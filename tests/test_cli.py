@@ -7,7 +7,11 @@ import sys
 import pytest
 
 from raycensus import cli
+from raycensus.addresses import parse_address
 from raycensus.cli import main
+from raycensus.exponential import MapModel
+from raycensus.rays import LandingResult
+from test_rays import assert_same_landing, scalar_landing
 
 AUDIT_ARGS = ["audit", "--c", "-2,0", "--box", "-3,3,-7,7",
               "--max-period", "2", "--window", "1", "--grid", "30"]
@@ -52,6 +56,13 @@ class TestLand:
         assert abs(doc["point"][0] - 1.1461932206205825) < 1e-9
         assert abs(doc["point"][1]) < 1e-12
         assert doc["config"]["c"] == [-2.0, 0.0]
+        m, s = MapModel(c=-2), parse_address("0")
+        res = LandingResult(doc["status"], point=complex(*doc["point"]),
+                            psi_derivative=complex(*doc["psi_derivative"]),
+                            multiplier=complex(*doc["multiplier"]),
+                            iterations=doc["iterations"], itinerary_ok=doc["itinerary_ok"],
+                            detail=doc.get("detail", ""))
+        assert_same_landing(m, s, scalar_landing(m, s), res)
 
     def test_c0_singular(self):
         result = run_cli(["land", "--c", "0,0", "--address", "0"])
