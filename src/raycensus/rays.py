@@ -132,14 +132,14 @@ def _newton_polish(c: complex, w: np.ndarray, p: int, tol: float) -> np.ndarray:
 
 def landing_point(m: MapModel, s: InfiniteAddress, tol: float = DEFAULT_LANDING_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> LandingResult:
-    """Landing decision for one purely periodic address.
-
-    This is the one-row call into land_periodic: the LandingResult of row 0
-    of a batch holding only the period word of s.
-    """
+    """Landing decision for the purely periodic s: the one-row call into land_periodic."""
     if s.preperiod:
         raise ValueError("landing_point requires a purely periodic address")
-    return land_periodic(m, np.array([s.period]), tol, max_iter).result(0)
+    try:
+        word = np.array([s.period], dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"address entries of {s} do not fit in 64 bits") from None
+    return land_periodic(m, word, tol, max_iter).result(0)
 
 
 def _check_landing_limits(tol: float, max_iter: int):

@@ -62,7 +62,7 @@ class TestLand:
                             multiplier=complex(*doc["multiplier"]),
                             iterations=doc["iterations"], itinerary_ok=doc["itinerary_ok"],
                             detail=doc.get("detail", ""))
-        assert_same_landing(m, s, scalar_landing(m, s), res)
+        assert_same_landing(s, scalar_landing(m, s), res)
 
     def test_c0_singular(self):
         result = run_cli(["land", "--c", "0,0", "--address", "0"])
@@ -73,6 +73,13 @@ class TestLand:
     def test_preperiodic_exit_2(self):
         result = run_cli(["land", "--c", "-2,0", "--address", "3:0,1"])
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("command", ["land", "tails"])
+    def test_entry_beyond_int64_exit_2(self, capsys, command):
+        code = main([command, "--c", "-2,0", "--address", "100000000000000000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "64 bits" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--config", "--out"])
     def test_missing_path_exit_2(self, tmp_path, capsys, flag):
