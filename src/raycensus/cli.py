@@ -387,7 +387,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 #: flags whose values may start with "-" (negative reals); joined with "="
 #: before parsing so argparse does not read them as option strings
-_NEGATIVE_VALUE_FLAGS = {"--c", "--box", "--t"}
+_NEGATIVE_VALUE_FLAGS = {"--c", "--box", "--t", "--address"}
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:

@@ -54,17 +54,22 @@ class Arc:
 def segments_cross(a, b, c, d):
     """True where segments ab and cd share a point (touch counts).
 
-    Elementwise over complex scalars or arrays that broadcast together.
+    Elementwise over complex scalars or arrays that broadcast together.  The
+    touch terms are computed only when some orientation is exactly 0, as
+    each of them needs one (NaN orientations are not 0 either way).
     """
     ax, ay, bx, by = a.real, a.imag, b.real, b.imag
     cx, cy, dx, dy = c.real, c.imag, d.real, d.imag
     # sides of a and b relative to cd, and of c and d relative to ab
-    d1 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
-    d2 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
-    d3 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    d4 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
-    proper = (((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-              & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0))
+    ux, uy, vx, vy = dx - cx, dy - cy, bx - ax, by - ay
+    d1 = ux * (ay - cy) - uy * (ax - cx)
+    d2 = ux * (by - cy) - uy * (bx - cx)
+    d3 = vx * (cy - ay) - vy * (cx - ax)
+    d4 = vx * (dy - ay) - vy * (dx - ax)
+    nonzero = (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
+    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & nonzero
+    if np.all(nonzero):
+        return proper
     # a touch: an end on the other segment's line, inside its bounding box
     ab_x0, ab_x1 = np.minimum(ax, bx), np.maximum(ax, bx)
     ab_y0, ab_y1 = np.minimum(ay, by), np.maximum(ay, by)

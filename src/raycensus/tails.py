@@ -100,15 +100,19 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
     Follows each singular value while its itinerary matches the cycle's
     regions.  If the orbit escapes while still conformant the trichotomy
     cannot be in case (3) at this horizon and a trapped/unbounded verdict is
-    returned instead of a radius.  The orbit up to the horizon is located in
-    windows of doubling length, each in one call and read in order, so at
-    most about twice the points the orbit follows are located.
+    returned instead of a radius.  The orbit up to the horizon is read in
+    windows of doubling length, so at most about twice the points the orbit
+    follows are read.  Each window locates, in one call, only the points no
+    earlier window located, so each distinct point is located once.  As
+    dict keys, 0.0 and -0.0 are one point; no location step depends on the
+    sign of a zero.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     mper = cycle.period
     best = max(m.R, max(abs(z) for z in cycle.points))
     follow = 0
+    located: dict[complex, tuple[int, int]] = {}  # point -> (region id, status)
     for s in singular_values(m):
         try:
             rid = graph.region_near(s)
@@ -126,8 +130,12 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
         tracked = lo = 1
         while tracked == lo < len(orbit):
             hi = min(2 * lo, len(orbit))
-            ids, _, status = graph.regions_near(orbit[lo:hi])
-            for j, rw, st in zip(range(lo, hi), ids.tolist(), status.tolist()):
+            new = list(dict.fromkeys(z for z in orbit[lo:hi] if z not in located))
+            if new:
+                ids, _, status = graph.regions_near(new)
+                located.update(zip(new, zip(ids.tolist(), status.tolist())))
+            for j in range(lo, hi):
+                rw, st = located[orbit[j]]
                 if rw != b_regions[(i0 + j) % mper]:
                     if rw < 0 and st != ON_ARC:
                         raise graph.location_error(orbit[j], st)
@@ -205,19 +213,23 @@ def _marches_right(ctx: TailContext, label: int, z: complex) -> bool:
     return True
 
 
-def _tail1_verdicts(ctx: TailContext, label: int,
-                    points: list[complex]) -> list[bool | Exception]:
+def _tail1_verdicts(ctx: TailContext, label: int, points: list[complex],
+                    located: tuple[np.ndarray, ...] | None = None) -> list[bool | Exception]:
     """tail1_membership of every point, or the location error it raises.
 
-    The points in F_label are located in one call and the rightward probe
-    certificate is one crossing test over all of them.
+    The points in F_label are located in one call, unless `located` holds
+    the ids, witnesses and statuses of regions_near for all the points, and
+    the rightward probe certificate is one crossing test over all of them.
     """
     m = ctx.map
     graph = ctx.graph
     out: list[bool | Exception] = [False] * len(points)
     cand = [i for i, z in enumerate(points) if not is_escaped(z)
             and in_fundamental_domain_exact(m, z, label, radius=ctx.r)]
-    ids, witnesses, status = graph.regions_near([points[i] for i in cand])
+    if located is None:
+        ids, witnesses, status = graph.regions_near([points[i] for i in cand])
+    else:
+        ids, witnesses, status = (a[cand] for a in located)
     in_b0 = ids == ctx.b_regions[0]
     # unbounded-component certificate: march right, conditions must persist
     # (the crossing test runs from the located side when z sits on an arc)
@@ -250,8 +262,9 @@ def _tail_verdicts(ctx: TailContext, address: tuple[int, ...], points: list[comp
     every length n in `lengths` and every point.
 
     Each orbit runs while it stays unescaped in the strips of the address
-    labels; those orbit points are located in one call and then read in
-    order, so an error is kept only where the scalar walk would meet it.
+    labels; those orbit points, the final ones of the level-1 tests
+    included, are located in one call and then read in order, so an error
+    is kept only where the scalar walk would meet it.
     """
     mper = ctx.cycle.period
     orbits = []
@@ -263,12 +276,12 @@ def _tail_verdicts(ctx: TailContext, address: tuple[int, ...], points: list[comp
             w = evaluate(ctx.map, w)
             orbit.append(w)
         orbits.append(orbit)
-    ids, _, status = ctx.graph.regions_near([w for orbit in orbits for w in orbit[:-1]])
-    ids, status = ids.tolist(), status.tolist()
+    located = ctx.graph.regions_near([w for orbit in orbits for w in orbit])
+    ids, status = located[0].tolist(), located[2].tolist()
     out = []
     for n in lengths:
         verdicts: list[bool | Exception] = [False] * len(points)
-        finals, owners = [], []
+        finals, owners, at = [], [], []
         base = 0
         for k, orbit in enumerate(orbits):
             for i in range(min(len(orbit), n) - 1):
@@ -280,8 +293,10 @@ def _tail_verdicts(ctx: TailContext, address: tuple[int, ...], points: list[comp
                 if len(orbit) >= n and not is_escaped(orbit[n - 1]):
                     finals.append(orbit[n - 1])
                     owners.append(k)
-            base += len(orbit) - 1
-        for k, verdict in zip(owners, _tail1_verdicts(ctx, address[n - 1], finals)):
+                    at.append(base + n - 1)
+            base += len(orbit)
+        for k, verdict in zip(owners, _tail1_verdicts(ctx, address[n - 1], finals,
+                                                      tuple(a[at] for a in located))):
             verdicts[k] = verdict
         out.append(verdicts)
     return out

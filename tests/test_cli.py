@@ -348,3 +348,14 @@ class TestInProcessMain:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "landed"
+
+    @pytest.mark.parametrize("command", [
+        ["land", "--c", "-2,0"],
+        ["tails", "--c", "-2,0", "--max-level", "2", "--samples", "4"]])
+    def test_address_with_negative_first_label_after_a_space(self, capsys, command):
+        outcomes = []
+        for address in (["--address", "-1,1"], ["--address=-1,1"]):
+            code = main([*command, *address])
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 0 and outcomes[0][2] == ""

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from raycensus import regions
 from raycensus.addresses import parse_address
@@ -84,6 +85,78 @@ class TestSegmentsCross:
         assert segments_cross(complex(a[0]), complex(b[0]), c, d).tolist() == [
             bool(segments_cross(complex(a[0]), complex(b[0]), complex(r), complex(s)))
             for r, s in zip(c, d)]
+
+
+def reference_segments_cross(a, b, c, d):
+    """segments_cross with every touch term computed (the reference)."""
+    ax, ay, bx, by = a.real, a.imag, b.real, b.imag
+    cx, cy, dx, dy = c.real, c.imag, d.real, d.imag
+    # sides of a and b relative to cd, and of c and d relative to ab
+    d1 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+    d2 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+    d3 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    d4 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+    proper = (((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+              & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0))
+    # a touch: an end on the other segment's line, inside its bounding box
+    ab_x0, ab_x1 = np.minimum(ax, bx), np.maximum(ax, bx)
+    ab_y0, ab_y1 = np.minimum(ay, by), np.maximum(ay, by)
+    cd_x0, cd_x1 = np.minimum(cx, dx), np.maximum(cx, dx)
+    cd_y0, cd_y1 = np.minimum(cy, dy), np.maximum(cy, dy)
+    touch = (((d1 == 0) & (cd_x0 <= ax) & (ax <= cd_x1) & (cd_y0 <= ay) & (ay <= cd_y1))
+             | ((d2 == 0) & (cd_x0 <= bx) & (bx <= cd_x1) & (cd_y0 <= by) & (by <= cd_y1))
+             | ((d3 == 0) & (ab_x0 <= cx) & (cx <= ab_x1) & (ab_y0 <= cy) & (cy <= ab_y1))
+             | ((d4 == 0) & (ab_x0 <= dx) & (dx <= ab_x1) & (ab_y0 <= dy) & (dy <= ab_y1)))
+    return proper | touch
+
+
+def assert_same_crossings(*ends):
+    """segments_cross equals the reference in shape and every entry (for
+    Python scalars, a bool where the reference gives numpy's bool)."""
+    with np.errstate(invalid="ignore"):  # inf - inf in the orientations
+        got, want = segments_cross(*ends), reference_segments_cross(*ends)
+    assert np.asarray(got).dtype == bool
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+small = st.integers(-3, 3).map(float)
+special = st.sampled_from([-1.0, 0.0, 1.0, 2.0, math.inf, -math.inf, math.nan])
+
+
+def segment_ends(rows):
+    """Rows of end coordinates (x0, y0, x1, y1, ...) as one array per end."""
+    xy = np.array(rows, dtype=float)
+    z = np.empty((len(xy), xy.shape[1] // 2), dtype=complex)
+    z.real, z.imag = xy[:, 0::2], xy[:, 1::2]  # x + 1j * y turns 1j * inf into nan
+    return tuple(z.T)
+
+
+class TestSegmentsCrossReference:
+    # small integers make exact zeros common: collinear, touching, shared
+    # and zero-length segments
+    @given(st.lists(st.tuples(*[small] * 8), min_size=1, max_size=40))
+    def test_small_integer_rows(self, rows):
+        a, b, c, d = segment_ends(rows)
+        assert_same_crossings(a, b, c, d)
+        # one row at a time, as Python scalars: a row without a zero
+        # orientation returns before the touch terms
+        for ends in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()):
+            assert_same_crossings(*ends)
+
+    @given(st.lists(st.tuples(*[special] * 8), min_size=1, max_size=20))
+    def test_nan_and_inf_rows(self, rows):
+        a, b, c, d = segment_ends(rows)
+        assert_same_crossings(a, b, c, d)
+        for ends in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()):
+            assert_same_crossings(*ends)
+
+    @given(st.lists(st.tuples(*[small] * 4), min_size=1, max_size=8),
+           st.lists(st.tuples(*[small] * 4), min_size=1, max_size=8))
+    def test_broadcast_one_against_many(self, queries, stored):
+        (a, b), (c, d) = segment_ends(queries), segment_ends(stored)
+        assert_same_crossings(a[:, None], b[:, None], c, d)
+        assert_same_crossings(a[0], b[0], c, d)
 
 
 def probe(g, ix, iy):

@@ -24,6 +24,7 @@ from raycensus.rays import (
     pullback_sequence,
 )
 from raycensus.regions import (
+    ON_ARC,
     OnArcError,
     PointLocationError,
     RayGraph,
@@ -91,6 +92,26 @@ class TestChooseRadius:
         assert res.status == "trapped-unbounded"
         with pytest.raises(TrappedSingularOrbit):
             make_tail_context(m0, rep, g0, horizon=200)
+
+    def test_each_distinct_orbit_point_located_once(self, ctx, monkeypatch):
+        # the singular orbit of c=-2 falls into the attracting fixed point, so
+        # its horizon + 1 points hold few distinct values
+        orbit = [complex(-2)]
+        for _ in range(ctx.horizon):
+            orbit.append(evaluate(M2, orbit[-1]))
+        case = (M2, ctx.cycle, ctx.graph, ctx.b_regions, ctx.horizon)
+        expected = windowed_choose_radius(*case)
+        calls = []
+        regions_near = RayGraph.regions_near
+
+        def counted(graph, points):
+            calls.append(len(points))
+            return regions_near(graph, points)
+
+        monkeypatch.setattr(RayGraph, "regions_near", counted)
+        res = choose_radius(*case)
+        assert res == expected and res.follow_steps == ctx.horizon
+        assert sum(calls) <= len(set(orbit)) < 30
 
     @pytest.mark.parametrize("horizon", [0, -5])
     def test_horizon_below_one_rejected(self, ctx, horizon):
@@ -381,6 +402,46 @@ def ref_choose_radius(m, cycle, graph, b_regions, horizon):
     return RadiusResult("radius", 1.25 * best, follow)
 
 
+def windowed_choose_radius(m, cycle, graph, b_regions, horizon):
+    """choose_radius with every doubling window located in full."""
+    best = max(m.R, max(abs(z) for z in cycle.points))
+    follow = 0
+    for s in singular_values(m):
+        try:
+            rid = graph.region_near(s)
+        except (OnArcError, PointLocationError):
+            continue
+        if rid not in b_regions:
+            continue
+        i0 = b_regions.index(rid)
+        orbit = [s]
+        for _ in range(horizon):
+            w = evaluate(m, orbit[-1])
+            if is_escaped(w) or abs(w) > ESCAPE_THRESHOLD:
+                break
+            orbit.append(w)
+        tracked = lo = 1
+        while tracked == lo < len(orbit):
+            hi = min(2 * lo, len(orbit))
+            ids, _, status = graph.regions_near(orbit[lo:hi])
+            for j, rw, st in zip(range(lo, hi), ids.tolist(), status.tolist()):
+                if rw != b_regions[(i0 + j) % cycle.period]:
+                    if rw < 0 and st != ON_ARC:
+                        raise graph.location_error(orbit[j], st)
+                    break
+                tracked = j + 1
+            lo = hi
+        if tracked > 1:
+            follow = tracked - 1
+        if tracked == len(orbit) <= horizon:
+            return RadiusResult("trapped-unbounded", None, follow)
+        best = max(best, max(abs(t) for t in orbit[:tracked]))
+        img = evaluate(m, orbit[tracked - 1])
+        if not is_escaped(img):
+            best = max(best, abs(img))
+    return RadiusResult("radius", 1.25 * best, follow)
+
+
 def ref_piece_mapping_check(ctx, s, j, samples):
     mper = ctx.cycle.period
     points, excluded = tails._piece_points(ctx, s, j, samples)
@@ -545,8 +606,8 @@ class TestBatchedParity:
 
         monkeypatch.setattr(RayGraph, "regions_near", counted)
         piece_mapping_check(warm, ZERO, 6, samples=12)
-        # the orbits, then the level-1 tests of both levels
-        assert len(calls) == 3 and calls[0] > 200
+        # the orbits, with the final points of the level-1 tests of both levels
+        assert len(calls) == 1 and calls[0] > 200
 
 
 # ---------------------------------------------------------------------------
