@@ -14,7 +14,6 @@ from .exponential import (
 )
 from .rays import (
     LandingResult,
-    Ray,
     landing_point,
     singular_escape_status,
     sweep_hair,

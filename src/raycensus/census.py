@@ -16,7 +16,7 @@ import numpy as np
 
 from .addresses import InfiniteAddress
 from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, Box, Cycle, CycleSearch, _fp, find_cycles
-from .exponential import MapModel, evaluate, is_escaped
+from .exponential import MapModel, _check_tolerance, evaluate, is_escaped
 from .rays import (
     DEFAULT_LANDING_TOL,
     DEFAULT_MAX_ITER,
@@ -33,6 +33,7 @@ from .tails import DEFAULT_HORIZON, choose_radius, cycle_regions
 SCHEMA_VERSION = "2"
 DEFAULT_MATCH_TOL = 1e-6
 _BASIN_STREAK = 50
+_BASIN_TOL = 1e-6
 
 
 @dataclass
@@ -44,11 +45,6 @@ class LandingSearch:
     @property
     def invisible_candidate(self) -> bool:
         return not self.addresses
-
-
-def _check_match_tol(match_tol: float):
-    if not match_tol > 0.0:
-        raise ValueError("match tolerance must be > 0")
 
 
 def landing_search(m: MapModel, cycle: Cycle, row: PeriodLandings,
@@ -64,7 +60,7 @@ def landing_search(m: MapModel, cycle: Cycle, row: PeriodLandings,
     """
     if not cycle.is_repelling:
         raise ValueError("landing search is defined for repelling cycles")
-    _check_match_tol(match_tol)
+    _check_tolerance("match tolerance", match_tol)
     failures = [(row.address(i), row.result(i).status)
                 for i in np.flatnonzero(~row.landed).tolist()]
     near = np.zeros(len(row.points), dtype=bool)
@@ -104,12 +100,12 @@ def _staged_search(m: MapModel, repelling: list[Cycle], window: int, max_period:
     return searches, sorted(table)
 
 
-def _basin_absorbed(m: MapModel, cycles: list[Cycle], horizon: int,
-                    tol: float = 1e-6) -> int | None:
+def _basin_absorbed(m: MapModel, cycles: list[Cycle], horizon: int) -> int | None:
     """Index of the non-repelling cycle absorbing the singular orbit, if any.
 
-    Absorption means distance < tol to some cycle point for 50 consecutive
-    iterates (attracting or parabolic-suspected targets).
+    Absorption means distance < _BASIN_TOL to some cycle point for
+    _BASIN_STREAK consecutive iterates (attracting or parabolic-suspected
+    targets).
     """
     targets = [(i, cyc) for i, cyc in enumerate(cycles)
                if cyc.is_attracting or cyc.cls == "parabolic-suspected"]
@@ -122,7 +118,7 @@ def _basin_absorbed(m: MapModel, cycles: list[Cycle], horizon: int,
         if is_escaped(z):
             return None
         for i, cyc in targets:
-            if min(abs(z - w) for w in cyc.points) < tol:
+            if min(abs(z - w) for w in cyc.points) < _BASIN_TOL:
                 streaks[i] += 1
                 if streaks[i] >= _BASIN_STREAK:
                     return i
@@ -242,7 +238,7 @@ def _trichotomy_evidence(m: MapModel, cycle: Cycle, window: int, depth: int,
     try:
         graph = build_ray_graph(m, cycle.period, window, depth=depth, box=box,
                                 grid=grid)
-        b_regions, _ = cycle_regions(graph, cycle)
+        b_regions = cycle_regions(graph, cycle)
         res = choose_radius(m, cycle, graph, b_regions, horizon)
         evidence["graph_failures"] = [[str(s), st] for s, st in graph.failures]
         evidence["radius_status"] = res.status
@@ -272,7 +268,7 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
     """Full census pipeline: cycles, landing searches, counts, verdict."""
     # the singular-value gate can end the audit before any ray is landed
     _check_landing_limits(landing_tol, DEFAULT_MAX_ITER)
-    _check_match_tol(match_tol)
+    _check_tolerance("match tolerance", match_tol)
     _check_graph_limits(window, depth, probe_grid)
     search: CycleSearch = find_cycles(m, max_period, box, grid=grid, tol=tol,
                                       tol_band=tol_band)

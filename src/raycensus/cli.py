@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -89,6 +90,8 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
         a, b, c, d = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"bad box {text!r}") from None
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise UsageError(f"box bounds must be finite, got {text!r}")
     if not (a < b and c < d):
         raise UsageError(f"empty box {text!r}")
     return a, b, c, d
@@ -102,6 +105,8 @@ def _parse_t_range(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"bad potential range {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"potential range must be finite, got {text!r}")
     if not (0.0 < lo < hi):
         raise UsageError(f"empty potential range {text!r}")
     return lo, hi
@@ -138,9 +143,9 @@ def _cmd_trace_ray(args: argparse.Namespace) -> int:
     m = _map_model(args)
     s = parse_address(_require(args, "address"))
     lo, hi = _parse_t_range(_require(args, "t"))
-    ray = sweep_hair(m, s, depth=args.depth, t_lo=lo, t_hi=hi, samples=args.samples)
+    samples = sweep_hair(m, s, depth=args.depth, t_lo=lo, t_hi=hi, samples=args.samples)
     lines = ["t,re,im"]
-    for t, z in ray.samples:
+    for t, z in samples:
         lines.append(f"{t:.17g},{z.real:.17g},{z.imag:.17g}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -362,13 +367,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--samples", type=int, default=16)
 
     p = command("audit", _cmd_audit, "refined Fatou-Shishikura census")
-    p.add_argument("--box", default=_DEFAULT_BOX)
     p.add_argument("--max-period", type=int, default=2)
-    p.add_argument("--window", type=int, default=1)
-    p.add_argument("--depth", type=int, default=40)
+    graph_flags(p, window=1, probe_grid=120)
     p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-    p.add_argument("--grid", type=int, default=40)
-    p.add_argument("--probe-grid", type=int, default=120)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--tol-band", type=float, default=DEFAULT_TOL_BAND)
     p.add_argument("--landing-tol", type=float, default=DEFAULT_LANDING_TOL)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponential import MapModel
+from .exponential import MapModel, _check_tolerance
 
 Box = tuple[float, float, float, float]  # (re_lo, re_hi, im_lo, im_hi)
 
@@ -200,8 +200,7 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
         raise ValueError("max_period must be >= 1")
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
+    _check_tolerance("tol", tol)
     _check_tol_band(tol_band)
     xlo, xhi, ylo, yhi = box
     if not (xlo < xhi and ylo < yhi):

@@ -58,6 +58,9 @@ class MapModel:
     R: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("c", self.c), ("R", self.R)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.R <= 0.0:
             object.__setattr__(self, "R", _default_radius(self.c))
         if abs(self.c) >= self.R or abs(1.0 + self.c) >= self.R:
@@ -79,6 +82,14 @@ class MapModel:
     def truncation(self) -> float:
         """Re beyond which ray arcs are extended horizontally."""
         return max(2.0 * self.R, 100.0)
+
+
+def _check_tolerance(name: str, value: float):
+    """ValueError unless the tolerance is a finite number above 0."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be > 0")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def evaluate(m: MapModel, z: complex) -> complex:

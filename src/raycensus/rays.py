@@ -21,6 +21,7 @@ from .exponential import (
     OVERFLOW_RE,
     TWO_PI,
     MapModel,
+    _check_tolerance,
     evaluate,
     fundamental_domain_of,
     inverse_branch,
@@ -44,16 +45,6 @@ _EPS = sys.float_info.epsilon
 
 class RoundTripError(ArithmeticError):
     """Pullback failed its internal forward re-expansion check."""
-
-
-@dataclass
-class Ray:
-    """Sampled dynamic ray: (potential, point) pairs ordered by potential."""
-
-    address: InfiniteAddress
-    samples: list[tuple[float, complex]]
-    depth: int
-    map: MapModel
 
 
 @dataclass
@@ -143,8 +134,7 @@ def landing_point(m: MapModel, s: InfiniteAddress, tol: float = DEFAULT_LANDING_
 
 
 def _check_landing_limits(tol: float, max_iter: int):
-    if not tol > 0.0:
-        raise ValueError("landing tolerance must be > 0")
+    _check_tolerance("landing tolerance", tol)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
@@ -356,11 +346,7 @@ def ladder_descend(m: MapModel, s: InfiniteAddress, t: float,
     while u <= _LADDER_CAP and j < depth:
         u = math.exp(u) - 1.0
         j += 1
-    chain = [complex(u, TWO_PI * s.entry(j))]
-    for i in range(j - 1, -1, -1):
-        chain.append(inverse_branch(m, chain[-1], s.entry(i)))
-    chain.reverse()
-    return chain
+    return pullback_sequence(m, s, complex(u, TWO_PI * s.entry(j)), j)[::-1]
 
 
 def _ladder_sample(m: MapModel, s: InfiniteAddress, t: float, depth: int) -> complex:
@@ -369,8 +355,9 @@ def _ladder_sample(m: MapModel, s: InfiniteAddress, t: float, depth: int) -> com
 
 def sweep_hair(m: MapModel, s: InfiniteAddress, depth: int = 60,
                t_lo: float = 1e-3, t_hi: float | None = None,
-               samples: int = 160) -> Ray:
-    """Geometric sweep of the hair as a point set, ordered by potential.
+               samples: int = 160) -> list[tuple[float, complex]]:
+    """Geometric sweep of the hair: (potential, point) pairs ordered by
+    potential.
 
     Covers the curve from deep pullbacks (t_lo near 0) out to the seed
     height t_hi; f(sample(t)) equals the shifted-address sample at e^t - 1.
@@ -388,7 +375,7 @@ def sweep_hair(m: MapModel, s: InfiniteAddress, depth: int = 60,
     for i in range(samples):
         t = t_lo * ratio**i
         pts.append((t, _ladder_sample(m, s, t, depth)))
-    return Ray(address=s, samples=pts, depth=depth, map=m)
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +386,7 @@ class SingularFate:
     kind: str  # escapes-along-periodic-ray | escapes-other | bounded-so-far | enters-D-repeatedly
     address: InfiniteAddress | None
     horizon: int
-    orbit: list[complex]
     max_modulus: float
-    detail: str = ""
 
 
 def _periodic_tail(labels: list[int]) -> tuple[int, ...] | None:
@@ -450,10 +435,8 @@ def singular_escape_status(m: MapModel, horizon: int) -> SingularFate:
             word = _periodic_tail(known)
             if word is not None:
                 return SingularFate("escapes-along-periodic-ray",
-                                    InfiniteAddress((), word), horizon, orbit,
-                                    max_mod)
-        return SingularFate("escapes-other", None, horizon, orbit, max_mod,
-                            detail="label tail not eventually periodic")
+                                    InfiniteAddress((), word), horizon, max_mod)
+        return SingularFate("escapes-other", None, horizon, max_mod)
 
     # bounded at this horizon: look for large excursions that return to D
     reentries = 0
@@ -465,5 +448,5 @@ def singular_escape_status(m: MapModel, horizon: int) -> SingularFate:
             reentries += 1
             excursion = False
     if reentries >= 2:
-        return SingularFate("enters-D-repeatedly", None, horizon, orbit, max_mod)
-    return SingularFate("bounded-so-far", None, horizon, orbit, max_mod)
+        return SingularFate("enters-D-repeatedly", None, horizon, max_mod)
+    return SingularFate("bounded-so-far", None, horizon, max_mod)

@@ -24,6 +24,8 @@ LANDING_MATCH_TOL = 1e-8  # a fixed point this close to a landing point is not i
 _X_FAR = 1e7  # horizontal extension of arcs beyond truncation
 _PAIR_CAP = 8192  # point x segment pairs held by one numpy pass
 _MAX_PROBES = 600  # probes a point may find blocked before location fails
+_ARC_RATIO = 0.8  # potential ratio of successive samples of a traced arc
+_ARC_MAX_SAMPLES = 400  # samples a traced arc may take to reach its landing point
 
 #: status of a located point: region found, on the graph, or no region
 #: (not finite, or every probe tried was blocked)
@@ -342,18 +344,13 @@ class RayGraph:
             raise self.location_error(z, status[0])
         return int(ids[0])
 
-    def region_near_with_witness(self, z: complex) -> tuple[int, complex]:
-        """Tolerant region id plus the (possibly offset) point that located it.
-
-        On-arc points resolve to a deterministic side via compass probing.
-        """
-        ids, witnesses, status = self.regions_near([z])
+    def region_near(self, z: complex) -> int:
+        """Tolerant region id of z: a point on the graph resolves to a
+        deterministic side by compass probing."""
+        ids, _, status = self.regions_near([z])
         if ids[0] < 0:
             raise self.location_error(z, status[0])
-        return int(ids[0]), complex(witnesses[0])
-
-    def region_near(self, z: complex) -> int:
-        return self.region_near_with_witness(z)[0]
+        return int(ids[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -373,12 +370,11 @@ class RayGraph:
         }
 
 
-def _arc_polyline(m: MapModel, s: InfiniteAddress, z0: complex, depth: int,
-                  ratio: float = 0.8,
-                  max_samples: int = 400) -> list[complex] | None:
+def _arc_polyline(m: MapModel, s: InfiniteAddress, z0: complex,
+                  depth: int) -> list[complex] | None:
     pts: list[complex] = []
     t = m.truncation + 10.0
-    for _ in range(max_samples):
+    for _ in range(_ARC_MAX_SAMPLES):
         z = _ladder_sample(m, s, t, depth)
         pts.append(z)
         if abs(z - z0) <= ARC_LAND_TOL:
@@ -386,7 +382,7 @@ def _arc_polyline(m: MapModel, s: InfiniteAddress, z0: complex, depth: int,
             out = [z0] + ([] if pts[0] == z0 else pts)
             out.append(complex(_X_FAR, out[-1].imag))
             return out
-        t *= ratio
+        t *= _ARC_RATIO
     return None
 
 
@@ -442,10 +438,8 @@ def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
 class SeparationAudit:
     regions_to_points: dict[int, list[complex]]
     landing_matches: list[complex]
-    on_arc: list[complex]
     violations: list[int]  # region ids holding two or more interior points
     poisoned: bool
-    window: int
 
     @property
     def ok(self) -> bool:
@@ -455,14 +449,14 @@ class SeparationAudit:
 def interior_fixed_point_audit(graph: RayGraph, cycles: list[Cycle]) -> SeparationAudit:
     """Checks that no basic region holds two interior fixed points of f^p.
 
-    Fixed points matching a landing point of the graph are not interior.
+    Fixed points matching a landing point of the graph, or lying on the
+    graph, are not interior.
     A nonempty failure list on the graph poisons the verdict (the graph may
     be missing arcs, which merges regions).
     """
     landings = [arc.landing for arc in graph.arcs]
     regions: dict[int, list[complex]] = {}
     matched: list[complex] = []
-    on_arc: list[complex] = []
     for cyc in cycles:
         if graph.p % cyc.period != 0:
             continue
@@ -473,10 +467,8 @@ def interior_fixed_point_audit(graph: RayGraph, cycles: list[Cycle]) -> Separati
             try:
                 rid = graph.basic_region_of(z)
             except OnArcError:
-                on_arc.append(z)
                 continue
             regions.setdefault(rid, []).append(z)
     violations = sorted(rid for rid, pts in regions.items() if len(pts) >= 2)
     return SeparationAudit(regions_to_points=regions, landing_matches=matched,
-                           on_arc=on_arc, violations=violations,
-                           poisoned=bool(graph.failures), window=graph.window)
+                           violations=violations, poisoned=bool(graph.failures))

@@ -53,12 +53,10 @@ class TailContext:
     graph: RayGraph
     b_regions: tuple[int, ...]   # region id of z_i for i = 0..m-1
     r: float
-    horizon: int
-    cycle_on_graph: bool = False
     # tau_1 image grids of the pieces by (label, samples), the tau_1 witness
     # verdict of each label and the newest pull-back of each _pull_back slot;
     # they depend only on the fields above, which is why the context is frozen
-    _image_grids: dict[tuple[int, int], tuple[tuple[complex, ...], int]] = field(
+    _image_grids: dict[tuple[int, int], tuple[complex, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _tail1_witness: dict[int, bool | OnArcError] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -69,7 +67,6 @@ class TailContext:
 @dataclass
 class TailAddressRecord:
     address: tuple[int, ...]
-    level: int
     exists: bool
     witness: complex | None = None
     reason: str = ""
@@ -78,18 +75,14 @@ class TailAddressRecord:
 @dataclass
 class PieceEstimate:
     diameter: float
-    level: int
     n_samples: int
-    n_excluded: int
     empty: bool
 
 
 @dataclass
 class PieceMapCheck:
     passed: bool
-    level: int
     n_checked: int
-    n_excluded: int
     n_failed: int
 
 
@@ -153,42 +146,37 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
     return RadiusResult("radius", RADIUS_MARGIN * best, follow)
 
 
-def cycle_regions(graph: RayGraph, cycle: Cycle) -> tuple[tuple[int, ...], bool]:
-    """Region of every cycle point, located in one call, and whether any lies
-    on the graph (those take the adjacent region found by compass probing)."""
+def cycle_regions(graph: RayGraph, cycle: Cycle) -> tuple[int, ...]:
+    """Region of every cycle point, located in one call (a point on the
+    graph takes the adjacent region found by compass probing)."""
     ids, _, status = graph.regions_near(cycle.points)
     for z, rid, st in zip(cycle.points, ids.tolist(), status.tolist()):
         if rid < 0:
             raise graph.location_error(z, st)
-    return tuple(ids.tolist()), bool((status == ON_ARC).any())
+    return tuple(ids.tolist())
 
 
 def make_tail_context(m: MapModel, cycle: Cycle, graph: RayGraph,
-                      horizon: int = DEFAULT_HORIZON,
-                      r: float | None = None) -> TailContext:
-    """TailContext for a repelling cycle whose points sit in graph regions.
+                      horizon: int = DEFAULT_HORIZON) -> TailContext:
+    """TailContext for a repelling cycle whose points sit in graph regions,
+    with the radius of choose_radius.
 
     Cycle points lying on the graph (landing points) are assigned the
-    adjacent region deterministically and flagged; the construction is meant
-    for interior cycle points, so downstream results for on-graph cycles are
+    adjacent region deterministically; the construction is meant for
+    interior cycle points, so downstream results for on-graph cycles are
     heuristic extensions.
     """
     if not cycle.is_repelling:
         raise ValueError("tails are defined relative to a repelling cycle")
     if graph.p % cycle.period != 0:
         raise ValueError("graph iterate p must be a multiple of the cycle period")
-    b_regions, on_graph = cycle_regions(graph, cycle)
-    if r is None:
-        res = choose_radius(m, cycle, graph, b_regions, horizon)
-        if res.status != "radius":
-            raise TrappedSingularOrbit(
-                f"singular orbit escapes following the cycle regions "
-                f"(followed {res.follow_steps} steps)")
-        r = res.r
-    if r <= max(abs(z) for z in cycle.points) or r < m.R:
-        raise ValueError("need r > |z_i| and r >= R")
-    return TailContext(map=m, cycle=cycle, graph=graph, b_regions=b_regions,
-                       r=r, horizon=horizon, cycle_on_graph=on_graph)
+    b_regions = cycle_regions(graph, cycle)
+    res = choose_radius(m, cycle, graph, b_regions, horizon)
+    if res.status != "radius":
+        raise TrappedSingularOrbit(
+            f"singular orbit escapes following the cycle regions "
+            f"(followed {res.follow_steps} steps)")
+    return TailContext(map=m, cycle=cycle, graph=graph, b_regions=b_regions, r=res.r)
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +355,18 @@ def tail_exists(ctx: TailContext, s: InfiniteAddress, n: int) -> TailAddressReco
             ctx._tail1_witness[last] = exc.with_traceback(None)
     accepted = ctx._tail1_witness[last]
     if isinstance(accepted, OnArcError):
-        return TailAddressRecord(labels, n, False, reason="on-arc")
+        return TailAddressRecord(labels, False, reason="on-arc")
     if not accepted:
-        return TailAddressRecord(labels, n, False, reason="no-tail1-witness")
+        return TailAddressRecord(labels, False, reason="no-tail1-witness")
     witness = _pull_back(ctx, ("witness",), s, len(labels) - 1, [w1])[0]
     if isinstance(witness, SingularValueHit):
-        return TailAddressRecord(labels, n, False,
+        return TailAddressRecord(labels, False,
                                  reason="singular-hit" if not witness.on_cut else "cut-hit")
     try:
         ok = tail_membership(ctx, labels, witness)
     except OnArcError:
-        return TailAddressRecord(labels, n, False, witness=witness, reason="on-arc")
-    return TailAddressRecord(labels, n, ok, witness=witness,
+        return TailAddressRecord(labels, False, witness=witness, reason="on-arc")
+    return TailAddressRecord(labels, ok, witness=witness,
                              reason="" if ok else "membership-failed")
 
 
@@ -386,8 +374,9 @@ def tail_exists(ctx: TailContext, s: InfiniteAddress, n: int) -> TailAddressReco
 # fundamental pieces
 
 def _piece_image_samples(ctx: TailContext, label: int,
-                         grid_side: int) -> tuple[tuple[complex, ...], int]:
-    """Sample grid of tau_1(label) intersected with the closed disk D_r.
+                         grid_side: int) -> tuple[complex, ...]:
+    """Sample grid of tau_1(label) intersected with the closed disk D_r,
+    less the samples on the graph.
 
     This is the f^{mn}-image of the level-n piece; pulling the samples back
     yields points of the piece itself.
@@ -401,19 +390,14 @@ def _piece_image_samples(ctx: TailContext, label: int,
                     y_c - math.pi + (j + 0.5) * TWO_PI / grid_side)
             for i in range(grid_side) for j in range(grid_side)]
     grid = [z for z in grid if abs(z) <= r]
-    pts: list[complex] = []
-    excluded = 0
-    for z, verdict in zip(grid, _tail1_verdicts(ctx, label, grid)):
-        if isinstance(verdict, OnArcError):
-            excluded += 1
-        elif _verdict(verdict):
-            pts.append(z)
-    return tuple(pts), excluded
+    return tuple(z for z, verdict in zip(grid, _tail1_verdicts(ctx, label, grid))
+                 if not isinstance(verdict, OnArcError) and _verdict(verdict))
 
 
 def _piece_points(ctx: TailContext, s: InfiniteAddress, n: int,
-                  samples: int) -> tuple[list[complex], int]:
-    """Sampled points of the level-n piece P_n(s) and the samples excluded.
+                  samples: int) -> list[complex]:
+    """Sampled points of the level-n piece P_n(s); samples whose pull-back
+    hits a singular value are dropped.
 
     The grid of tau_1(sigma^{mn} s) in D_r is sampled once per context; each
     sample is pulled back mn steps along the address labels, for a purely
@@ -425,10 +409,8 @@ def _piece_points(ctx: TailContext, s: InfiniteAddress, n: int,
     key = (s.entry(mn), samples)
     if key not in ctx._image_grids:
         ctx._image_grids[key] = _piece_image_samples(ctx, *key)
-    image_pts, excluded = ctx._image_grids[key]
-    pulled = _pull_back(ctx, ("piece", samples), s, mn, image_pts)
-    points = [w for w in pulled if not isinstance(w, SingularValueHit)]
-    return points, excluded + len(pulled) - len(points)
+    pulled = _pull_back(ctx, ("piece", samples), s, mn, ctx._image_grids[key])
+    return [w for w in pulled if not isinstance(w, SingularValueHit)]
 
 
 def piece_diameter(ctx: TailContext, s: InfiniteAddress, n: int,
@@ -441,14 +423,14 @@ def piece_diameter(ctx: TailContext, s: InfiniteAddress, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cloud, excluded = _piece_points(ctx, s, n, samples)
+    cloud = _piece_points(ctx, s, n, samples)
     if not cloud:
-        return PieceEstimate(0.0, n, 0, excluded, empty=True)
+        return PieceEstimate(0.0, 0, empty=True)
     arr = np.array(cloud)
     step = max(1, _PAIR_CAP // len(arr))
     diameter = np.max([np.abs(arr[lo:lo + step, None] - arr[None, lo:]).max()
                        for lo in range(0, len(arr), step)])
-    return PieceEstimate(float(diameter), n, len(cloud), excluded, empty=False)
+    return PieceEstimate(float(diameter), len(cloud), empty=False)
 
 
 def piece_mapping_check(ctx: TailContext, s: InfiniteAddress, j: int,
@@ -457,9 +439,8 @@ def piece_mapping_check(ctx: TailContext, s: InfiniteAddress, j: int,
     if j < 2:
         raise ValueError("piece mapping needs j >= 2 (P_0 is undefined)")
     mper = ctx.cycle.period
-    points, excluded = _piece_points(ctx, s, j, samples)
     images = []
-    for w in points:
+    for w in _piece_points(ctx, s, j, samples):
         for _ in range(mper):
             w = evaluate(ctx.map, w)
         images.append(w)
@@ -472,16 +453,14 @@ def piece_mapping_check(ctx: TailContext, s: InfiniteAddress, j: int,
     for hi, lo in zip(in_hi, in_lo):
         error = next((v for v in (hi, lo) if isinstance(v, Exception)), None)
         if isinstance(error, OnArcError):
-            excluded += 1
             continue
         if error is not None:
             raise error
         checked += 1
         if not (hi and not lo):
             failed += 1
-    return PieceMapCheck(passed=(checked > 0 and failed == 0), level=j,
-                         n_checked=checked, n_excluded=excluded,
-                         n_failed=failed)
+    return PieceMapCheck(passed=(checked > 0 and failed == 0),
+                         n_checked=checked, n_failed=failed)
 
 
 def _check_tail_limits(max_level: int, samples: int):

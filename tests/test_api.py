@@ -3,7 +3,8 @@
 Every public module-level function or class, and every public method or
 property, must be referenced by name somewhere in the package (outside
 __init__), or be imported by the acceptance tests.  Nor does a package
-module import a name it never reads.
+module import a name it never reads, nor a public dataclass hold a field
+that nothing reads.
 """
 
 import ast
@@ -76,3 +77,49 @@ def test_no_unused_imports():
     unused = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
               if path.name != "__init__.py" and (names := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def dataclass_fields(source: str) -> list[str]:
+    """Public fields of the module's public dataclasses, as Class.field."""
+    fields = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            fields += [f"{node.name}.{item.target.id}" for item in node.body
+                       if isinstance(item, ast.AnnAssign) and not item.target.id.startswith("_")]
+    return fields
+
+
+def attributes_read(source: str) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_field_guard_sees_dataclass_fields_and_reads():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n    _z: int = 0\n"
+              "@dataclass\nclass B:\n    w: int\nclass C:\n    v: int\n"
+              "@dataclass\nclass _D:\n    u: int\n"
+              "def f(a):\n    a.y = 1\n    return a.w\n")
+    assert dataclass_fields(source) == ["A.x", "A.y", "B.w"]
+    assert attributes_read(source) == {"w"}
+
+
+def test_every_public_dataclass_field_is_read():
+    """Each public dataclass field is read as an attribute in package code
+    outside __init__ or in the acceptance tests.
+
+    The guard matches names, not objects: a read of `args.horizon` counts
+    for every field named `horizon`.  Such collisions hid unread fields
+    before (`TailContext.horizon`, `SeparationAudit.window`,
+    `SingularFate.detail` and the fields of the sampled-ray record), so a
+    field the guard passes may still be unread.
+    """
+    modules = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    read = attributes_read(ACCEPTANCE.read_text()).union(
+        *(attributes_read(source) for name, source in modules.items() if name != "__init__.py"))
+    unread = [name for source in modules.values() for name in dataclass_fields(source)
+              if name.split(".")[1] not in read]
+    assert unread == []

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from raycensus import cli
+from raycensus import cli, cycles, rays
 from raycensus.addresses import parse_address
 from raycensus.cli import main
 from raycensus.exponential import MapModel
@@ -333,6 +333,33 @@ class TestMeaninglessLimits:
         for c in ("-2,0", "0,0"):
             assert main(["tails", "--c", c, "--address", "0", flag, "0"]) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("args, bad", [
+        (["trace-ray", "--c", "nan,0", "--address", "0", "--t", "1:2", "--samples", "3"], "nan"),
+        (["trace-ray", "--c", "-2,0", "--address", "0", "--t", "1:inf", "--samples", "3"], "inf"),
+        (["tails", "--c", "nan,0", "--address", "0", "--max-level", "2", "--samples", "2"], "nan"),
+        (["land", "--c", "nan,0", "--address", "0"], "nan"),
+        (["cycles", "--c", "nan,0", "--box", "-3,3,-7,7"], "nan"),
+        (["regions", "--c", "nan,0"], "nan"),
+        (["audit", "--c", "nan,0"], "nan"),
+        (["audit", "--c", "-2,0", "--radius", "nan"], "nan"),
+        (["land", "--c", "-2,0", "--address", "0", "--radius", "inf"], "inf"),
+        (["cycles", "--c", "-2,0", "--box=-inf,3,-7,7"], "-inf"),
+        (["cycles", "--c", "-2,0", "--box", "-3,3,-7,7", "--tol", "inf"], "inf"),
+        (["land", "--c", "-2,0", "--address", "0", "--tol", "inf"], "inf"),
+        (["audit", "--c", "-2,0", "--match-tol", "inf"], "inf"),
+    ])
+    def test_non_finite_rejected_before_any_work(self, capsys, monkeypatch, args, bad):
+        def no_work(*args, **kwargs):
+            raise AssertionError("landing or Newton work ran on a non-finite input")
+
+        for module, name in ((rays, "_psi_batch"), (rays, "_newton_polish"),
+                             (rays, "inverse_branch"), (cycles, "_newton_fp")):
+            monkeypatch.setattr(module, name, no_work)
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and bad in err
 
     def test_zero_grid_errors_name_their_flag(self, capsys):
         errors = []

@@ -645,9 +645,9 @@ class TestBatchedLocation:
     def test_one_element_calls(self, graph_m2):
         with pytest.raises(OnArcError, match="lies on the ray graph"):
             graph_m2.basic_region_of(FIX_REPELLING + 0j)
-        rid, witness = graph_m2.region_near_with_witness(FIX_REPELLING + 0j)
-        assert (rid, witness) == scalar_locate_near(graph_m2, FIX_REPELLING)[:2]
-        assert witness != FIX_REPELLING
+        rid, witness, _ = scalar_locate_near(graph_m2, FIX_REPELLING)
+        assert graph_m2.region_near(FIX_REPELLING + 0j) == rid
+        assert graph_m2.regions_near([FIX_REPELLING + 0j])[1][0] == witness != FIX_REPELLING
         assert graph_m2.region_near(-1.0 + 0j) == graph_m2.basic_region_of(-1.0 + 0j)
 
 

@@ -96,10 +96,11 @@ class TestChooseRadius:
     def test_each_distinct_orbit_point_located_once(self, ctx, monkeypatch):
         # the singular orbit of c=-2 falls into the attracting fixed point, so
         # its horizon + 1 points hold few distinct values
+        horizon = 1000  # the horizon of the ctx fixture
         orbit = [complex(-2)]
-        for _ in range(ctx.horizon):
+        for _ in range(horizon):
             orbit.append(evaluate(M2, orbit[-1]))
-        case = (M2, ctx.cycle, ctx.graph, ctx.b_regions, ctx.horizon)
+        case = (M2, ctx.cycle, ctx.graph, ctx.b_regions, horizon)
         expected = windowed_choose_radius(*case)
         calls = []
         regions_near = RayGraph.regions_near
@@ -110,7 +111,7 @@ class TestChooseRadius:
 
         monkeypatch.setattr(RayGraph, "regions_near", counted)
         res = choose_radius(*case)
-        assert res == expected and res.follow_steps == ctx.horizon
+        assert res == expected and res.follow_steps == horizon
         assert sum(calls) <= len(set(orbit)) < 30
 
     @pytest.mark.parametrize("horizon", [0, -5])
@@ -118,8 +119,8 @@ class TestChooseRadius:
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             choose_radius(M2, ctx.cycle, ctx.graph, ctx.b_regions, horizon)
 
-    def test_context_flags_on_graph_cycle(self, ctx):
-        assert ctx.cycle_on_graph  # 1.14619 is the landing point of 0-bar
+    def test_context_of_on_graph_cycle(self, ctx):
+        # 1.14619 is the landing point of 0-bar
         assert abs(ctx.r - 5.0) < 1e-9
 
 
@@ -345,7 +346,8 @@ def ref_tail1(ctx, label, z):
     m = ctx.map
     if is_escaped(z) or not in_fundamental_domain_exact(m, z, label, radius=ctx.r):
         return False
-    rid, z_loc = ctx.graph.region_near_with_witness(z)
+    rid = ctx.graph.region_near(z)
+    z_loc = complex(ctx.graph.regions_near([z])[1][0])
     if rid != ctx.b_regions[0]:
         return False
     far = complex(m.truncation + 1.0, z_loc.imag)
@@ -444,7 +446,7 @@ def windowed_choose_radius(m, cycle, graph, b_regions, horizon):
 
 def ref_piece_mapping_check(ctx, s, j, samples):
     mper = ctx.cycle.period
-    points, excluded = tails._piece_points(ctx, s, j, samples)
+    points = tails._piece_points(ctx, s, j, samples)
     sa = shift_by(s, mper)
     checked = failed = 0
     for w in points:
@@ -458,12 +460,11 @@ def ref_piece_mapping_check(ctx, s, j, samples):
             in_hi = ref_tail_membership(ctx, project(sa, j, mper), w)
             in_lo = ref_tail_membership(ctx, project(sa, j - 1, mper), w)
         except OnArcError:
-            excluded += 1
             continue
         checked += 1
         if not (in_hi and not in_lo):
             failed += 1
-    return tails.PieceMapCheck(checked > 0 and failed == 0, j, checked, excluded, failed)
+    return tails.PieceMapCheck(checked > 0 and failed == 0, checked, failed)
 
 
 def outcome(fn, *args):
@@ -501,7 +502,7 @@ def ctx2():
 class TestBatchedParity:
     def test_tail_membership(self, ctx):
         rng = np.random.default_rng(4)
-        points = [*tails._piece_points(ctx, ZERO, 3, 8)[0], *tails._piece_points(ctx, ZERO, 6, 8)[0],
+        points = [*tails._piece_points(ctx, ZERO, 3, 8), *tails._piece_points(ctx, ZERO, 6, 8),
                   *(rng.uniform(-1, 4, 20) + 1j * rng.uniform(-3.5, 3.5, 20)).tolist(),
                   FIX_REPELLING + 0j, 50 + 0j, complex(math.inf, 0)]
         foreign = dataclasses.replace(ctx, b_regions=(ctx.b_regions[0] + 1,))
@@ -516,7 +517,7 @@ class TestBatchedParity:
 
     def test_tail_membership_period_two(self, ctx2):
         s = parse_address("0,1")
-        points = tails._piece_points(ctx2, s, 3, 8)[0][::3] + [z + 0.05 for z in ctx2.cycle.points]
+        points = tails._piece_points(ctx2, s, 3, 8)[::3] + [z + 0.05 for z in ctx2.cycle.points]
         for n in (1, 2, 3):
             address = project(s, n, 2)
             assert ([outcome(tail_membership, ctx2, address, z) for z in points]
@@ -541,7 +542,7 @@ class TestBatchedParity:
             with pytest.raises(OnArcError if wall else PointLocationError):
                 g.region_near(unlocatable)
             context = TailContext(map=M2, cycle=ctx.cycle, graph=g, b_regions=b_regions,
-                                  r=ctx.r, horizon=10)
+                                  r=ctx.r)
             got = outcome(tail_membership, context, address, z0)
             assert got == outcome(ref_tail_membership, context, address, z0)
             assert got is False if expected is False else got[0] is expected
@@ -586,10 +587,10 @@ class TestBatchedParity:
         on_arc, lost = OnArcError("on arc"), PointLocationError("lost")
         rows = [(True, False), (True, True), (False, False), (on_arc, lost),
                 (True, on_arc), (on_arc, True)]
-        monkeypatch.setattr(tails, "_piece_points", lambda *a: ([1 + 0j] * len(rows), 2))
+        monkeypatch.setattr(tails, "_piece_points", lambda *a: [1 + 0j] * len(rows))
         monkeypatch.setattr(tails, "_tail_verdicts",
                             lambda ctx, address, points, lengths: [list(v) for v in zip(*rows)])
-        assert piece_mapping_check(ctx, ZERO, 3) == tails.PieceMapCheck(False, 3, 3, 5, 2)
+        assert piece_mapping_check(ctx, ZERO, 3) == tails.PieceMapCheck(False, 3, 2)
         rows.append((False, lost))
         with pytest.raises(PointLocationError, match="lost"):
             piece_mapping_check(ctx, ZERO, 3)
@@ -620,15 +621,14 @@ def ref_piece_points(ctx, s, n, samples, grids):
     key = (s.entry(mn), samples)
     if key not in grids:
         grids[key] = tails._piece_image_samples(ctx, *key)
-    image_pts, excluded = grids[key]
     labels = s.prefix(mn)
     points = []
-    for q in image_pts:
+    for q in grids[key]:
         try:
             points.append(apply_branches(ctx.map, labels, q))
         except SingularValueHit:
-            excluded += 1
-    return points, excluded
+            pass
+    return points
 
 
 def ref_tail_exists(ctx, s, n):
@@ -638,19 +638,19 @@ def ref_tail_exists(ctx, s, n):
     w1 = complex(max(ctx.map.seed_potential, ctx.r + 1.0), tails.TWO_PI * last)
     try:
         if not tail1_membership(ctx, last, w1):
-            return tails.TailAddressRecord(labels, n, False, reason="no-tail1-witness")
+            return tails.TailAddressRecord(labels, False, reason="no-tail1-witness")
     except OnArcError:
-        return tails.TailAddressRecord(labels, n, False, reason="on-arc")
+        return tails.TailAddressRecord(labels, False, reason="on-arc")
     try:
         witness = apply_branches(ctx.map, labels[:-1], w1)
     except SingularValueHit as exc:
-        return tails.TailAddressRecord(labels, n, False,
+        return tails.TailAddressRecord(labels, False,
                                        reason="singular-hit" if not exc.on_cut else "cut-hit")
     try:
         ok = tail_membership(ctx, labels, witness)
     except OnArcError:
-        return tails.TailAddressRecord(labels, n, False, witness=witness, reason="on-arc")
-    return tails.TailAddressRecord(labels, n, ok, witness=witness,
+        return tails.TailAddressRecord(labels, False, witness=witness, reason="on-arc")
+    return tails.TailAddressRecord(labels, ok, witness=witness,
                                    reason="" if ok else "membership-failed")
 
 
@@ -733,16 +733,15 @@ class TestIncrementalPullBack:
         stand_in_singular_values(monkeypatch)
         warm = dataclasses.replace(ctx)
         self.assert_levels(warm, ZERO, range(1, 31))
-        image_pts, excluded = warm._image_grids[(0, 8)]
-        kept = [len(tails._piece_points(warm, ZERO, n, 8)[0]) for n in range(1, 31)]
+        image_pts = warm._image_grids[(0, 8)]
+        kept = [len(tails._piece_points(warm, ZERO, n, 8)) for n in range(1, 31)]
         assert kept[0] == len(image_pts) and kept[-1] == 0
         assert any(0 < k < len(image_pts) for k in kept)
-        assert tails._piece_points(warm, ZERO, 30, 8)[1] == excluded + len(image_pts)
 
 
 class TestDiameterRows:
     def test_rows_equal_one_matrix(self, ctx, monkeypatch):
-        cloud = np.array(tails._piece_points(ctx, ZERO, 4, 16)[0])
+        cloud = np.array(tails._piece_points(ctx, ZERO, 4, 16))
         assert len(cloud) > 100
         whole = float(np.abs(cloud[:, None] - cloud[None, :]).max())
         for cap in (1, 7, len(cloud) ** 2):
@@ -790,7 +789,7 @@ class TestLevelRecords:
         """Every probe in region 0, the centre enclosed (and on the graph
         with a wall)."""
         return TailContext(map=M2, cycle=ctx.cycle, graph=enclosed_graph(centre, 0.012, wall),
-                           b_regions=(0,), r=ctx.r, horizon=10)
+                           b_regions=(0,), r=ctx.r)
 
     def test_on_arc(self, ctx):
         # the tau_1 witness on the graph: every level is on-arc without a witness
@@ -833,7 +832,7 @@ class TestLevelRecords:
         g._segs = np.concatenate([g._segs, enclosed_graph(sample, 0.012)._segs])
         g._index_segments()
         g._build_regions()
-        enclosed = TailContext(map=M2, cycle=ctx.cycle, graph=g, b_regions=(0,), r=r, horizon=10)
+        enclosed = TailContext(map=M2, cycle=ctx.cycle, graph=g, b_regions=(0,), r=r)
         want = outcome(ref_tail_diagnostics, enclosed, ZERO, 5, side)
         assert want == (PointLocationError, f"point location failed for {sample!r}")
         assert outcome(tail_diagnostics, dataclasses.replace(enclosed), ZERO, 5, side) == want
