@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .addresses import InfiniteAddress
-from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, Box, Cycle, CycleSearch, _fp, find_cycles
+from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, Box, Cycle, _fp, find_cycles
 from .exponential import MapModel, _check_tolerance, evaluate, is_escaped
 from .rays import (
     DEFAULT_LANDING_TOL,
@@ -27,7 +27,7 @@ from .rays import (
     landing_table,
     singular_escape_status,
 )
-from .regions import OnArcError, PointLocationError, _check_graph_limits, build_ray_graph
+from .regions import OnArcError, PointLocationError, RayGraph, _check_graph_limits, build_ray_graph
 from .tails import DEFAULT_HORIZON, choose_radius, cycle_regions
 
 SCHEMA_VERSION = "2"
@@ -230,14 +230,11 @@ def dumps_canonical(doc) -> str:
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def _trichotomy_evidence(m: MapModel, cycle: Cycle, window: int, depth: int,
-                         horizon: int, box: Box, grid: int) -> dict:
+def _trichotomy_evidence(m: MapModel, cycle: Cycle, graph: RayGraph, horizon: int) -> dict:
     """choose_radius/itinerary evidence for one invisible candidate."""
     evidence: dict = {"cycle_period": cycle.period,
                       "cycle_z0": [cycle.points[0].real, cycle.points[0].imag]}
     try:
-        graph = build_ray_graph(m, cycle.period, window, depth=depth, box=box,
-                                grid=grid)
         b_regions = cycle_regions(graph, cycle)
         res = choose_radius(m, cycle, graph, b_regions, horizon)
         evidence["graph_failures"] = [[str(s), st] for s, st in graph.failures]
@@ -270,16 +267,14 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
     _check_landing_limits(landing_tol, DEFAULT_MAX_ITER)
     _check_tolerance("match tolerance", match_tol)
     _check_graph_limits(window, depth, probe_grid)
-    search: CycleSearch = find_cycles(m, max_period, box, grid=grid, tol=tol,
-                                      tol_band=tol_band)
-    cycles = search.cycles
+    cycles = find_cycles(m, max_period, box, grid=grid, tol=tol,
+                         tol_band=tol_band).cycles
     fate = singular_escape_status(m, horizon)
     basin_idx = _basin_absorbed(m, cycles, horizon)
 
     report = CensusReport(
         config=config or {}, map_c=m.c, map_R=m.R, cycles=cycles,
         searches=[], fate=fate, basin_cycle_index=basin_idx)
-    report.warnings.extend(search.warnings)
     report.n_attracting = sum(c.is_attracting for c in cycles)
     report.n_indifferent = sum(c.cls == "indifferent" for c in cycles)
     report.n_parabolic_suspected = sum(c.cls == "parabolic-suspected" for c in cycles)
@@ -310,8 +305,8 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
     report.rays_land_in_window = not failed
     report.warnings.extend(failed)
 
-    report.n_invisible_candidates = sum(
-        ls.invisible_candidate for ls in report.searches)
+    candidates = [ls.cycle for ls in report.searches if ls.invisible_candidate]
+    report.n_invisible_candidates = len(candidates)
 
     if not report.rays_land_in_window:
         report.verdict = "not-applicable"
@@ -319,14 +314,15 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
                                "structure of the ray graph is not verified")
         return report
 
-    for ls in report.searches:
-        if ls.invisible_candidate:
-            ev = _trichotomy_evidence(m, ls.cycle, window, depth, horizon,
-                                      box, probe_grid)
-            report.trichotomy.append(ev)
-            if report.singular_status == "undetermined" and \
-                    ev.get("follow_steps", 0) >= horizon:
-                report.singular_status = f"trapped-case-1(horizon={horizon})"
+    # the ray graph depends on the period alone, so candidates of one period share it
+    graphs = {p: build_ray_graph(m, p, window, depth=depth, box=box, grid=probe_grid)
+              for p in dict.fromkeys(cyc.period for cyc in candidates)}
+    for cyc in candidates:
+        ev = _trichotomy_evidence(m, cyc, graphs[cyc.period], horizon)
+        report.trichotomy.append(ev)
+        if report.singular_status == "undetermined" and \
+                ev.get("follow_steps", 0) >= horizon:
+            report.singular_status = f"trapped-case-1(horizon={horizon})"
 
     lhs = report.n_indifferent + report.n_invisible_candidates
     report.verdict = "satisfied" if lhs <= report.q_effective else "violated"

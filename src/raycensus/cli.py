@@ -182,13 +182,19 @@ def _cmd_land(args: argparse.Namespace) -> int:
 def _cmd_cycles(args: argparse.Namespace) -> int:
     m = _map_model(args)
     box = _parse_box(_require(args, "box"))
-    search = find_cycles(m, args.max_period, box, grid=args.grid, tol=args.tol,
-                         verify_coverage=args.verify_coverage)
+    cycles = find_cycles(m, args.max_period, box, grid=args.grid, tol=args.tol).cycles
+    warnings = []
+    if args.verify_coverage and args.grid >= 2:
+        half = args.grid // 2
+        coarse = find_cycles(m, args.max_period, box, grid=half, tol=args.tol).cycles
+        if len(cycles) < len(coarse):
+            warnings.append(f"coverage: {len(cycles)} cycles at grid {args.grid} "
+                            f"but {len(coarse)} at grid {half}")
     doc = {
         "config": _base_config(m, box=list(box), max_period=args.max_period,
                                grid=args.grid, tol=args.tol),
-        "cycles": [c.to_json_dict() for c in search.cycles],
-        "warnings": search.warnings,
+        "cycles": [c.to_json_dict() for c in cycles],
+        "warnings": warnings,
     }
     _emit(dumps_canonical(doc) + "\n", args.out)
     return 0

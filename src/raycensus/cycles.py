@@ -27,6 +27,21 @@ _SEED_CHUNK = 4096
 _PAIR_CAP = 65_536
 
 
+def _check_box(box: Box):
+    """Rejects a box with a bound that is not finite, or with no interior."""
+    xlo, xhi, ylo, yhi = box
+    if not all(map(math.isfinite, box)):
+        raise ValueError("box bounds must be finite")
+    if not (xlo < xhi and ylo < yhi):
+        raise ValueError("empty box")
+
+
+def _in_box(box: Box, z):
+    """Whether z lies in the closed box, elementwise for numpy arrays."""
+    xlo, xhi, ylo, yhi = box
+    return (xlo <= z.real) & (z.real <= xhi) & (ylo <= z.imag) & (z.imag <= yhi)
+
+
 @dataclass(frozen=True)
 class Cycle:
     points: tuple[complex, ...]
@@ -165,10 +180,7 @@ def _chunk_roots(c: complex, seeds: np.ndarray, p: int, box: Box,
     with np.errstate(all="ignore"):
         for j in range(1, p):
             orbits[:, j] = np.exp(orbits[:, j - 1]) + c
-    xlo, xhi, ylo, yhi = box
-    inside = ((xlo <= orbits.real) & (orbits.real <= xhi)
-              & (ylo <= orbits.imag) & (orbits.imag <= yhi))
-    keep = (inside | (np.arange(p) >= mp[:, None])).all(axis=1)
+    keep = (_in_box(box, orbits) | (np.arange(p) >= mp[:, None])).all(axis=1)
     return mp[keep], orbits[keep]
 
 
@@ -184,12 +196,10 @@ def _near(z: np.ndarray, pts: np.ndarray, dist: float) -> np.ndarray:
 @dataclass
 class CycleSearch:
     cycles: list[Cycle]
-    warnings: list[str]
 
 
 def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
-                tol: float = DEFAULT_TOL, tol_band: float = DEFAULT_TOL_BAND,
-                verify_coverage: bool = False) -> CycleSearch:
+                tol: float = DEFAULT_TOL, tol_band: float = DEFAULT_TOL_BAND) -> CycleSearch:
     """Newton search for all cycles of period <= max_period inside `box`.
 
     Only cycles whose entire orbit lies in the box are kept (completeness is
@@ -202,9 +212,8 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
         raise ValueError("grid must be >= 1")
     _check_tolerance("tol", tol)
     _check_tol_band(tol_band)
+    _check_box(box)
     xlo, xhi, ylo, yhi = box
-    if not (xlo < xhi and ylo < yhi):
-        raise ValueError("empty box")
 
     cycles: list[Cycle] = []
     # every point of the cycles kept, by period.  A root is new unless it
@@ -253,12 +262,4 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
                                 | ~_near(roots[k + 1:], np.array(pts), near))
 
     cycles.sort(key=lambda c: (c.period, c.points[0].real, c.points[0].imag))
-    warnings: list[str] = []
-    if verify_coverage and grid >= 2:
-        coarse = find_cycles(m, max_period, box, grid=grid // 2, tol=tol,
-                             tol_band=tol_band, verify_coverage=False)
-        if len(cycles) < len(coarse.cycles):
-            warnings.append(
-                f"coverage: {len(cycles)} cycles at grid {grid} but "
-                f"{len(coarse.cycles)} at grid {grid // 2}")
-    return CycleSearch(cycles=cycles, warnings=warnings)
+    return CycleSearch(cycles=cycles)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .addresses import InfiniteAddress
-from .cycles import Box, Cycle
+from .cycles import Box, Cycle, _check_box
 from .exponential import MapModel, SingularValueHit, is_escaped
 from .rays import _ladder_sample, landing_table
 
@@ -404,6 +404,7 @@ def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
     if p < 1:
         raise ValueError("p must be >= 1")
     _check_graph_limits(window, depth, grid)
+    _check_box(box)
     arcs: list[Arc] = []
     failures: list[tuple[InfiniteAddress, str]] = []
     table = landing_table(m, window, [d for d in range(1, p + 1) if p % d == 0])

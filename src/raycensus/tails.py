@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .addresses import InfiniteAddress, project, shift_by
-from .cycles import Cycle
+from .cycles import Cycle, _in_box
 from .exponential import (
     TWO_PI,
     MapModel,
@@ -99,6 +99,10 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
     earlier window located, so each distinct point is located once.  As
     dict keys, 0.0 and -0.0 are one point; no location step depends on the
     sign of a zero.
+
+    A point that cannot be located raises, unless it lies outside the
+    graph's box on an orbit that escapes within the horizon: the orbit
+    then left the box while following, and it ends trapped-unbounded.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -120,6 +124,8 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
             if is_escaped(w) or abs(w) > ESCAPE_THRESHOLD:
                 break
             orbit.append(w)
+        escapes = len(orbit) <= horizon
+        beyond_box = False
         tracked = lo = 1
         while tracked == lo < len(orbit):
             hi = min(2 * lo, len(orbit))
@@ -131,13 +137,15 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
                 rw, st = located[orbit[j]]
                 if rw != b_regions[(i0 + j) % mper]:
                     if rw < 0 and st != ON_ARC:
-                        raise graph.location_error(orbit[j], st)
+                        beyond_box = escapes and not _in_box(graph.box, orbit[j])
+                        if not beyond_box:
+                            raise graph.location_error(orbit[j], st)
                     break
                 tracked = j + 1
             lo = hi
         if tracked > 1:
             follow = tracked - 1
-        if tracked == len(orbit) <= horizon:  # followed until the orbit escaped
+        if beyond_box or (escapes and tracked == len(orbit)):  # followed until it escaped
             return RadiusResult("trapped-unbounded", None, follow)
         best = max(best, max(abs(t) for t in orbit[:tracked]))
         img = evaluate(m, orbit[tracked - 1])

@@ -12,6 +12,8 @@ from raycensus.census import _staged_search, audit, dumps_canonical, landing_sea
 from raycensus.cycles import find_cycles
 from raycensus.exponential import MapModel
 from raycensus.rays import _NOT_CONVERGED, land_periodic, landing_table
+from raycensus.regions import build_ray_graph
+from raycensus.tails import DEFAULT_HORIZON
 
 M2 = MapModel(c=-2)
 BOX = (-3.0, 3.0, -7.0, 7.0)
@@ -264,6 +266,25 @@ class TestInvisibleCandidateMachinery:
         for ev in report.trichotomy:
             assert "case" in ev or "error" in ev
         assert any("reproduction" in w for w in report.warnings)
+
+    def test_one_ray_graph_per_candidate_period(self, monkeypatch):
+        # the three candidates are 2-cycles: one graph serves all of them,
+        # with the evidence of a graph built for each candidate
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args[1])
+            return build_ray_graph(*args, **kwargs)
+
+        monkeypatch.setattr(census, "build_ray_graph", counted)
+        report = audit(M2, BOX, 2, 0)
+        assert built == [2]
+        candidates = [ls.cycle for ls in report.searches if ls.invisible_candidate]
+        assert [cyc.period for cyc in candidates] == [2, 2, 2]
+        reference = [census._trichotomy_evidence(
+            M2, cyc, build_ray_graph(M2, 2, 0, depth=40, box=BOX, grid=120), DEFAULT_HORIZON)
+            for cyc in candidates]
+        assert report.trichotomy == reference
 
     def test_c0_invisible_fixed_point_when_forced(self):
         # bypass the hypothesis gate: search rays for the invisible-candidate

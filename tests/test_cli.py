@@ -229,6 +229,21 @@ class TestOtherCommands:
         classes = {c["class"] for c in doc["cycles"]}
         assert classes == {"attracting", "repelling"}
 
+    @pytest.mark.parametrize("box, grid, warnings", [
+        ("-3,3,-1,1", "20", []),
+        ("-3,3,-13,13", "4", ["coverage: 1 cycles at grid 4 but 3 at grid 2"])],
+        ids=["no-warning", "warning"])
+    def test_cycles_coverage_warning(self, capsys, box, grid, warnings):
+        # --verify-coverage searches half the grid too; finding more there
+        # shows the full grid missed cycles
+        args = ["cycles", "--c", "-2,0", "--box", box, "--max-period", "1", "--grid", grid]
+        assert main(args) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main([*args, "--verify-coverage"]) == 0
+        checked = json.loads(capsys.readouterr().out)
+        assert plain["warnings"] == [] and checked["warnings"] == warnings
+        assert checked["cycles"] == plain["cycles"]
+
     def test_grid_300_lists_each_period_four_cycle_once(self, capsys):
         # the self-conjugate 4-cycle through 1.4044 +/- 6.0209i is listed,
         # and counted as repelling, once
@@ -267,6 +282,15 @@ class TestOtherCommands:
         assert len(doc["levels"]) == 3
         assert all(lvl["exists"] for lvl in doc["levels"])
         assert doc["r"] == 5.0
+
+    def test_tails_orbit_escaping_beyond_the_box_exit_4(self, capsys):
+        # the singular orbit 0, 1, e follows the 2-cycle's region; e^e lies
+        # right of the box, where point location fails, and then escapes
+        assert main(["tails", "--c", "0,0", "--address", "0,1", "--max-level", "12",
+                     "--samples", "12"]) == 4
+        assert capsys.readouterr() == (
+            "", "error: singular orbit escapes following the cycle regions "
+                "(followed 2 steps)\n")
 
     def test_plot_bundle(self, tmp_path):
         out = tmp_path / "bundle"

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from raycensus import cycles
+from raycensus import cycles, rays
 from raycensus.cycles import classify, find_cycles
 from raycensus.exponential import MapModel, evaluate
+from raycensus.regions import build_ray_graph
 
 M2 = MapModel(c=-2)
 BOX = (-3.0, 3.0, -7.0, 7.0)
@@ -143,10 +144,6 @@ class TestFindCyclesHyperbolic:
         assert sum(cyc.is_attracting for cyc in out) == attracting
         assert all(cyc.is_attracting or cyc.is_repelling for cyc in out)
 
-    def test_coverage_warning_machinery(self):
-        res = find_cycles(M2, 1, (-3, 3, -1, 1), grid=20, verify_coverage=True)
-        assert res.warnings == []
-
 
 class TestSiegel:
     def test_indifferent_fixed_point(self):
@@ -216,3 +213,18 @@ class TestInvariants:
         for tol_band in (-1.0, 1.0):
             with pytest.raises(ValueError, match="tol_band"):
                 find_cycles(M2, 1, (10.0, 11.0, 0.0, 1.0), grid=1, tol_band=tol_band)
+
+    @pytest.mark.parametrize("box, message", [
+        ((-math.inf, 3, -7, 7), "finite"), ((-3, math.inf, -7, 7), "finite"),
+        ((-3, 3, math.nan, 7), "finite"), ((3, -3, -7, 7), "empty box"),
+        ((-3, 3, 7, -7), "empty box"), ((-3, -3, -7, 7), "empty box")])
+    def test_bad_box_rejected_before_any_work(self, monkeypatch, box, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("landing or Newton work ran on a bad box")
+
+        monkeypatch.setattr(cycles, "_newton_fp", no_work)
+        monkeypatch.setattr(rays, "_psi_batch", no_work)
+        with pytest.raises(ValueError, match=message):
+            find_cycles(M2, 1, box, grid=10)
+        with pytest.raises(ValueError, match=message):
+            build_ray_graph(M2, 1, 1, box=box, grid=20)

@@ -372,6 +372,14 @@ def ref_tail_membership(ctx, address, z):
     return not is_escaped(w) and ref_tail1(ctx, address[-1], w)
 
 
+def escapes_within(m, w, steps):
+    for _ in range(steps):
+        w = evaluate(m, w)
+        if is_escaped(w) or abs(w) > ESCAPE_THRESHOLD:
+            return True
+    return False
+
+
 def ref_choose_radius(m, cycle, graph, b_regions, horizon):
     best = max(m.R, max(abs(z) for z in cycle.points))
     follow = 0
@@ -393,6 +401,13 @@ def ref_choose_radius(m, cycle, graph, b_regions, horizon):
                 rw = graph.region_near(w)
             except OnArcError:
                 break
+            except PointLocationError:
+                # beyond the box on an orbit that escapes within the horizon
+                xlo, xhi, ylo, yhi = graph.box
+                in_box = xlo <= w.real <= xhi and ylo <= w.imag <= yhi
+                if escapes_within(m, w, horizon - j) and not in_box:
+                    return RadiusResult("trapped-unbounded", None, follow)
+                raise
             if rw != b_regions[(i0 + j) % cycle.period]:
                 break
             tracked.append(w)
@@ -553,10 +568,20 @@ class TestBatchedParity:
         rep0 = [c for c in find_cycles(m0, 1, BOX, grid=40).cycles
                 if c.is_repelling and c.points[0].imag > 0][0]
         b0 = tuple(g0.region_near(z) for z in rep0.points)
+        # c=0, p=2: the orbit 0, 1, e follows region 0, e^e lies right of
+        # the box with no crossing-free probe in reach, and the next iterate
+        # escapes.  With e enclosed instead, a point inside the box that
+        # cannot be located raises although the orbit escapes
+        g2 = build_ray_graph(m0, 2, 1, depth=40, box=BOX, grid=120)
+        z = landing_point(m0, parse_address("0,1")).point
+        rep2 = next(c for c in find_cycles(m0, 2, BOX, grid=40).cycles
+                    if c.is_repelling and min(abs(z - w) for w in c.points) < 1e-6)
+        beyond_box = (m0, rep2, g2, tails.cycle_regions(g2, rep2))
+        e_enclosed = (m0, rep0, enclosed_graph(evaluate(m0, evaluate(m0, 0))), (0,))
         cases = [(M2, ctx.cycle, graph_m2, ctx.b_regions),
                  (M2, ctx.cycle, graph_m2, (ctx.b_regions[0] + 1,)),
                  (M2, ctx2.cycle, ctx2.graph, ctx2.b_regions),
-                 (m0, rep0, g0, b0)]
+                 (m0, rep0, g0, b0), beyond_box, e_enclosed]
         # the singular orbit of c=-2 with its third point enclosed: met after
         # two matching steps for a fixed point, after a mismatch for a 2-cycle
         # (walled: on the graph, so the orbit stops following there)
@@ -569,6 +594,9 @@ class TestBatchedParity:
                 assert (outcome(choose_radius, *case, horizon)
                         == outcome(ref_choose_radius, *case, horizon)), (case[3], horizon)
         assert outcome(choose_radius, *cases[-2], 3)[0] is PointLocationError
+        assert outcome(choose_radius, *beyond_box, 3)[0] is PointLocationError
+        assert choose_radius(*beyond_box, 60) == RadiusResult("trapped-unbounded", None, 2)
+        assert outcome(choose_radius, *e_enclosed, 60)[0] is PointLocationError
         assert choose_radius(*cases[-1], 3).status == "radius"
         assert choose_radius(*cases[-3], 3).follow_steps == 1
 
