@@ -1,10 +1,14 @@
 """Refined Fatou-Shishikura audit.
 
-Counts indifferent cycles and invisible-candidate repelling cycles against
-the number of singular orbits outside attracting/parabolic basins.  A finite
-search can never certify rational invisibility, so repelling cycles without
-a found landing address are always reported as candidates, cross-referenced
-with trapped-singular-orbit evidence.
+Counts the paper's left side, attracting + parabolic-suspected +
+indifferent cycles + invisible-candidate repelling cycles, against q, the
+number of singular orbits: q_effective = q - attracting - parabolic, and the
+verdict is indifferent + invisible <= q_effective.  Every attracting or
+parabolic cycle absorbs a singular orbit (Bergweiler), so the cycle classes
+decide which orbits are spent.  A finite search can never certify rational
+invisibility, so repelling cycles without a found landing address are always
+reported as candidates, cross-referenced with trapped-singular-orbit
+evidence.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .addresses import InfiniteAddress
 from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, Box, Cycle, _fp, find_cycles
-from .exponential import MapModel, _check_tolerance, evaluate, is_escaped
+from .exponential import MapModel, _check_tolerance, singular_values
 from .rays import (
     DEFAULT_LANDING_TOL,
     DEFAULT_MAX_ITER,
@@ -30,10 +34,8 @@ from .rays import (
 from .regions import OnArcError, PointLocationError, RayGraph, _check_graph_limits, build_ray_graph
 from .tails import DEFAULT_HORIZON, choose_radius, cycle_regions
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 DEFAULT_MATCH_TOL = 1e-6
-_BASIN_STREAK = 50
-_BASIN_TOL = 1e-6
 
 
 @dataclass
@@ -100,33 +102,6 @@ def _staged_search(m: MapModel, repelling: list[Cycle], window: int, max_period:
     return searches, sorted(table)
 
 
-def _basin_absorbed(m: MapModel, cycles: list[Cycle], horizon: int) -> int | None:
-    """Index of the non-repelling cycle absorbing the singular orbit, if any.
-
-    Absorption means distance < _BASIN_TOL to some cycle point for
-    _BASIN_STREAK consecutive iterates (attracting or parabolic-suspected
-    targets).
-    """
-    targets = [(i, cyc) for i, cyc in enumerate(cycles)
-               if cyc.is_attracting or cyc.cls == "parabolic-suspected"]
-    if not targets:
-        return None
-    z = m.c
-    streaks = {i: 0 for i, _ in targets}
-    for _ in range(horizon):
-        z = evaluate(m, z)
-        if is_escaped(z):
-            return None
-        for i, cyc in targets:
-            if min(abs(z - w) for w in cyc.points) < _BASIN_TOL:
-                streaks[i] += 1
-                if streaks[i] >= _BASIN_STREAK:
-                    return i
-            else:
-                streaks[i] = 0
-    return None
-
-
 @dataclass
 class CensusReport:
     config: dict
@@ -135,7 +110,6 @@ class CensusReport:
     cycles: list[Cycle]
     searches: list[LandingSearch]
     fate: SingularFate
-    basin_cycle_index: int | None
     n_attracting: int = 0
     n_indifferent: int = 0
     n_parabolic_suspected: int = 0
@@ -188,7 +162,6 @@ class CensusReport:
             "singular": {
                 "status": self.singular_status,
                 "escape": fate_json,
-                "basin_cycle_index": self.basin_cycle_index,
             },
             "hypotheses": {
                 "periodic_rays_land_in_window": self.rays_land_in_window,
@@ -270,24 +243,25 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
     cycles = find_cycles(m, max_period, box, grid=grid, tol=tol,
                          tol_band=tol_band).cycles
     fate = singular_escape_status(m, horizon)
-    basin_idx = _basin_absorbed(m, cycles, horizon)
 
     report = CensusReport(
         config=config or {}, map_c=m.c, map_R=m.R, cycles=cycles,
-        searches=[], fate=fate, basin_cycle_index=basin_idx)
+        searches=[], fate=fate)
     report.n_attracting = sum(c.is_attracting for c in cycles)
     report.n_indifferent = sum(c.cls == "indifferent" for c in cycles)
     report.n_parabolic_suspected = sum(c.cls == "parabolic-suspected" for c in cycles)
     report.n_repelling = sum(c.is_repelling for c in cycles)
-    report.q = 1  # the exponential family has one singular orbit
-    report.q_effective = 0 if basin_idx is not None else 1
+    report.q = len(singular_values(m))
+    # every attracting or parabolic cycle absorbs a singular orbit (Bergweiler),
+    # so the verdict below is the paper's inequality with both on the left
+    report.q_effective = report.q - report.n_attracting - report.n_parabolic_suspected
 
-    if basin_idx is not None:
-        report.singular_status = "in-attracting-or-parabolic-basin"
-    elif fate.kind in ("escapes-along-periodic-ray", "escapes-other"):
+    if fate.kind in ("escapes-along-periodic-ray", "escapes-other"):
         report.singular_status = {"escapes-along-periodic-ray":
                                   "escaping-along-periodic-ray",
                                   "escapes-other": "escaping-other"}[fate.kind]
+    elif report.n_attracting or report.n_parabolic_suspected:
+        report.singular_status = "in-attracting-or-parabolic-basin"
 
     if fate.kind == "escapes-along-periodic-ray":
         report.verdict = "not-applicable"

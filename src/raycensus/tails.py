@@ -374,6 +374,8 @@ def tail_exists(ctx: TailContext, s: InfiniteAddress, n: int) -> TailAddressReco
         ok = tail_membership(ctx, labels, witness)
     except OnArcError:
         return TailAddressRecord(labels, False, witness=witness, reason="on-arc")
+    except PointLocationError:
+        return TailAddressRecord(labels, False, witness=witness, reason="no-region")
     return TailAddressRecord(labels, ok, witness=witness,
                              reason="" if ok else "membership-failed")
 

@@ -179,6 +179,23 @@ def siegel_report():
                  grid=40)
 
 
+@pytest.fixture(scope="module")
+def escaping_report():
+    return audit(MapModel(c=0), BOX, 2, 1, horizon=10, grid=30)
+
+
+@pytest.fixture(scope="module")
+def window_zero_report():
+    return audit(M2, BOX, 2, 0, grid=40)
+
+
+@pytest.fixture(scope="module")
+def near_parabolic_report():
+    # attracting fixed point of multiplier 0.9955: the singular orbit nears it
+    # too slowly to sit within 1e-6 of it for long within the horizon
+    return audit(MapModel(c=-1.00001), BOX, 1, 1)
+
+
 class TestAuditHyperbolic:
     @pytest.fixture
     def report(self, hyperbolic_report):
@@ -210,7 +227,8 @@ class TestAuditHyperbolic:
         doc = json.loads(report.to_json())
         assert doc["verdict"] == "satisfied"
         assert doc["counts"]["invisible_candidates"] == 0
-        assert doc["schema_version"] == "2"
+        assert doc["schema_version"] == "3"
+        assert "basin_cycle_index" not in doc["singular"]
         assert doc["ray_periods_landed"] == [1, 2]
         assert "equal_period_ok" not in json.dumps(doc)
         assert doc["hypotheses"]["periodic_rays_land_in_window"] is True
@@ -244,9 +262,37 @@ class TestAuditSiegel:
         assert sum(c.cls == "indifferent" for c in report.cycles) == 1
 
 
+class TestAuditNearParabolic:
+    def test_attracting_cycle_spends_the_singular_orbit(self, near_parabolic_report):
+        report = near_parabolic_report
+        assert report.n_attracting == 1
+        assert report.q_effective == 0
+        assert report.singular_status == "in-attracting-or-parabolic-basin"
+        assert report.verdict == "satisfied"
+
+
+class TestPapersInequality:
+    @pytest.mark.parametrize("name", ["hyperbolic_report", "siegel_report", "escaping_report",
+                                      "window_zero_report", "near_parabolic_report"])
+    def test_verdict_is_the_literal_count(self, request, name):
+        report = request.getfixturevalue(name)
+        assert report.q == 1
+        assert report.q_effective == \
+            report.q - report.n_attracting - report.n_parabolic_suspected
+        if report.rays_land_in_window and report.fate.kind != "escapes-along-periodic-ray":
+            lhs = (report.n_attracting + report.n_parabolic_suspected
+                   + report.n_indifferent + report.n_invisible_candidates)
+            assert report.verdict == ("satisfied" if lhs <= report.q else "violated")
+
+    def test_q_counts_the_singular_values(self, monkeypatch):
+        monkeypatch.setattr(census, "singular_values", lambda m: [m.c, m.c + 1])
+        report = audit(M2, BOX, 1, 1)
+        assert (report.q, report.n_attracting, report.q_effective) == (2, 1, 1)
+
+
 class TestAuditEscaping:
-    def test_c0_not_applicable(self):
-        report = audit(MapModel(c=0), BOX, 2, 1, horizon=10, grid=30)
+    def test_c0_not_applicable(self, escaping_report):
+        report = escaping_report
         assert report.verdict == "not-applicable"
         assert report.fate.kind == "escapes-along-periodic-ray"
         assert str(report.fate.address) == "0"
@@ -254,11 +300,11 @@ class TestAuditEscaping:
 
 
 class TestInvisibleCandidateMachinery:
-    def test_window_zero_flags_candidates_and_violates(self):
+    def test_window_zero_flags_candidates_and_violates(self, window_zero_report):
         # K = 0 cannot see the 2-cycles' landing addresses; the candidates
         # contradict the inequality (q_eff = 0), which the census treats as
         # a numerics/window failure shipped with reproduction parameters
-        report = audit(M2, BOX, 2, 0, grid=40)
+        report = window_zero_report
         assert report.n_invisible_candidates == 3
         assert report.verdict == "violated"
         assert report.rays_land_in_window  # nothing searched failed to land

@@ -292,6 +292,17 @@ class TestOtherCommands:
             "", "error: singular orbit escapes following the cycle regions "
                 "(followed 2 steps)\n")
 
+    def test_tails_unlocatable_witness_orbit_is_a_level_record(self, capsys):
+        # levels 1-7 exist; the level-8 witness orbit meets a point no basic
+        # region can be decided for, which is a finding, not a usage error
+        assert main(["tails", "--c", "-1,0.3", "--address", "0,1", "--max-level", "8",
+                     "--samples", "8"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        levels = json.loads(out)["levels"]
+        assert [lvl["exists"] for lvl in levels] == [True] * 7 + [False]
+        assert levels[-1]["reason"] == "no-region"
+
     def test_plot_bundle(self, tmp_path):
         out = tmp_path / "bundle"
         result = run_cli(["plot", "--c", "-2,0", "--p", "1", "--window", "1",

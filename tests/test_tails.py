@@ -209,6 +209,25 @@ class TestTailExists:
             assert b < 0.7 * a or b < 1e-13
         assert abs(wits[-1] - res.point) < 1e-8
 
+    def test_unlocatable_witness_orbit_is_no_region(self):
+        # the context of `tails --c -1,0.3 --address 0,1`: the level-8 witness
+        # orbit meets a point about 1e-8 from a landing vertex, in a wedge
+        # between two arcs, where no basic region can be decided
+        m = MapModel(c=complex(-1, 0.3))
+        s = parse_address("0,1")
+        res = landing_point(m, s)
+        target = next(cyc for cyc in find_cycles(m, 2, BOX, grid=40).cycles
+                      if cyc.is_repelling and min(abs(res.point - z) for z in cyc.points) < 1e-6)
+        c = make_tail_context(m, target, build_ray_graph(m, 2, 1, depth=40, box=BOX, grid=120),
+                              horizon=1000)
+        assert tail_exists(c, s, 7).exists
+        rec = tail_exists(c, s, 8)
+        assert (rec.exists, rec.reason) == (False, "no-region")
+        assert rec.address == project(s, 8, 2)
+        with pytest.raises(PointLocationError):
+            tail_membership(c, rec.address, rec.witness)
+        assert ref_tail_exists(c, s, 8) == rec
+
 
 def _potential_for_level(n: int, out: float = 10.0) -> float:
     """Ladder potential whose sample enters tau_n: n-1 backward flow steps
@@ -678,6 +697,8 @@ def ref_tail_exists(ctx, s, n):
         ok = tail_membership(ctx, labels, witness)
     except OnArcError:
         return tails.TailAddressRecord(labels, False, witness=witness, reason="on-arc")
+    except PointLocationError:
+        return tails.TailAddressRecord(labels, False, witness=witness, reason="no-region")
     return tails.TailAddressRecord(labels, ok, witness=witness,
                                    reason="" if ok else "membership-failed")
 
@@ -838,6 +859,8 @@ class TestLevelRecords:
 
     @pytest.mark.parametrize("level", [1, 3, 5])
     def test_location_error_raised_at_its_level(self, ctx, level):
+        # an enclosed tau_1 witness fails the run; an enclosed pulled-back
+        # witness is the record of its level
         w = tail_exists(ctx, ZERO, level).witness
         for wall in (False, True):
             enclosed = self.walled_context(ctx, w, wall)
@@ -845,8 +868,10 @@ class TestLevelRecords:
             assert outcome(tail_diagnostics, dataclasses.replace(enclosed), ZERO, 8, 6) == want
             if wall:
                 assert want[level - 1]["reason"] == "on-arc"
-            else:
+            elif level == 1:
                 assert want == (PointLocationError, f"point location failed for {w!r}")
+            else:
+                assert want[level - 1]["reason"] == "no-region"
 
     def test_piece_error_before_a_later_record_error(self, ctx):
         # an enclosed tau_1 grid sample fails the level-1 piece before the
