@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -199,8 +201,85 @@ class CensusReport:
 
 
 def dumps_canonical(doc) -> str:
-    """Deterministic JSON: schema-ordered keys, repr floats, no NaN."""
-    return json.dumps(doc, indent=2, allow_nan=False)
+    """Deterministic JSON: schema-ordered keys, repr floats, no NaN.
+
+    Returns exactly json.dumps(doc, indent=2, allow_nan=False), which indent
+    confines to the pure-Python encoder, in one walk of the document that
+    formats lists of floats and of [float, float] pairs in bulk.  A document
+    the walk does not take (a non-finite float, a type json does not know, a
+    key that is not a str, a circular reference) is handed to json.dumps,
+    which writes it or raises its own error.
+    """
+    out: list[str] = []
+    try:
+        _encode(doc, "\n", out)
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(doc, indent=2, allow_nan=False)
+    return "".join(out)
+
+
+def _finite(text: str) -> str:
+    """text, the repr of floats, unless one of them is inf or nan."""
+    if "n" in text:
+        raise ValueError("out of range float")
+    return text
+
+
+def _float_items(items, nl: str) -> str | None:
+    """The items of a list of floats or of [float, float] pairs, one level
+    in at newline-indent nl, as JSON text; None for any other list."""
+    try:
+        if set(map(type, items)) <= {list, tuple} and set(map(len, items)) == {2}:
+            inner = nl + "  "
+            flat = map(float.__repr__, chain.from_iterable(items))
+            pairs = map(("," + inner).join, zip(flat, flat))
+            return _finite("[" + inner + (nl + "]," + nl + "[" + inner).join(pairs) + nl + "]")
+        return _finite(("," + nl).join(map(float.__repr__, items)))
+    except TypeError:  # an item that is not a float (float.__repr__ takes subclasses)
+        return None
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _encode(o, nl: str, out: list[str]):
+    """Appends the JSON text of o, nested at newline-indent nl, to out."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or o is True or o is False:
+        out.append(_CONSTANTS[o])
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_finite(float.__repr__(o)))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        text = _float_items(o, inner)
+        if text is not None:
+            out.append("[" + inner + text)
+        else:
+            sep = "[" + inner
+            for v in o:
+                out.append(sep)
+                _encode(v, inner, out)
+                sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            out.append(sep + encode_basestring_ascii(k) + ": ")  # TypeError unless str
+            _encode(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
 def _trichotomy_evidence(m: MapModel, cycle: Cycle, graph: RayGraph, horizon: int) -> dict:

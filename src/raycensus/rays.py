@@ -227,9 +227,10 @@ def _psi_batch(c: complex, shifts: np.ndarray,
     hit = np.zeros(len(w), dtype=np.int8)
     for j in range(shifts.shape[1] - 1, -1, -1):
         u = w - c
-        event = np.where(u == 0, _HIT_SINGULAR,
-                         np.where((u.imag == 0.0) & (u.real < 0.0), _HIT_CUT, _NO_HIT))
-        hit = np.where(hit == _NO_HIT, event, hit)
+        off = (u.imag == 0.0) & (u.real <= 0.0)  # at the singular value or on the cut
+        if off.any():
+            event = np.where(u.real == 0.0, _HIT_SINGULAR, _HIT_CUT)
+            hit = np.where(off & (hit == _NO_HIT), event, hit)
         w = np.log(u) + shifts[:, j]
     return w, hit
 
@@ -332,25 +333,31 @@ def landing_table(m: MapModel, window: int, periods,
 # ---------------------------------------------------------------------------
 # tracing
 
-def ladder_descend(m: MapModel, s: InfiniteAddress, t: float,
-                   depth: int) -> list[complex]:
-    """Pullback chain of the ladder seed at potential t, deepest point first.
+def _ladder_start(t: float, depth: int) -> tuple[float, int]:
+    """Height u and pullback count j of the ladder seed of potential t.
 
-    Returns [z, f(z), f^2(z), ...] up to the seed (exact to round-off, since
-    the chain is built backwards through the inverse branches); z is the hair
-    sample at potential t.  The flow is F(u) = e^u - 1, climbed until the cap
-    (or depth); truncating at the cap costs O(e^-cap), far below roundoff.
+    The flow is F(u) = e^u - 1, climbed from t until the cap (or depth);
+    truncating at the cap costs O(e^-cap), far below roundoff.  j depends on
+    t and depth only, so every address shares it at one potential.
     """
     u = t
     j = 0
     while u <= _LADDER_CAP and j < depth:
         u = math.exp(u) - 1.0
         j += 1
+    return u, j
+
+
+def ladder_descend(m: MapModel, s: InfiniteAddress, t: float,
+                   depth: int) -> list[complex]:
+    """Pullback chain of the ladder seed at potential t, deepest point first.
+
+    Returns [z, f(z), f^2(z), ...] up to the seed (exact to round-off, since
+    the chain is built backwards through the inverse branches); z is the hair
+    sample at potential t.
+    """
+    u, j = _ladder_start(t, depth)
     return pullback_sequence(m, s, complex(u, TWO_PI * s.entry(j)), j)[::-1]
-
-
-def _ladder_sample(m: MapModel, s: InfiniteAddress, t: float, depth: int) -> complex:
-    return ladder_descend(m, s, t, depth)[0]
 
 
 def sweep_hair(m: MapModel, s: InfiniteAddress, depth: int = 60,
@@ -361,6 +368,7 @@ def sweep_hair(m: MapModel, s: InfiniteAddress, depth: int = 60,
 
     Covers the curve from deep pullbacks (t_lo near 0) out to the seed
     height t_hi; f(sample(t)) equals the shifted-address sample at e^t - 1.
+    The samples of one ladder depth are pulled back in one _psi_batch pass.
     """
     if t_hi is None:
         t_hi = m.truncation + 10.0
@@ -371,11 +379,20 @@ def sweep_hair(m: MapModel, s: InfiniteAddress, depth: int = 60,
     if depth < 0:
         raise ValueError("depth must be >= 0")
     ratio = (t_hi / t_lo) ** (1.0 / (samples - 1))
-    pts: list[tuple[float, complex]] = []
-    for i in range(samples):
-        t = t_lo * ratio**i
-        pts.append((t, _ladder_sample(m, s, t, depth)))
-    return pts
+    ts = [t_lo * ratio**i for i in range(samples)]
+    us, js = map(np.array, zip(*(_ladder_start(t, depth) for t in ts)))
+    shifts = 1j * (TWO_PI * np.array([s.entry(i) for i in range(js.max() + 1)]))
+    z = np.empty(samples, dtype=complex)
+    hit = np.empty(samples, dtype=np.int8)
+    with np.errstate(all="ignore"):
+        for j in np.unique(js).tolist():
+            rows = np.flatnonzero(js == j)
+            z[rows], hit[rows] = _psi_batch(m.c, np.broadcast_to(shifts[:j], (rows.size, j)),
+                                            us[rows] + shifts[j])
+    for i in np.flatnonzero(hit).tolist():
+        # the scalar chain raises the hit as SingularValueHit
+        z[i] = ladder_descend(m, s, ts[i], depth)[0]
+    return list(zip(ts, z.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ import numpy as np
 
 from .addresses import InfiniteAddress
 from .cycles import Box, Cycle, _check_box
-from .exponential import MapModel, SingularValueHit, is_escaped
-from .rays import _ladder_sample, landing_table
+from .exponential import TWO_PI, MapModel, is_escaped
+from .rays import _NO_HIT, _ladder_start, _psi_batch, landing_table
 
 SNAP_TOL = 1e-9
 ARC_LAND_TOL = 1e-6  # a traced arc ends once it comes this close to its landing point
@@ -370,20 +370,47 @@ class RayGraph:
         }
 
 
-def _arc_polyline(m: MapModel, s: InfiniteAddress, z0: complex,
-                  depth: int) -> list[complex] | None:
-    pts: list[complex] = []
+def _trace_arcs(m: MapModel, entries: np.ndarray, points: np.ndarray,
+                depth: int) -> list[list[complex] | str | None]:
+    """Polyline of each ray to its landing point, or why it has none.
+
+    Ray i has the address entries entries[i, :depth + 1] and lands at
+    points[i]; a ray whose point is nan did not land and is not traced
+    (None).  A ray is sampled at potentials t = truncation + 10, shrinking
+    by _ARC_RATIO, until a sample lies within ARC_LAND_TOL of its landing
+    point.  The ladder depth of a sample depends on t only, so each t pulls
+    back the rays still open in one _psi_batch pass.  A ray whose pullback
+    meets the singular value or the cut is "singular-hit"; one still open
+    after _ARC_MAX_SAMPLES samples is "trace-not-converged".
+    """
+    shifts = 1j * (TWO_PI * entries)
+    rows = np.flatnonzero(~np.isnan(points))
+    out: list[list[complex] | str | None] = [None] * len(points)
+    for i in rows.tolist():
+        out[i] = "trace-not-converged"
+    samples: list[list[complex]] = [[] for _ in out]
     t = m.truncation + 10.0
-    for _ in range(_ARC_MAX_SAMPLES):
-        z = _ladder_sample(m, s, t, depth)
-        pts.append(z)
-        if abs(z - z0) <= ARC_LAND_TOL:
-            pts.reverse()
-            out = [z0] + ([] if pts[0] == z0 else pts)
-            out.append(complex(_X_FAR, out[-1].imag))
-            return out
-        t *= _ARC_RATIO
-    return None
+    with np.errstate(all="ignore"):
+        for _ in range(_ARC_MAX_SAMPLES):
+            if not rows.size:
+                break
+            u, j = _ladder_start(t, depth)
+            z, hit = _psi_batch(m.c, shifts[rows, :j], u + shifts[rows, j])
+            for i in rows[hit != _NO_HIT].tolist():
+                out[i] = "singular-hit"
+            ok = hit == _NO_HIT
+            rows, z = rows[ok], z[ok]
+            for i, v in zip(rows.tolist(), z.tolist()):
+                samples[i].append(v)
+            landed = np.abs(z - points[rows]) <= ARC_LAND_TOL
+            for i in rows[landed].tolist():
+                z0, pts = complex(points[i]), samples[i][::-1]
+                poly = [z0] + ([] if pts[0] == z0 else pts)
+                poly.append(complex(_X_FAR, poly[-1].imag))
+                out[i] = poly
+            rows = rows[~landed]
+            t *= _ARC_RATIO
+    return out
 
 
 def _check_graph_limits(window: int, depth: int, grid: int):
@@ -407,22 +434,19 @@ def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
     _check_box(box)
     arcs: list[Arc] = []
     failures: list[tuple[InfiniteAddress, str]] = []
-    table = landing_table(m, window, [d for d in range(1, p + 1) if p % d == 0])
-    landings = [(row.address(i), row.result(i)) for row in table.values()
-                for i in range(len(row.words))]
-    for s, res in landings:
+    tables = landing_table(m, window, [d for d in range(1, p + 1) if p % d == 0]).values()
+    cols = np.arange(depth + 1)
+    traces = _trace_arcs(m, np.concatenate([row.words[:, cols % row.words.shape[1]]
+                                            for row in tables]),
+                         np.concatenate([row.points for row in tables]), depth)
+    landings = [(row.address(i), row.result(i)) for row in tables for i in range(len(row.words))]
+    for (s, res), trace in zip(landings, traces):
         if not res.landed:
             failures.append((s, res.status))
-            continue
-        try:
-            poly = _arc_polyline(m, s, res.point, depth)
-        except SingularValueHit:
-            failures.append((s, "singular-hit"))
-            continue
-        if poly is None:
-            failures.append((s, "trace-not-converged"))
-            continue
-        arcs.append(Arc(address=s, vertices=poly, landing=res.point))
+        elif isinstance(trace, str):
+            failures.append((s, trace))
+        else:
+            arcs.append(Arc(address=s, vertices=trace, landing=res.point))
 
     segs = [ab for arc in arcs for ab in zip(arc.vertices, arc.vertices[1:])]
     graph = RayGraph(map=m, p=p, window=window, depth=depth, box=box,

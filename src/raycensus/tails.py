@@ -58,7 +58,7 @@ class TailContext:
     # they depend only on the fields above, which is why the context is frozen
     _image_grids: dict[tuple[int, int], tuple[complex, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _tail1_witness: dict[int, bool | OnArcError] = field(
+    _tail1_witness: dict[int, bool | OnArcError | PointLocationError] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _pullbacks: dict[tuple, tuple[int, list[complex | SingularValueHit]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -359,11 +359,13 @@ def tail_exists(ctx: TailContext, s: InfiniteAddress, n: int) -> TailAddressReco
     if last not in ctx._tail1_witness:
         try:
             ctx._tail1_witness[last] = tail1_membership(ctx, last, w1)
-        except OnArcError as exc:
+        except (OnArcError, PointLocationError) as exc:
             ctx._tail1_witness[last] = exc.with_traceback(None)
     accepted = ctx._tail1_witness[last]
     if isinstance(accepted, OnArcError):
         return TailAddressRecord(labels, False, reason="on-arc")
+    if isinstance(accepted, PointLocationError):
+        return TailAddressRecord(labels, False, reason="no-region")
     if not accepted:
         return TailAddressRecord(labels, False, reason="no-tail1-witness")
     witness = _pull_back(ctx, ("witness",), s, len(labels) - 1, [w1])[0]

@@ -1,8 +1,10 @@
 import cmath
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
@@ -386,3 +388,61 @@ class TestDeterminism:
     def test_dumps_canonical_rejects_nan(self):
         with pytest.raises(ValueError):
             dumps_canonical({"x": float("nan")})
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+numbers = finite | finite.map(np.float64)
+pair = st.tuples(numbers, numbers)
+leaves = (st.none() | st.booleans() | st.integers() | numbers | st.text()
+          | st.lists(numbers, max_size=400) | st.lists(pair.map(list) | pair, max_size=60))
+keys = st.text() | st.integers() | finite | st.booleans() | st.none()
+documents = st.recursive(
+    leaves, lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=5).map(tuple)
+                          | st.dictionaries(keys, kids, max_size=5)), max_leaves=25)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan),
+                              np.float64(-math.inf)])
+
+
+def json_outcome(fn, doc):
+    """The text fn writes for doc, or the type and message of its ValueError."""
+    try:
+        return fn(doc)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestCanonicalWriter:
+    """dumps_canonical is json.dumps(doc, indent=2, allow_nan=False), byte for byte."""
+
+    @settings(deadline=None)
+    @given(documents)
+    def test_equals_json_dumps(self, doc):
+        assert dumps_canonical(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+    @settings(deadline=None)
+    @given(st.lists(pair.map(list), min_size=1, max_size=60), non_finite, st.data())
+    def test_non_finite_in_a_pair_list_raises(self, pairs, bad, data):
+        i, k = data.draw(st.integers(0, len(pairs) - 1)), data.draw(st.integers(0, 1))
+        pairs[i][k] = bad
+        doc = {"arcs": [{"polyline": pairs}]}
+        want = json_outcome(lambda d: json.dumps(d, indent=2, allow_nan=False), doc)
+        assert want[0] is ValueError
+        assert json_outcome(dumps_canonical, doc) == want
+
+    @settings(deadline=None)
+    @given(documents, non_finite, st.data())
+    def test_non_finite_anywhere_raises(self, doc, bad, data):
+        doc = [doc, data.draw(st.sampled_from([
+            bad, [1.0, bad], [[bad, 2.0]], {"x": bad}, {bad: 1}, (0.5, bad)]))]
+        want = json_outcome(lambda d: json.dumps(d, indent=2, allow_nan=False), doc)
+        assert want[0] is ValueError
+        assert json_outcome(dumps_canonical, doc) == want
+
+    def test_other_json_errors_are_json_dumps_errors(self):
+        circular = []
+        circular.append(circular)
+        for doc in (circular, {"a": np.arange(3)}, {(1, 2): 3}, [np.int64(1)]):
+            with pytest.raises((TypeError, ValueError)) as ours:
+                dumps_canonical(doc)
+            with pytest.raises(type(ours.value), match=re.escape(str(ours.value))):
+                json.dumps(doc, indent=2, allow_nan=False)

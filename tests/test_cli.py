@@ -1,8 +1,10 @@
+import ast
 import csv
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -421,3 +423,20 @@ class TestInProcessMain:
             outcomes.append((code, *capsys.readouterr()))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 0 and outcomes[0][2] == ""
+
+
+def test_cli_import_loads_no_heavy_module():
+    # the benchmark's setup time is a fresh interpreter importing numpy and
+    # raycensus.cli; the package must add no numpy submodule and no heavy
+    # standard or third-party module to it
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy; "
+            "before = set(sys.modules); import raycensus.cli; "
+            "print(sorted(set(sys.modules) - before)); print(sorted(sys.modules))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         timeout=60, check=True)
+    added, loaded = (ast.literal_eval(line) for line in run.stdout.splitlines())
+    assert "raycensus.cli" in added
+    assert [name for name in added if name.split(".")[0] == "numpy"] == []
+    assert [name for name in ("decimal", "concurrent.futures", "scipy", "mpmath")
+            if name in loaded] == []

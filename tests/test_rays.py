@@ -36,6 +36,9 @@ from raycensus.rays import (
 M2 = MapModel(c=-2)
 ZERO = parse_address("0")
 
+theta = (math.sqrt(5) - 1) / 2
+SIEGEL_C = 2j * math.pi * theta - cmath.exp(2j * math.pi * theta)
+
 # frozen oracle values (Newton on e^z - 2 - z and branch iteration; see
 # test-local oracles below for their computation)
 FIX_REPELLING = 1.1461932206205825
@@ -362,6 +365,30 @@ class TestTraceRay:
             z = ladder_descend(M2, s, t, 60)[0]
             w = ladder_descend(M2, sa, math.exp(t) - 1.0, 60)[0]
             assert abs(evaluate(M2, z) - w) < 1e-10
+
+    @pytest.mark.parametrize("c", [-2, complex(-1, 0.3), SIEGEL_C])
+    @pytest.mark.parametrize("text, depth, t_lo, t_hi", [
+        ("0", 60, 1e-3, 200.0), ("1,-1,0", 60, 1e-5, 1e3), ("0,1", 40, 0.05, 50.0),
+        ("2,0,1", 3, 1e-3, 200.0), ("-1", 0, 1.0, 10.0)])
+    def test_sweep_matches_ladder_descend(self, c, text, depth, t_lo, t_hi):
+        # samples of each ladder depth are pulled back in one numpy pass;
+        # numpy's complex log may differ from cmath.log in the last bits
+        m, s = MapModel(c=c), parse_address(text)
+        samples = sweep_hair(m, s, depth=depth, t_lo=t_lo, t_hi=t_hi, samples=90)
+        ratio = (t_hi / t_lo) ** (1.0 / 89)
+        assert [t for t, _ in samples] == [t_lo * ratio**i for i in range(90)]
+        for t, z in samples:
+            want = ladder_descend(m, s, t, depth)[0]
+            assert abs(z - want) <= 8 * sys.float_info.epsilon * max(1.0, abs(want))
+
+    def test_sweep_raises_the_scalar_hit(self):
+        # at c = 0 the ray 0 runs along the real axis into the cut
+        m = MapModel(c=0)
+        with pytest.raises(SingularValueHit) as scalar:
+            ladder_descend(m, ZERO, 0.01, 60)
+        with pytest.raises(SingularValueHit) as batched:
+            sweep_hair(m, ZERO, depth=60, t_lo=0.01, t_hi=100.0, samples=50)
+        assert str(batched.value) == str(scalar.value) and batched.value.on_cut
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, strategies as st
 from raycensus import regions
 from raycensus.addresses import parse_address
 from raycensus.cycles import find_cycles
-from raycensus.exponential import MapModel, evaluate
+from raycensus.exponential import MapModel, SingularValueHit, evaluate
+from raycensus.rays import ladder_descend
 from raycensus.regions import (
     LOCATED,
     NO_REGION,
@@ -329,6 +331,95 @@ class TestBuild:
                 d = min(abs(a - b) for a in arcs[i].vertices[:40:2]
                         for b in arcs[j].vertices[:40:2])
                 assert d > 1e-3
+
+
+def scalar_arc(m, s, z0, depth):
+    """Polyline of ray s to z0, or its failure: one ladder_descend chain per
+    sample, the scalar form of the batched arc tracer of build_ray_graph."""
+    pts = []
+    t = m.truncation + 10.0
+    for _ in range(regions._ARC_MAX_SAMPLES):
+        try:
+            z = ladder_descend(m, s, t, depth)[0]
+        except SingularValueHit:
+            return "singular-hit"
+        pts.append(z)
+        if abs(z - z0) <= regions.ARC_LAND_TOL:
+            pts.reverse()
+            out = [z0] + ([] if pts[0] == z0 else pts)
+            out.append(complex(regions._X_FAR, out[-1].imag))
+            return out
+        t *= regions._ARC_RATIO
+    return "trace-not-converged"
+
+
+def scalar_arcs_and_failures(m, p, window, depth):
+    """(address, polyline) of each arc and (address, status) of each failure,
+    in the order build_ray_graph lists them, traced by scalar_arc."""
+    table = regions.landing_table(m, window, [d for d in range(1, p + 1) if p % d == 0])
+    arcs, failures = [], []
+    for row in table.values():
+        for i in range(len(row.words)):
+            s, res = row.address(i), row.result(i)
+            trace = scalar_arc(m, s, res.point, depth) if res.landed else res.status
+            if isinstance(trace, str):
+                failures.append((s, trace))
+            else:
+                arcs.append((s, trace))
+    return arcs, failures
+
+
+#: the batched arc pullback uses numpy's complex log, the scalar chain
+#: cmath.log; the two may differ in the last bits, and the contracting
+#: pullback keeps that a few ulps of the vertex
+ARC_ULPS = 8
+
+
+def assert_same_graph_arcs(m, p, window, depth=40):
+    want_arcs, want_failures = scalar_arcs_and_failures(m, p, window, depth)
+    g = build_ray_graph(m, p, window, depth=depth, box=BOX, grid=3)
+    assert g.failures == want_failures
+    assert [arc.address for arc in g.arcs] == [s for s, _ in want_arcs]
+    for arc, (_, want) in zip(g.arcs, want_arcs):
+        assert len(arc.vertices) == len(want)
+        assert arc.vertices[0] == arc.landing == want[0]
+        got, ref = np.array(arc.vertices), np.array(want)
+        assert np.all(np.abs(got - ref) <= ARC_ULPS * sys.float_info.epsilon
+                      * np.maximum(1.0, np.abs(ref)))
+    return g
+
+
+class TestBatchedArcs:
+    @pytest.mark.parametrize("c", [-2, complex(-1, 0.3), SIEGEL_C])
+    @pytest.mark.parametrize("p, window", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_arcs_match_scalar_chains(self, c, p, window):
+        assert_same_graph_arcs(MapModel(c=c), p, window)
+
+    def test_singular_hit_arc(self, monkeypatch):
+        # at c = 0 the ray 0 runs along the real axis into the cut, so its
+        # landing fails; reported landed, its trace meets the cut instead
+        table = regions.landing_table
+
+        def all_landed(*args, **kwargs):
+            out = table(*args, **kwargs)
+            for row in out.values():
+                failed = ~row.landed
+                row.points[failed] = 0.5
+                row.multipliers[failed] = 2.0
+                row.status[failed] = 0
+            return out
+
+        monkeypatch.setattr(regions, "landing_table", all_landed)
+        assert scalar_arc(MapModel(c=0), parse_address("0"), 0.5, 40) == "singular-hit"
+        g = assert_same_graph_arcs(MapModel(c=0), 1, 1)
+        assert g.failures == [(parse_address("0"), "singular-hit")]
+        assert len(g.arcs) == 2
+
+    def test_trace_not_converged_arc(self, monkeypatch):
+        monkeypatch.setattr(regions, "_ARC_MAX_SAMPLES", 28)
+        g = assert_same_graph_arcs(M2, 3, 2)
+        assert {status for _, status in g.failures} == {"trace-not-converged"}
+        assert g.arcs
 
 
 class TestPointLocation:
