@@ -62,13 +62,6 @@ class LandingResult:
         return self.status == "landed"
 
 
-def apply_branches(m: MapModel, labels: tuple[int, ...], w: complex) -> complex:
-    """L_{labels[0]} o ... o L_{labels[-1]} applied to w (rightmost first)."""
-    for k in reversed(labels):
-        w = inverse_branch(m, w, k)
-    return w
-
-
 def pullback_sequence(m: MapModel, s: InfiniteAddress, zeta: complex,
                       steps: int) -> list[complex]:
     """[zeta, L_{s_{k}}..L_{s_0}-style partial pullbacks] of length steps+1.

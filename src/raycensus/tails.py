@@ -20,14 +20,13 @@ from .cycles import Cycle, _in_box
 from .exponential import (
     TWO_PI,
     MapModel,
-    SingularValueHit,
     evaluate,
     in_fundamental_domain_exact,
     is_escaped,
     singular_values,
     strip_of,
 )
-from .rays import ESCAPE_THRESHOLD, apply_branches
+from .rays import ESCAPE_THRESHOLD, _HIT_CUT, _HIT_SINGULAR, _NO_HIT, _psi_batch
 from .regions import ON_ARC, OnArcError, PointLocationError, RayGraph
 
 DEFAULT_HORIZON = 1000
@@ -60,7 +59,7 @@ class TailContext:
         default_factory=dict, init=False, repr=False, compare=False)
     _tail1_witness: dict[int, bool | OnArcError | PointLocationError] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _pullbacks: dict[tuple, tuple[int, list[complex | SingularValueHit]]] = field(
+    _pullbacks: dict[tuple, tuple[int, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -312,35 +311,30 @@ def tail_membership(ctx: TailContext, address: tuple[int, ...], z: complex) -> b
 
 
 def _pull_back(ctx: TailContext, key: tuple, s: InfiniteAddress, depth: int,
-               start: Sequence[complex]) -> list[complex | SingularValueHit]:
-    """Every point of `start` pulled back along s.prefix(depth), or the
-    SingularValueHit that stopped it.
+               start: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """Every point of `start` pulled back along s.prefix(depth) in one
+    _psi_batch pass, and per point the code of the first singular value
+    (_HIT_SINGULAR) or branch cut (_HIT_CUT) it met, or _NO_HIT.
 
     For a purely periodic s of period P the newest result is kept on the
     context per key and residue of depth mod P, so callers pass the same
     `start` for every depth of one slot.  A kept depth d0 <= depth is
     continued along s.prefix(depth - d0): the last d0 entries of
     s.prefix(depth) are s.prefix(d0) and branches apply rightmost first, so
-    the inverse_branch calls are the same, in the same order, and a point
-    that hit a singular value at d0 hits it again.  Other addresses start
-    from scratch.
+    the branch steps are the same, in the same order, and a point keeps the
+    code of its first hit.  Other addresses start from scratch.
     """
     slot = None if s.preperiod else (key, s, depth % len(s.period))
-    done, points = ctx._pullbacks.get(slot, (0, start))
+    done, points, hits = ctx._pullbacks.get(slot, (0, start, _NO_HIT))
     if done > depth:
-        done, points = 0, start
-    labels = s.prefix(depth - done)
-    out: list[complex | SingularValueHit] = []
-    for q in points:
-        if not isinstance(q, SingularValueHit):
-            try:
-                q = apply_branches(ctx.map, labels, q)
-            except SingularValueHit as exc:
-                q = exc.with_traceback(None)
-        out.append(q)
+        done, points, hits = 0, start, _NO_HIT
+    shifts = 1j * (TWO_PI * np.array([s.prefix(depth - done)]))
+    with np.errstate(all="ignore"):  # a row that hit goes on as inf or nan
+        points, new = _psi_batch(ctx.map.c, shifts, np.asarray(points, dtype=complex))
+    hits = np.where(hits != _NO_HIT, hits, new)
     if slot is not None:
-        ctx._pullbacks[slot] = (depth, out)
-    return out
+        ctx._pullbacks[slot] = (depth, points, hits)
+    return points, hits
 
 
 def tail_exists(ctx: TailContext, s: InfiniteAddress, n: int) -> TailAddressRecord:
@@ -368,10 +362,12 @@ def tail_exists(ctx: TailContext, s: InfiniteAddress, n: int) -> TailAddressReco
         return TailAddressRecord(labels, False, reason="no-region")
     if not accepted:
         return TailAddressRecord(labels, False, reason="no-tail1-witness")
-    witness = _pull_back(ctx, ("witness",), s, len(labels) - 1, [w1])[0]
-    if isinstance(witness, SingularValueHit):
-        return TailAddressRecord(labels, False,
-                                 reason="singular-hit" if not witness.on_cut else "cut-hit")
+    points, hits = _pull_back(ctx, ("witness",), s, len(labels) - 1, [w1])
+    if hits[0] == _HIT_SINGULAR:
+        return TailAddressRecord(labels, False, reason="singular-hit")
+    if hits[0] == _HIT_CUT:
+        return TailAddressRecord(labels, False, reason="cut-hit")
+    witness = complex(points[0])
     try:
         ok = tail_membership(ctx, labels, witness)
     except OnArcError:
@@ -421,8 +417,8 @@ def _piece_points(ctx: TailContext, s: InfiniteAddress, n: int,
     key = (s.entry(mn), samples)
     if key not in ctx._image_grids:
         ctx._image_grids[key] = _piece_image_samples(ctx, *key)
-    pulled = _pull_back(ctx, ("piece", samples), s, mn, ctx._image_grids[key])
-    return [w for w in pulled if not isinstance(w, SingularValueHit)]
+    points, hits = _pull_back(ctx, ("piece", samples), s, mn, ctx._image_grids[key])
+    return points[hits == _NO_HIT].tolist()
 
 
 def piece_diameter(ctx: TailContext, s: InfiniteAddress, n: int,
@@ -431,7 +427,12 @@ def piece_diameter(ctx: TailContext, s: InfiniteAddress, n: int,
 
     The largest pairwise distance is taken over each unordered pair once,
     in rows of about _PAIR_CAP pairs at a time, so memory stays flat in the
-    number of samples (|a - b| and |b - a| are the same float).
+    number of samples (|a - b| and |b - a| are the same float).  Only points
+    that can end a longest pair take part: with rho the distance to the
+    mean and R its maximum, a longest pair p, q has |p - q| <= rho_p + R,
+    and `lower` is one pair distance, so a point with rho + R below it (less
+    a slack far above the rounding of the three terms) ends no longest
+    pair.  On a circle around the mean no point is dropped.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -439,6 +440,9 @@ def piece_diameter(ctx: TailContext, s: InfiniteAddress, n: int,
     if not cloud:
         return PieceEstimate(0.0, 0, empty=True)
     arr = np.array(cloud)
+    rho = np.abs(arr - arr.mean())
+    lower = np.abs(arr - arr[rho.argmax()]).max()
+    arr = arr[rho + rho.max() >= lower * (1.0 - 1e-12)]
     step = max(1, _PAIR_CAP // len(arr))
     diameter = np.max([np.abs(arr[lo:lo + step, None] - arr[None, lo:]).max()
                        for lo in range(0, len(arr), step)])

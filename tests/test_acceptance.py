@@ -24,7 +24,7 @@ from raycensus.addresses import (
 )
 from raycensus.census import audit
 from raycensus.cycles import find_cycles
-from raycensus.exponential import TWO_PI, MapModel, evaluate
+from raycensus.exponential import TWO_PI, MapModel, evaluate, inverse_branch
 from raycensus.rays import (
     default_seed,
     ladder_descend,
@@ -100,13 +100,14 @@ def tail_witness_sequence(m, s, depth):
     witness_n = L_{s_0} .. L_{s_{n-2}} (x_w + 2 pi i s_{n-1}); convergence of
     this sequence is the tail-side characterization of landing.
     """
-    import raycensus.rays as rays
     x_w = m.seed_potential + 1.0
     out = []
     for n in range(1, depth + 1):
         labels = tuple(s.entry(i) for i in range(n))
         w = complex(x_w, TWO_PI * labels[-1])
-        out.append(rays.apply_branches(m, labels[:-1], w))
+        for k in reversed(labels[:-1]):  # rightmost branch first
+            w = inverse_branch(m, w, k)
+        out.append(w)
     return out
 
 

@@ -21,7 +21,6 @@ from raycensus.rays import (
     ESCAPE_THRESHOLD,
     LandingResult,
     RoundTripError,
-    apply_branches,
     default_seed,
     ladder_descend,
     land_periodic,
@@ -58,6 +57,15 @@ def newton_fixed_point(c, z, p=1, iters=60):
     return z
 
 
+def branches(m, labels, w):
+    """L_{labels[0]} o ... o L_{labels[-1]} applied to w (rightmost first),
+    one rays.inverse_branch call per label, looked up at each call so that
+    a patched branch applies."""
+    for k in reversed(labels):
+        w = rays.inverse_branch(m, w, k)
+    return w
+
+
 class TestPullback:
     def test_single_step(self):
         assert abs(pullback_sequence(M2, ZERO, 10, 1)[-1] - math.log(12)) < 1e-14
@@ -77,7 +85,7 @@ class TestPullback:
         zeta = complex(50, 2 * math.pi)
         for n in range(4):
             rhs = pullback_sequence(M2, shift_by(s, 2), zeta, 2 * n)[-1]
-            rhs = apply_branches(M2, (s.entry(0), s.entry(1)), rhs)
+            rhs = branches(M2, (s.entry(0), s.entry(1)), rhs)
             seq = pullback_sequence(M2, s, zeta, 2 * n + 2)
             verify_pullback_roundtrip(M2, seq)
             assert abs(seq[-1] - rhs) < 1e-9 * max(1.0, abs(seq[-1]))
@@ -185,7 +193,7 @@ def scalar_landing(m, s, tol=DEFAULT_LANDING_TOL, max_iter=DEFAULT_MAX_ITER):
     labels = tuple(s.entry(i) for i in range(p))
     for it in range(1, max_iter + 1):
         try:
-            w_next = apply_branches(m, labels, w)
+            w_next = branches(m, labels, w)
         except SingularValueHit as exc:
             return LandingResult("singular-hit", iterations=it,
                                  detail="cut" if exc.on_cut else "singular-value")
@@ -200,7 +208,7 @@ def scalar_landing(m, s, tol=DEFAULT_LANDING_TOL, max_iter=DEFAULT_MAX_ITER):
 
     z0 = complex(rays._newton_polish(m.c, np.array([w]), p, tol)[0])
     try:
-        psi_z0 = apply_branches(m, labels, z0)
+        psi_z0 = branches(m, labels, z0)
     except SingularValueHit as exc:
         return LandingResult("singular-hit", iterations=it,
                              detail="cut" if exc.on_cut else "singular-value")

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from raycensus import rays, tails
 from raycensus.addresses import InfiniteAddress, parse_address, project, shift_by
@@ -18,7 +19,6 @@ from raycensus.exponential import (
 )
 from raycensus.rays import (
     ESCAPE_THRESHOLD,
-    apply_branches,
     ladder_descend,
     landing_point,
     pullback_sequence,
@@ -44,6 +44,7 @@ from raycensus.tails import (
     tail_exists,
     tail_membership,
 )
+from test_rays import branches
 
 M2 = MapModel(c=-2)
 BOX = (-3.0, 3.0, -7.0, 7.0)
@@ -672,7 +673,7 @@ def ref_piece_points(ctx, s, n, samples, grids):
     points = []
     for q in grids[key]:
         try:
-            points.append(apply_branches(ctx.map, labels, q))
+            points.append(branches(ctx.map, labels, q))
         except SingularValueHit:
             pass
     return points
@@ -691,7 +692,7 @@ def ref_tail_exists(ctx, s, n):
     except PointLocationError:
         return tails.TailAddressRecord(labels, False, reason="no-region")
     try:
-        witness = apply_branches(ctx.map, labels[:-1], w1)
+        witness = branches(ctx.map, labels[:-1], w1)
     except SingularValueHit as exc:
         return tails.TailAddressRecord(labels, False,
                                        reason="singular-hit" if not exc.on_cut else "cut-hit")
@@ -730,16 +731,28 @@ def wide_ctx(ctx):
 
 
 def stand_in_singular_values(monkeypatch, on_cut=False):
-    """inverse_branch raises SingularValueHit on the half-plane Re w < 1.3,
-    which pull-backs along address 0 at c = -2 reach after a few steps."""
-    branch = rays.inverse_branch
+    """Every branch step from the half-plane Re w < 1.3, which pull-backs
+    along address 0 at c = -2 reach after a few steps, hits: the batched
+    step of tails records the hit code, and the scalar inverse_branch of
+    the references raises SingularValueHit."""
+    branch, batch = rays.inverse_branch, tails._psi_batch
+    code = tails._HIT_CUT if on_cut else tails._HIT_SINGULAR
 
     def guarded(m, w, k):
         if w.real < 1.3:
             raise SingularValueHit(w, on_cut=on_cut)
         return branch(m, w, k)
 
+    def guarded_batch(c, shifts, w):
+        hit = np.zeros(len(w), dtype=np.int8)
+        for j in range(shifts.shape[1] - 1, -1, -1):
+            hit = np.where(hit != 0, hit, np.where(w.real < 1.3, code, 0))
+            w, new = batch(c, shifts[:, j:j + 1], w)
+            hit = np.where(hit != 0, hit, new)
+        return w, hit
+
     monkeypatch.setattr(rays, "inverse_branch", guarded)
+    monkeypatch.setattr(tails, "_psi_batch", guarded_batch)
 
 
 class TestIncrementalPullBack:
@@ -777,7 +790,7 @@ class TestIncrementalPullBack:
         for n in range(1, 12):
             piece_diameter(warm, ZERO, n, samples=8)
             piece_diameter(warm, parse_address("0,1"), n, samples=8)
-        depths = sorted(depth for depth, _ in warm._pullbacks.values())
+        depths = sorted(depth for depth, *_ in warm._pullbacks.values())
         assert depths == [10, 11, 11]  # 0 once, 0,1 once per residue
 
     def test_singular_hits_stay_excluded(self, ctx, monkeypatch):
@@ -789,8 +802,66 @@ class TestIncrementalPullBack:
         assert kept[0] == len(image_pts) and kept[-1] == 0
         assert any(0 < k < len(image_pts) for k in kept)
 
+    def test_real_hits_keep_their_first_code(self, ctx):
+        # no stand-in: a start point at c meets the singular value and one
+        # at c - 1 the branch cut; both stay hit at every later depth
+        warm = dataclasses.replace(ctx)
+        c = M2.c
+        start = [c, c - 1, complex(3.0, 0.5)]
+        for depth in range(1, 13):
+            points, hits = tails._pull_back(warm, ("test",), ZERO, depth, start)
+            assert hits.tolist() == [tails._HIT_SINGULAR, tails._HIT_CUT, 0]
+            assert complex(points[2]) == branches(M2, ZERO.prefix(depth), start[2])
+        with pytest.raises(SingularValueHit, match="singular value"):
+            branches(M2, ZERO.prefix(1), start[0])
+        with pytest.raises(SingularValueHit, match="branch cut"):
+            branches(M2, ZERO.prefix(1), start[1])
+
+    def test_shallower_depth_starts_from_scratch(self, ctx2):
+        warm = dataclasses.replace(ctx2)
+        s = parse_address("0,1")
+        start = [complex(4.0, 0.25), complex(3.0, -1.0), ctx2.map.c]
+        for depth in (10, 12, 4, 2, 0):
+            points, hits = tails._pull_back(warm, ("test",), s, depth, start)
+            want = [branches(ctx2.map, s.prefix(depth), w) for w in start[:2]]
+            assert points[:2].tolist() == want
+            assert hits.tolist() == [0, 0, tails._HIT_SINGULAR if depth else 0]
+
+
+def _circle(centre, radius, n):
+    return [centre + radius * complex(math.cos(a), math.sin(a))
+            for a in np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)]
+
+
+_coords = st.floats(-1e3, 1e3, allow_nan=False)
+_points = st.builds(complex, _coords, _coords)
+_clouds = st.one_of(
+    st.lists(_points, min_size=1, max_size=2),
+    st.lists(_points, min_size=1, max_size=40),
+    st.lists(_points, min_size=1, max_size=10).map(lambda ps: ps * 3),  # duplicates
+    st.builds(lambda a, d, ts: [a + t * d for t in ts], _points, _points,  # collinear
+              st.lists(_coords, min_size=1, max_size=30)),
+    st.builds(_circle, _points, st.floats(1e-6, 1e3), st.integers(1, 60)),
+    st.builds(lambda os, ds: [o + 1e-9 * d for o in os for d in ds],  # far clusters, ~10 ulps wide
+              st.lists(st.builds(complex, st.floats(-2e6, 2e6), st.floats(-2e6, 2e6)),
+                       min_size=1, max_size=3),
+              st.lists(st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)),
+                       min_size=1, max_size=15)),
+)
+
 
 class TestDiameterRows:
+    @given(_clouds)
+    def test_pruned_equals_all_pairs(self, cloud):
+        arr = np.array(cloud)
+        whole = float(np.abs(arr[:, None] - arr[None, :]).max())
+        for cap in (1, 7, 1 << 20):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tails, "_PAIR_CAP", cap)
+                patch.setattr(tails, "_piece_points", lambda *args: cloud)
+                est = piece_diameter(None, ZERO, 1)
+            assert (est.diameter, est.n_samples) == (whole, len(cloud))
+
     def test_rows_equal_one_matrix(self, ctx, monkeypatch):
         cloud = np.array(tails._piece_points(ctx, ZERO, 4, 16))
         assert len(cloud) > 100
