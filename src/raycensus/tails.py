@@ -251,21 +251,26 @@ def tail1_membership(ctx: TailContext, label: int, z: complex) -> bool:
     return _verdict(_tail1_verdicts(ctx, label, [z])[0])
 
 
-def _tail_verdicts(ctx: TailContext, address: tuple[int, ...], points: list[complex],
-                   lengths: tuple[int, ...]) -> list[list[bool | Exception]]:
-    """tail_membership(ctx, address[:n], z), or the error it raises, for
-    every length n in `lengths` and every point.
+def tail_membership(ctx: TailContext, address: tuple[int, ...], points: Sequence[complex],
+                    lengths: Sequence[int]) -> list[bool | Exception]:
+    """Per point k, whether it is in the level-n tail of address[:lengths[k]]
+    (length m(n-1)+1), or the location error the point-by-point walk meets.
 
-    Each orbit runs while it stays unescaped in the strips of the address
-    labels; those orbit points, the final ones of the level-1 tests
-    included, are located in one call and then read in order, so an error
-    is kept only where the scalar walk would meet it.
+    Forward images must follow the cycle's regions and the address labels
+    index by index, the final image passing the level-1 test.  Each orbit
+    runs while it stays unescaped in the strips of its labels.  All orbit
+    points, the final ones included, are located in one call and read in
+    order; the final points are tested per label.
     """
     mper = ctx.cycle.period
+    for n in lengths:
+        if not 1 <= n <= len(address) or (n - 1) % mper != 0:
+            raise ValueError(f"address length {n} is not m(n-1)+1 <= {len(address)} "
+                             f"for m={mper}")
     orbits = []
-    for w in points:
+    for w, n in zip(points, lengths, strict=True):
         orbit = [w]
-        for label in address[:max(lengths) - 1]:
+        for label in address[:n - 1]:
             if is_escaped(w) or strip_of(w) != label:
                 break
             w = evaluate(ctx.map, w)
@@ -273,41 +278,34 @@ def _tail_verdicts(ctx: TailContext, address: tuple[int, ...], points: list[comp
         orbits.append(orbit)
     located = ctx.graph.regions_near([w for orbit in orbits for w in orbit])
     ids, status = located[0].tolist(), located[2].tolist()
-    out = []
-    for n in lengths:
-        verdicts: list[bool | Exception] = [False] * len(points)
-        finals, owners, at = [], [], []
-        base = 0
-        for k, orbit in enumerate(orbits):
-            for i in range(min(len(orbit), n) - 1):
-                if ids[base + i] != ctx.b_regions[i % mper]:
-                    if ids[base + i] < 0:
-                        verdicts[k] = ctx.graph.location_error(orbit[i], status[base + i])
-                    break
-            else:
-                if len(orbit) >= n and not is_escaped(orbit[n - 1]):
-                    finals.append(orbit[n - 1])
-                    owners.append(k)
-                    at.append(base + n - 1)
-            base += len(orbit)
-        for k, verdict in zip(owners, _tail1_verdicts(ctx, address[n - 1], finals,
-                                                      tuple(a[at] for a in located))):
+    verdicts: list[bool | Exception] = [False] * len(orbits)
+    finals: dict[int, tuple[list[int], list[int]]] = {}  # label -> owners, flat indices
+    base = 0
+    for k, (orbit, n) in enumerate(zip(orbits, lengths)):
+        for i in range(len(orbit) - 1):
+            if ids[base + i] != ctx.b_regions[i % mper]:
+                if ids[base + i] < 0:
+                    verdicts[k] = ctx.graph.location_error(orbit[i], status[base + i])
+                break
+        else:
+            if len(orbit) == n and not is_escaped(orbit[-1]):
+                owners, at = finals.setdefault(address[n - 1], ([], []))
+                owners.append(k)
+                at.append(base + n - 1)
+        base += len(orbit)
+    for label, (owners, at) in finals.items():
+        tested = _tail1_verdicts(ctx, label, [orbits[k][-1] for k in owners],
+                                 tuple(a[at] for a in located))
+        for k, verdict in zip(owners, tested):
             verdicts[k] = verdict
-        out.append(verdicts)
-    return out
+    return verdicts
 
 
-def tail_membership(ctx: TailContext, address: tuple[int, ...], z: complex) -> bool:
-    """z in the level-n tail of the finite address (length m(n-1)+1).
-
-    Forward images must follow the cycle's regions and the address labels
-    index by index, with the final image passing the level-1 test.
-    """
-    mper = ctx.cycle.period
-    if (len(address) - 1) % mper != 0:
-        raise ValueError(f"address length {len(address)} is not m(n-1)+1 "
-                         f"for m={mper}")
-    return _verdict(_tail_verdicts(ctx, address, [z], (len(address),))[0][0])
+def _reason(verdict: bool | Exception, failed: str) -> str:
+    """The record reason of a membership verdict, "" where it holds."""
+    return ("on-arc" if isinstance(verdict, OnArcError) else
+            "no-region" if isinstance(verdict, PointLocationError) else
+            "" if verdict else failed)
 
 
 def _pull_back(ctx: TailContext, key: tuple, s: InfiniteAddress, depth: int,
@@ -337,45 +335,47 @@ def _pull_back(ctx: TailContext, key: tuple, s: InfiniteAddress, depth: int,
     return points, hits
 
 
-def tail_exists(ctx: TailContext, s: InfiniteAddress, n: int) -> TailAddressRecord:
-    """Pull a level-1 witness back along the address and verify membership.
+def tail_exists(ctx: TailContext, s: InfiniteAddress,
+                levels: Sequence[int]) -> list[TailAddressRecord]:
+    """Per level of `levels`, in the order given: a level-1 witness pulled
+    back along the address, and whether it is in the level-n tail.
 
-    The tau_1 witness of a label is tested once per context, and for a
-    purely periodic address the witness is pulled back from the newest
-    level of the same residue (_pull_back).
+    The levels are walked in increasing order.  The tau_1 witness of a
+    label is tested once per context, and for a purely periodic address the
+    witness is pulled back from the newest level of the same residue
+    (_pull_back).  The witnesses of all levels are then tested in one
+    tail_membership call.
     """
-    if n < 1:
+    if any(n < 1 for n in levels):
         raise ValueError("n must be >= 1")
-    labels = project(s, n, ctx.cycle.period)
-    last = labels[-1]
+    mper = ctx.cycle.period
+    address = project(s, max(levels, default=1), mper)
     x_w = max(ctx.map.seed_potential, ctx.r + 1.0)
-    w1 = complex(x_w, TWO_PI * last)
-    if last not in ctx._tail1_witness:
-        try:
-            ctx._tail1_witness[last] = tail1_membership(ctx, last, w1)
-        except (OnArcError, PointLocationError) as exc:
-            ctx._tail1_witness[last] = exc.with_traceback(None)
-    accepted = ctx._tail1_witness[last]
-    if isinstance(accepted, OnArcError):
-        return TailAddressRecord(labels, False, reason="on-arc")
-    if isinstance(accepted, PointLocationError):
-        return TailAddressRecord(labels, False, reason="no-region")
-    if not accepted:
-        return TailAddressRecord(labels, False, reason="no-tail1-witness")
-    points, hits = _pull_back(ctx, ("witness",), s, len(labels) - 1, [w1])
-    if hits[0] == _HIT_SINGULAR:
-        return TailAddressRecord(labels, False, reason="singular-hit")
-    if hits[0] == _HIT_CUT:
-        return TailAddressRecord(labels, False, reason="cut-hit")
-    witness = complex(points[0])
-    try:
-        ok = tail_membership(ctx, labels, witness)
-    except OnArcError:
-        return TailAddressRecord(labels, False, witness=witness, reason="on-arc")
-    except PointLocationError:
-        return TailAddressRecord(labels, False, witness=witness, reason="no-region")
-    return TailAddressRecord(labels, ok, witness=witness,
-                             reason="" if ok else "membership-failed")
+    records: dict[int, TailAddressRecord] = {}
+    tested: list[tuple[int, tuple[int, ...], complex]] = []  # level, labels, witness
+    for n in sorted(set(levels)):
+        labels = address[:mper * (n - 1) + 1]
+        last = labels[-1]
+        w1 = complex(x_w, TWO_PI * last)
+        if last not in ctx._tail1_witness:
+            try:
+                ctx._tail1_witness[last] = tail1_membership(ctx, last, w1)
+            except (OnArcError, PointLocationError) as exc:
+                ctx._tail1_witness[last] = exc.with_traceback(None)
+        reason = _reason(ctx._tail1_witness[last], "no-tail1-witness")
+        if not reason:
+            points, hits = _pull_back(ctx, ("witness",), s, len(labels) - 1, [w1])
+            reason = {_HIT_SINGULAR: "singular-hit", _HIT_CUT: "cut-hit"}.get(hits[0], "")
+        if reason:
+            records[n] = TailAddressRecord(labels, False, reason=reason)
+        else:
+            tested.append((n, labels, complex(points[0])))
+    verdicts = tail_membership(ctx, address, [w for *_, w in tested],
+                               [len(labels) for _, labels, _ in tested])
+    for (n, labels, witness), ok in zip(tested, verdicts):
+        reason = _reason(ok, "membership-failed")
+        records[n] = TailAddressRecord(labels, not reason, witness=witness, reason=reason)
+    return [records[n] for n in levels]
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +462,12 @@ def piece_mapping_check(ctx: TailContext, s: InfiniteAddress, j: int,
         images.append(w)
     inside = [w for w in images if not is_escaped(w)]
     address = project(shift_by(s, mper), j, mper)
-    in_hi, in_lo = _tail_verdicts(ctx, address, inside,
-                                  (len(address), len(address) - mper))
-    failed = len(images) - len(inside)
+    k = len(inside)
+    verdicts = tail_membership(ctx, address, inside * 2,
+                               [len(address)] * k + [len(address) - mper] * k)
+    failed = len(images) - k
     checked = failed
-    for hi, lo in zip(in_hi, in_lo):
+    for hi, lo in zip(verdicts[:k], verdicts[k:]):
         error = next((v for v in (hi, lo) if isinstance(v, Exception)), None)
         if isinstance(error, OnArcError):
             continue
@@ -490,8 +491,7 @@ def tail_diagnostics(ctx: TailContext, s: InfiniteAddress, max_level: int,
     """JSON-friendly per-level record: existence, witness, piece diameter."""
     _check_tail_limits(max_level, samples)
     out = []
-    for n in range(1, max_level + 1):
-        rec = tail_exists(ctx, s, n)
+    for n, rec in enumerate(tail_exists(ctx, s, range(1, max_level + 1)), 1):
         entry: dict = {
             "address": list(rec.address),
             "level": n,

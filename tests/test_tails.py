@@ -63,6 +63,15 @@ def ctx(graph_m2):
     return make_tail_context(M2, rep, graph_m2, horizon=1000)
 
 
+def scalar_tail_membership(ctx, address, z):
+    """tail_membership of one point against the whole address; the location
+    error of the walk is raised."""
+    verdict = tail_membership(ctx, address, [z], [len(address)])[0]
+    if isinstance(verdict, Exception):
+        raise verdict
+    return verdict
+
+
 class TestChooseRadius:
     def test_finite_radius_at_hyperbolic_parameter(self, graph_m2, ctx):
         res = choose_radius(M2, ctx.cycle, graph_m2, ctx.b_regions, 1000)
@@ -148,16 +157,16 @@ class TestTail1:
 class TestTailMembership:
     def test_level_one_reduces_to_tail1(self, ctx):
         z = 50 + 0j
-        assert tail_membership(ctx, (0,), z) == tail1_membership(ctx, 0, z)
+        assert scalar_tail_membership(ctx, (0,), z) == tail1_membership(ctx, 0, z)
 
     def test_level_two_pullback_witness(self, ctx):
         z = pullback_sequence(M2, ZERO, M2.seed_potential, 1)[-1]
-        assert tail_membership(ctx, (0, 0), z)
+        assert scalar_tail_membership(ctx, (0, 0), z)
 
     def test_cycle_point_not_in_tails(self, ctx):
         z0 = ctx.cycle.points[0]
         for n in (1, 2, 5):
-            assert not tail_membership(ctx, tuple([0] * n), z0)
+            assert not scalar_tail_membership(ctx, tuple([0] * n), z0)
 
     def test_bad_length_rejected(self):
         m2ctx_period = 1  # m = 1 accepts any length >= 1; force m = 2
@@ -166,14 +175,14 @@ class TestTailMembership:
         g2 = build_ray_graph(M2, 2, 1, depth=40, box=BOX, grid=60)
         ctx2 = make_tail_context(M2, rep2, g2, horizon=200)
         with pytest.raises(ValueError):
-            tail_membership(ctx2, (0, 1), 50 + 0j)  # length 2 != 2(n-1)+1
+            scalar_tail_membership(ctx2, (0, 1), 50 + 0j)  # length 2 != 2(n-1)+1
 
 
 class TestTailExists:
     def test_exists_and_witnesses_converge(self, ctx):
         prev = None
-        for n in (1, 2, 5, 10, 20, 30):
-            rec = tail_exists(ctx, ZERO, n)
+        levels = (1, 2, 5, 10, 20, 30)
+        for n, rec in zip(levels, tail_exists(ctx, ZERO, levels)):
             assert rec.exists, (n, rec.reason)
             d = abs(rec.witness - FIX_REPELLING)
             if prev is not None:
@@ -189,14 +198,14 @@ class TestTailExists:
                if c.is_repelling][0]
         wide = make_tail_context(M2, rep, g, horizon=300)
         for label in (-1, 0, 1):
-            rec = tail_exists(wide, parse_address(str(label)), 1)
+            [rec] = tail_exists(wide, parse_address(str(label)), [1])
             assert rec.exists, (label, rec.reason)
 
     def test_foreign_region_label_fails_at_level_one(self, ctx):
         # operational stand-in for a label whose domain misses B_0: force a
         # different B_0 id so no tail-1 witness is accepted
         fake = dataclasses.replace(ctx, b_regions=(ctx.b_regions[0] + 1,))
-        rec = tail_exists(fake, ZERO, 1)
+        [rec] = tail_exists(fake, ZERO, [1])
         assert not rec.exists
         assert rec.reason == "no-tail1-witness"
 
@@ -204,7 +213,7 @@ class TestTailExists:
         # landing address: geometric Cauchy decay, limit = landing point
         res = landing_point(M2, ZERO)
         assert res.landed
-        wits = [tail_exists(ctx, ZERO, n).witness for n in range(1, 21)]
+        wits = [rec.witness for rec in tail_exists(ctx, ZERO, range(1, 21))]
         diffs = [abs(a - b) for a, b in zip(wits, wits[1:])]
         for a, b in zip(diffs[3:], diffs[4:]):
             assert b < 0.7 * a or b < 1e-13
@@ -221,12 +230,12 @@ class TestTailExists:
                       if cyc.is_repelling and min(abs(res.point - z) for z in cyc.points) < 1e-6)
         c = make_tail_context(m, target, build_ray_graph(m, 2, 1, depth=40, box=BOX, grid=120),
                               horizon=1000)
-        assert tail_exists(c, s, 7).exists
-        rec = tail_exists(c, s, 8)
+        seventh, rec = tail_exists(c, s, [7, 8])
+        assert seventh.exists
         assert (rec.exists, rec.reason) == (False, "no-region")
         assert rec.address == project(s, 8, 2)
         with pytest.raises(PointLocationError):
-            tail_membership(c, rec.address, rec.witness)
+            scalar_tail_membership(c, rec.address, rec.witness)
         assert ref_tail_exists(c, s, 8) == rec
 
 
@@ -243,7 +252,8 @@ class TestRayInTail:
     @staticmethod
     def sample_in_tail(ctx, t, n):
         """Tail membership at level n of the 0-ray sample at ladder potential t."""
-        return tail_membership(ctx, project(ZERO, n, 1), ladder_descend(M2, ZERO, t, 80)[0])
+        return scalar_tail_membership(ctx, project(ZERO, n, 1),
+                                      ladder_descend(M2, ZERO, t, 80)[0])
 
     def test_ray_samples_pass_membership(self, ctx):
         # a sample is in tau_n from the level where its forward images pass
@@ -353,7 +363,7 @@ class TestPeriodTwoContext:
                 break
         assert s is not None
         # tails exist along the landing address and witnesses converge
-        wits = [tail_exists(ctx2, s, n) for n in (1, 2, 4, 8)]
+        wits = tail_exists(ctx2, s, (1, 2, 4, 8))
         assert all(w.exists for w in wits)
         target = min(rep2.points, key=lambda z: abs(z - wits[-1].witness))
         assert abs(wits[-1].witness - target) < 1e-2
@@ -510,6 +520,12 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def outcomes(verdicts):
+    """Batched verdicts as outcome() reads them: a location error held as a
+    value becomes its type and message."""
+    return [(type(v), str(v)) if isinstance(v, Exception) else v for v in verdicts]
+
+
 def enclosed_graph(centre, half=0.005, wall=False):
     """Hand-made graph of a small square around the centre: every probe is in
     region 0 and the centre is blocked from all of them.  With a wall
@@ -545,18 +561,27 @@ class TestBatchedParity:
         for context in (ctx, foreign):
             for n in (1, 2, 4, 7):
                 address = project(ZERO, n, 1)
-                got = [outcome(tail_membership, context, address, z) for z in points]
+                got = [outcome(scalar_tail_membership, context, address, z) for z in points]
                 assert got == [outcome(ref_tail_membership, context, address, z) for z in points]
                 verdicts += got
         assert True in verdicts and False in verdicts
+        # one call holding every point at every length reads the same
+        lengths = [n for n in (1, 2, 4, 7) for _ in points]
+        batched = [outcomes(tail_membership(context, project(ZERO, 7, 1), points * 4, lengths))
+                   for context in (ctx, foreign)]
+        assert batched[0] + batched[1] == verdicts
 
     def test_tail_membership_period_two(self, ctx2):
         s = parse_address("0,1")
         points = tails._piece_points(ctx2, s, 3, 8)[::3] + [z + 0.05 for z in ctx2.cycle.points]
+        want = []
         for n in (1, 2, 3):
             address = project(s, n, 2)
-            assert ([outcome(tail_membership, ctx2, address, z) for z in points]
-                    == [outcome(ref_tail_membership, ctx2, address, z) for z in points])
+            got = [outcome(scalar_tail_membership, ctx2, address, z) for z in points]
+            assert got == [outcome(ref_tail_membership, ctx2, address, z) for z in points]
+            want += got
+        lengths = [len(project(s, n, 2)) for n in (1, 2, 3) for _ in points]
+        assert outcomes(tail_membership(ctx2, project(s, 3, 2), points * 3, lengths)) == want
 
     def test_unlocatable_point_after_a_mismatch(self, ctx):
         z0 = 0.3 + 0.2j
@@ -578,8 +603,11 @@ class TestBatchedParity:
                 g.region_near(unlocatable)
             context = TailContext(map=M2, cycle=ctx.cycle, graph=g, b_regions=b_regions,
                                   r=ctx.r)
-            got = outcome(tail_membership, context, address, z0)
+            got = outcome(scalar_tail_membership, context, address, z0)
             assert got == outcome(ref_tail_membership, context, address, z0)
+            # at level 1 in the same call, the walk of z0 never reaches the enclosed point
+            assert (outcomes(tail_membership(context, address, [z0, z0], [1, 3]))
+                    == [outcome(ref_tail_membership, context, address[:1], z0), got])
             assert got is False if expected is False else got[0] is expected
 
     def test_choose_radius(self, ctx, graph_m2, ctx2):
@@ -636,8 +664,13 @@ class TestBatchedParity:
         rows = [(True, False), (True, True), (False, False), (on_arc, lost),
                 (True, on_arc), (on_arc, True)]
         monkeypatch.setattr(tails, "_piece_points", lambda *a: [1 + 0j] * len(rows))
-        monkeypatch.setattr(tails, "_tail_verdicts",
-                            lambda ctx, address, points, lengths: [list(v) for v in zip(*rows)])
+
+        def batched(ctx, address, points, lengths):
+            # each image twice: at level j, then at level j - 1
+            assert lengths == [3] * len(rows) + [2] * len(rows)
+            return [hi for hi, _ in rows] + [lo for _, lo in rows]
+
+        monkeypatch.setattr(tails, "tail_membership", batched)
         assert piece_mapping_check(ctx, ZERO, 3) == tails.PieceMapCheck(False, 3, 2)
         rows.append((False, lost))
         with pytest.raises(PointLocationError, match="lost"):
@@ -685,7 +718,7 @@ def ref_tail_exists(ctx, s, n):
     last = labels[-1]
     w1 = complex(max(ctx.map.seed_potential, ctx.r + 1.0), tails.TWO_PI * last)
     try:
-        if not tail1_membership(ctx, last, w1):
+        if not ref_tail1(ctx, last, w1):
             return tails.TailAddressRecord(labels, False, reason="no-tail1-witness")
     except OnArcError:
         return tails.TailAddressRecord(labels, False, reason="on-arc")
@@ -697,7 +730,7 @@ def ref_tail_exists(ctx, s, n):
         return tails.TailAddressRecord(labels, False,
                                        reason="singular-hit" if not exc.on_cut else "cut-hit")
     try:
-        ok = tail_membership(ctx, labels, witness)
+        ok = ref_tail_membership(ctx, labels, witness)
     except OnArcError:
         return tails.TailAddressRecord(labels, False, witness=witness, reason="on-arc")
     except PointLocationError:
@@ -874,11 +907,12 @@ class TestDiameterRows:
 class TestLevelRecords:
     @staticmethod
     def assert_records(context, s, levels=range(1, 31)):
-        """tail_exists on one warm context, level after level, equals the
-        reference on a fresh one (repr: witness bits, address, reason)."""
+        """One tail_exists call for all levels on one warm context equals the
+        reference level by level on a fresh one (repr: witness bits, address,
+        reason)."""
         warm = dataclasses.replace(context)
         want = [outcome(ref_tail_exists, context, s, n) for n in levels]
-        assert repr([outcome(tail_exists, warm, s, n) for n in levels]) == repr(want)
+        assert repr(tail_exists(warm, s, levels)) == repr(want)
         return want
 
     @pytest.mark.parametrize("context, address", [
@@ -919,7 +953,7 @@ class TestLevelRecords:
         records = self.assert_records(self.walled_context(ctx, w1, True), ZERO, range(1, 7))
         assert [(rec.reason, rec.witness) for rec in records] == [("on-arc", None)] * 6
         # the level-3 witness on the graph: the orbits from level 3 on meet it
-        w3 = tail_exists(ctx, ZERO, 3).witness
+        w3 = tail_exists(ctx, ZERO, [3])[0].witness
         records = self.assert_records(self.walled_context(ctx, w3, True), ZERO, range(1, 9))
         assert [rec.reason for rec in records] == ["", "", *["on-arc"] * 6]
         assert records[2].witness == w3
@@ -935,7 +969,7 @@ class TestLevelRecords:
     def test_location_error_raised_at_its_level(self, ctx, level):
         # an enclosed witness is the record of its level, and an enclosed
         # tau_1 witness (level 1) that of every level
-        w = tail_exists(ctx, ZERO, level).witness
+        w = tail_exists(ctx, ZERO, [level])[0].witness
         for wall in (False, True):
             enclosed = self.walled_context(ctx, w, wall)
             want = outcome(ref_tail_diagnostics, enclosed, ZERO, 8, 6)
@@ -954,7 +988,7 @@ class TestLevelRecords:
         x_lo = math.log(r - 2.0)
         sample = complex(x_lo + (side - 0.5) * (r - x_lo) / side,
                          -math.pi + (side // 2 + 0.5) * tails.TWO_PI / side)
-        w3 = tail_exists(ctx, ZERO, 3).witness
+        w3 = tail_exists(ctx, ZERO, [3])[0].witness
         g = enclosed_graph(w3, 0.012)
         g._segs = np.concatenate([g._segs, enclosed_graph(sample, 0.012)._segs])
         g._index_segments()
@@ -981,3 +1015,43 @@ class TestLevelRecords:
         monkeypatch.setattr(tails, "tail1_membership", counted)
         tail_diagnostics(dataclasses.replace(wide_ctx), parse_address("0,1"), 9, samples=4)
         assert tested == [0, 1]
+
+    def test_location_calls_do_not_grow_with_levels(self, ctx, monkeypatch):
+        calls = []
+        regions_near = RayGraph.regions_near
+
+        def counted(graph, points):
+            calls.append(len(points))
+            return regions_near(graph, points)
+
+        monkeypatch.setattr(RayGraph, "regions_near", counted)
+        counts = []
+        for max_level in (10, 30):
+            calls.clear()
+            tail_diagnostics(dataclasses.replace(ctx), ZERO, max_level, samples=8)
+            counts.append(len(calls))
+        # the tau_1 grid, the tau_1 witness and the witness orbits of all levels
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("context, address", [
+        ("ctx", "0"), ("ctx2", "0,1"), ("wide_ctx", "0,1")])
+    def test_records_do_not_depend_on_the_levels_batched_with_them(
+            self, request, context, address):
+        context, s = request.getfixturevalue(context), parse_address(address)
+        short = tail_diagnostics(dataclasses.replace(context), s, 12)
+        assert repr(short) == repr(tail_diagnostics(dataclasses.replace(context), s, 25)[:12])
+
+    def test_bad_input_rejected_before_any_location(self, ctx, ctx2, monkeypatch):
+        def unreachable(graph, points):
+            raise AssertionError("a point was located")
+
+        monkeypatch.setattr(RayGraph, "regions_near", unreachable)
+        for levels in ([0], [3, 0, 5], [2, -1]):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                tail_exists(dataclasses.replace(ctx), ZERO, levels)
+        address = project(parse_address("0,1"), 3, 2)  # length 5 at m = 2
+        for lengths in ([2], [1, 3, 2], [5, 7], [0]):
+            with pytest.raises(ValueError, match=r"is not m\(n-1\)\+1"):
+                tail_membership(ctx2, address, [50 + 0j] * len(lengths), lengths)
+        with pytest.raises(ValueError):  # a length for every point
+            tail_membership(ctx2, address, [50 + 0j], [1, 3])
