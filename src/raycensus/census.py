@@ -178,27 +178,6 @@ class CensusReport:
     def to_json(self) -> str:
         return dumps_canonical(self.to_json_dict())
 
-    def to_csv_rows(self) -> list[list[str]]:
-        header = ["period", "z0_re", "z0_im", "multiplier_re", "multiplier_im",
-                  "abs_multiplier", "class", "landing_addresses",
-                  "invisible_candidate"]
-        rows = [header]
-        search_by_cycle = {id(s.cycle): s for s in self.searches}
-        for cyc in self.cycles:
-            search = search_by_cycle.get(id(cyc))
-            addrs = ";".join(str(a) for a in search.addresses) if search else ""
-            inv = str(search.invisible_candidate).lower() if search else ""
-            z0 = cyc.points[0]
-            rows.append([
-                str(cyc.period),
-                format(z0.real, ".17g"), format(z0.imag, ".17g"),
-                format(cyc.multiplier.real, ".17g"),
-                format(cyc.multiplier.imag, ".17g"),
-                format(abs(cyc.multiplier), ".17g"),
-                cyc.cls, addrs, inv,
-            ])
-        return rows
-
 
 def dumps_canonical(doc) -> str:
     """Deterministic JSON: schema-ordered keys, repr floats, no NaN.

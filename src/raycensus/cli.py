@@ -9,9 +9,7 @@ Data goes to stdout (or --out); diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import math
 import sys
 from pathlib import Path
@@ -182,9 +180,11 @@ def _cmd_land(args: argparse.Namespace) -> int:
 def _cmd_cycles(args: argparse.Namespace) -> int:
     m = _map_model(args)
     box = _parse_box(_require(args, "box"))
+    if args.verify_coverage and args.grid < 2:
+        raise UsageError("--verify-coverage needs --grid >= 2")
     cycles = find_cycles(m, args.max_period, box, grid=args.grid, tol=args.tol).cycles
     warnings = []
-    if args.verify_coverage and args.grid >= 2:
+    if args.verify_coverage:
         half = args.grid // 2
         coarse = find_cycles(m, args.max_period, box, grid=half, tol=args.tol).cycles
         if len(cycles) < len(coarse):
@@ -269,13 +269,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     config = _base_config(m, box=list(box), max_period=args.max_period,
                           window=args.window, **settings)
     report = audit(m, box, args.max_period, args.window, config=config, **settings)
-    if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(report.to_csv_rows())
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(report.to_json() + "\n", args.out)
+    _emit(report.to_json() + "\n", args.out)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if report.verdict == "satisfied":
@@ -283,33 +277,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if report.verdict == "violated":
         return EXIT_VIOLATED
     return EXIT_NOT_APPLICABLE
-
-
-def _cmd_plot(args: argparse.Namespace) -> int:
-    """Re-emit graph polylines and cycle points as a CSV bundle."""
-    m = _map_model(args)
-    box = _parse_box(args.box)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    graph = build_ray_graph(m, args.p, args.window, depth=args.depth, box=box,
-                            grid=args.probe_grid)
-    for i, arc in enumerate(graph.arcs):
-        lines = ["re,im"]
-        lines += [f"{v.real:.17g},{v.imag:.17g}" for v in arc.vertices]
-        (out_dir / f"arc_{i}_{arc.address}.csv").write_text("\n".join(lines) + "\n")
-    lines = ["address,re,im"]
-    lines += [f"{arc.address},{arc.landing.real:.17g},{arc.landing.imag:.17g}"
-              for arc in graph.arcs]
-    (out_dir / "landing_points.csv").write_text("\n".join(lines) + "\n")
-    max_period = args.p if args.max_period is None else args.max_period
-    search = find_cycles(m, max_period, box, grid=args.grid)
-    lines = ["period,class,re,im"]
-    for cyc in search.cycles:
-        for z in cyc.points:
-            lines.append(f"{cyc.period},{cyc.cls},{z.real:.17g},{z.imag:.17g}")
-    (out_dir / "cycles.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote {2 + len(graph.arcs)} CSV files to {out_dir}", file=sys.stderr)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +347,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--tol-band", type=float, default=DEFAULT_TOL_BAND)
     p.add_argument("--landing-tol", type=float, default=DEFAULT_LANDING_TOL)
     p.add_argument("--match-tol", type=float, default=DEFAULT_MATCH_TOL)
-    p.add_argument("--csv", action="store_true",
-                   help="flat per-cycle CSV instead of JSON")
-
-    p = command("plot", _cmd_plot, "CSV bundle of arcs/landing points/cycles")
-    p.add_argument("--p", type=int, default=1)
-    graph_flags(p, window=1, probe_grid=120)
-    p.add_argument("--max-period", type=int, help="default: --p")
-    p.add_argument("--out-dir", default="raycensus-plot")
 
     return ap, sub.choices
 
@@ -414,8 +373,8 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Flags override config-file values, which override the parser's defaults.
 
-    A config file changes its command's defaults in a parser of its own, not
-    in the one that runs without --config share."""
+    A config file changes its command's defaults in a parser built for that
+    run alone, not in the cached one that all runs without --config share."""
     args = _build_parser()[0].parse_args(argv)
     if args.config:
         ap, commands = _build_parser.__wrapped__()

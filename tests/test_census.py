@@ -234,13 +234,8 @@ class TestAuditHyperbolic:
         assert doc["ray_periods_landed"] == [1, 2]
         assert "equal_period_ok" not in json.dumps(doc)
         assert doc["hypotheses"]["periodic_rays_land_in_window"] is True
-
-    def test_csv_rows(self, report):
-        rows = report.to_csv_rows()
-        assert rows[0][0] == "period"
-        assert len(rows) == 1 + len(report.cycles)
-        zero_bar_row = [r for r in rows[1:] if r[7] == "0"]
-        assert len(zero_bar_row) == 1
+        assert len(doc["cycles"]) == len(report.cycles)
+        assert [c.get("landing_addresses") for c in doc["cycles"]].count(["0"]) == 1
 
 
 class TestAuditSiegel:

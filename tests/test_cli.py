@@ -1,6 +1,5 @@
 import ast
 import csv
-import io
 import json
 import subprocess
 import sys
@@ -118,13 +117,6 @@ class TestAudit:
         doc = json.loads(result.stdout)
         assert doc["verdict"] == "not-applicable"
 
-    def test_csv_output(self):
-        result = run_cli(AUDIT_ARGS + ["--csv"])
-        assert result.returncode == 0
-        rows = list(csv.reader(io.StringIO(result.stdout)))
-        assert rows[0][0] == "period"
-        assert any(r[7] == "0" for r in rows[1:])
-
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
@@ -181,24 +173,20 @@ class TestConfigFile:
                    "--samples", "6", "--horizon", "500"],
          ["address=0", "max-level=2", "probe-grid=60", "samples=6", "horizon=500"],
          "samples", "horizon"),
-        ("audit", ["--max-period", "1", "--grid", "25", "--tol-band", "1e-5", "--csv"],
-         ["max-period=1", "grid=25", "tol-band=1e-5", "csv=true"], "grid", "landing-tol"),
-        ("audit", ["--max-period", "1", "--grid", "25"],
-         ["max-period=1", "grid=25", "csv=false"], "max-period", "match-tol"),
-        ("plot", ["--p", "1", "--probe-grid", "40", "--out-dir", "{tmp}/bundle"],
-         ["p=1", "probe-grid=40", "out-dir={tmp}/bundle"], "probe-grid", "grid"),
+        ("audit", ["--max-period", "1", "--grid", "25", "--tol-band", "1e-5"],
+         ["max-period=1", "grid=25", "tol-band=1e-5"], "max-period", "landing-tol"),
     ], ids=["trace-ray", "land", "cycles", "regions-audit", "regions", "tails",
-            "audit-csv", "audit-json", "plot"])
+            "audit-json"])
     def test_config_file_equals_flags(self, tmp_path, capsys, command, flags, lines,
                                       override, typed):
         def invoke(*args, config=None):
             argv = [command, *args]
             if config is not None:
                 cfg = tmp_path / "run.cfg"
-                cfg.write_text("".join(line.format(tmp=tmp_path) + "\n" for line in config))
+                cfg.write_text("".join(line + "\n" for line in config))
                 argv += ["--config", str(cfg)]
             try:
-                code = main([a.format(tmp=tmp_path) for a in argv])
+                code = main(argv)
             except SystemExit as exc:
                 code = exc.code
             captured = capsys.readouterr()
@@ -214,7 +202,7 @@ class TestConfigFile:
                       config=[*lines, f"{override}=2", "c=abc"]) == expected
         # keys that are no flag of the command are ignored
         assert invoke(config=["c=-2,0", *lines, "no-such-key=abc", "max_iter=abc",
-                              "out_dir=abc", "config=missing.cfg", "help=yes"]) == expected
+                              "probe_grid=abc", "config=missing.cfg", "help=yes"]) == expected
         # a malformed value of a flag exits 2, whether or not the run reads it
         code, out, err = invoke(config=["c=-2,0", *lines, f"{typed}=abc"])
         assert (code, out) == (2, "")
@@ -227,9 +215,8 @@ class TestOtherCommands:
                           "--max-period", "1", "--grid", "25"])
         assert result.returncode == 0
         doc = json.loads(result.stdout)
-        assert len(doc["cycles"]) == 2
-        classes = {c["class"] for c in doc["cycles"]}
-        assert classes == {"attracting", "repelling"}
+        assert [(c["period"], c["class"]) for c in doc["cycles"]] == [
+            (1, "attracting"), (1, "repelling")]
 
     @pytest.mark.parametrize("box, grid, warnings", [
         ("-3,3,-1,1", "20", []),
@@ -263,7 +250,8 @@ class TestOtherCommands:
                           "--window", "1", "--probe-grid", "60"])
         assert result.returncode == 0
         doc = json.loads(result.stdout)
-        assert len(doc["arcs"]) == 3
+        assert [arc["address"] for arc in doc["arcs"]] == ["-1", "0", "1"]
+        assert all(len(arc["landing"]) == 2 and arc["polyline"] for arc in doc["arcs"])
         assert doc["failures"] == []
 
     def test_regions_with_separation_audit(self):
@@ -305,19 +293,27 @@ class TestOtherCommands:
         assert [lvl["exists"] for lvl in levels] == [True] * 7 + [False]
         assert levels[-1]["reason"] == "no-region"
 
-    def test_plot_bundle(self, tmp_path):
-        out = tmp_path / "bundle"
-        result = run_cli(["plot", "--c", "-2,0", "--p", "1", "--window", "1",
-                          "--probe-grid", "40", "--out-dir", str(out)])
-        assert result.returncode == 0
-        names = {p.name for p in out.iterdir()}
-        assert "landing_points.csv" in names
-        assert "cycles.csv" in names
-        assert sum(n.startswith("arc_") for n in names) == 3
-
     def test_missing_required_exit_2(self):
         result = run_cli(["land", "--address", "0"])
         assert result.returncode == 2
+
+
+class TestCommandSurface:
+    def test_commands(self):
+        assert list(cli._build_parser()[1]) == [
+            "trace-ray", "land", "cycles", "regions", "tails", "audit"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["plot", "--c", "-2,0", "--p", "1", "--out-dir", "out"], "invalid choice: 'plot'"),
+        (AUDIT_ARGS + ["--csv"], "unrecognized arguments: --csv")],
+        ids=["plot", "audit-csv"])
+    def test_removed_outputs_exit_2(self, capsys, argv, message):
+        # the regions, cycles and audit JSON carry what these wrote
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
 
 class TestMeaninglessLimits:
@@ -330,6 +326,8 @@ class TestMeaninglessLimits:
         ["land", "--address", "0", "--max-iter", "0"],
         ["cycles", "--box", "-3,3,-7,7", "--grid", "20", "--tol", "-1"],
         ["trace-ray", "--address", "0", "--t", "1:5", "--depth", "-3"],
+        # half of a 1-point grid is no grid, so the coverage check cannot run
+        ["cycles", "--box", "-3,3,-7,7", "--grid", "1", "--verify-coverage"],
     ])
     def test_rejected_exit_2(self, capsys, args):
         code = main([*args, "--c", "-2,0"])
@@ -438,5 +436,6 @@ def test_cli_import_loads_no_heavy_module():
     added, loaded = (ast.literal_eval(line) for line in run.stdout.splitlines())
     assert "raycensus.cli" in added
     assert [name for name in added if name.split(".")[0] == "numpy"] == []
+    assert "csv" not in added
     assert [name for name in ("decimal", "concurrent.futures", "scipy", "mpmath")
             if name in loaded] == []
