@@ -21,8 +21,9 @@ DEFAULT_TOL = 1e-12
 DEFAULT_TOL_BAND = 1e-6
 _PARABOLIC_MAX_K = 64
 
-#: seeds per numpy batch of find_cycles; bounds the batch's working memory
-_SEED_CHUNK = 4096
+#: (period, seed) rows per numpy batch of find_cycles; bounds the batch's
+#: working memory.  The grid-40, period-3 search (4,800 rows) is one batch
+_SEED_CHUNK = 8192
 #: point pairs per numpy comparison of find_cycles' duplicate test
 _PAIR_CAP = 65_536
 
@@ -90,55 +91,72 @@ def classify(lam: complex, tol_band: float = DEFAULT_TOL_BAND) -> tuple[str, flo
     return "indifferent", rho % 1.0
 
 
-def _fp(c: complex, z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fp(c: complex, z: np.ndarray, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(f^p(z), (f^p)'(z), ok) for each entry of z.
 
-    ok is False where an iterate is not finite, or has real part above 600,
-    before it is mapped; the values of such entries are meaningless.
+    p is an int, or one period per entry in ascending order.  ok is False
+    where an iterate is not finite, or has real part above 600, before it is
+    mapped; the values of such entries are meaningless.
     """
-    w = z
-    d = np.ones(z.shape, dtype=complex)
-    ok = np.ones(z.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(p):
-            ok &= np.isfinite(w) & (w.real <= 600.0)
-            e = np.exp(w)
-            d = d * e
-            w = e + c
+        return _iterate(c, z, _starts(np.full(z.shape, p)))
+
+
+def _starts(p: np.ndarray) -> list[int]:
+    """For each step k >= 1 of f^p, the first entry that takes it (p ascending)."""
+    return np.searchsorted(p, np.arange(1, p[-1] if p.size else 1), side="right").tolist()
+
+
+def _iterate(c: complex, z: np.ndarray, starts: list[int]):
+    """_fp without its error state; step k >= 1 maps the entries from starts[k - 1] on."""
+    # a finite iterate with Re <= 600 maps to a finite one; products stay out
+    # of place, as numpy rounds in-place ones of one-entry arrays differently
+    ok = np.isfinite(z) & (z.real <= 600.0)
+    d = np.exp(z)
+    w = d + c
+    for s in starts:
+        ok[s:] &= w[s:].real <= 600.0
+        e = np.exp(w[s:])
+        d[s:] = d[s:] * e
+        w[s:] = e + c
     return w, d, ok
 
 
-def _newton_fp(c: complex, z: np.ndarray, p: int,
+def _newton_fp(c: complex, z: np.ndarray, p,
                max_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton on f^p(z) - z from each entry of z: (z, last step, alive).
 
     An entry stops after its first step below 1e-15 * max(1, |z|), or after
     max_steps.  It dies (alive False, z kept from before the failed step) on
-    an overflow of f^p or where |(f^p)' - 1| < 1e-30.
+    an overflow of f^p or where |(f^p)' - 1| < 1e-30.  p is as in _fp.
     """
     z = np.array(z, dtype=complex)
     step = np.zeros(z.shape, dtype=complex)
     alive = np.ones(z.shape, dtype=bool)
-    rows = np.arange(z.size)
-    for _ in range(max_steps):
-        zr = z[rows]
-        f, d, ok = _fp(c, zr, p)
-        gp = d - 1.0
-        ok &= ~(np.abs(gp) < 1e-30)
-        with np.errstate(all="ignore"):
+    rows, zr, sr, p = np.arange(z.size), z, step, np.full(z.shape, p)
+    starts = _starts(p)
+    with np.errstate(all="ignore"):
+        for _ in range(max_steps):
+            f, d, ok = _iterate(c, zr, starts)
+            gp = d - 1.0
+            ok &= ~(np.abs(gp) < 1e-30)
             st = (f - zr) / gp
-        alive[rows[~ok]] = False
-        rows, st = rows[ok], st[ok]
-        zr = zr[ok] - st
-        z[rows] = zr
-        step[rows] = st
-        rows = rows[~(np.abs(st) < 1e-15 * np.maximum(1.0, np.abs(zr)))]
-        if not rows.size:
-            break
+            zn = zr - st
+            go = ok & ~(np.abs(st) < 1e-15 * np.maximum(1.0, np.abs(zn)))
+            if not go.all():  # an entry stops or dies: store every entry, keep the live
+                z[rows], step[rows] = np.where(ok, zn, zr), np.where(ok, st, sr)
+                alive[rows[~ok]] = False
+                rows, zn, st = rows[go], zn[go], st[go]
+                p = p[go]
+                starts = _starts(p)
+            zr, sr = zn, st
+            if not rows.size:
+                break
+    z[rows], step[rows] = zr, sr
     return z, step, alive
 
 
-def _roots(c: complex, z: np.ndarray, p: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _roots(c: complex, z: np.ndarray, p, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Newton roots of f^p(z) - z from seeds z: (roots, ok).
 
     ok is True where Newton survived and the residual is within 100 * tol.
@@ -149,38 +167,39 @@ def _roots(c: complex, z: np.ndarray, p: int, tol: float) -> tuple[np.ndarray, n
     return z, ok
 
 
-def _minimal_period(c: complex, z: np.ndarray, p: int, tol: float) -> np.ndarray:
-    """Per entry, the least divisor d of p with f^d(z) within 10 * tol of z."""
-    mp = np.full(z.shape, p)
-    for d in range(p - 1, 0, -1):  # descending, so the least divisor is set last
-        if p % d:
-            continue
-        f, _, ok = _fp(c, z, d)
-        mp[ok & (np.abs(f - z) < 10.0 * tol * np.maximum(1.0, np.abs(z)))] = d
+def _minimal_period(c: complex, z: np.ndarray, p, tol: float) -> np.ndarray:
+    """Per entry, the least divisor d of p (as in _fp) with f^d(z) within 10 * tol of z."""
+    p = np.full(z.shape, p)
+    mp = p.copy()
+    for d in range(np.max(p, initial=1) - 1, 0, -1):  # the least divisor is set last
+        at = np.flatnonzero((p % d == 0) & (p > d))
+        f, _, ok = _fp(c, z[at], d)
+        mp[at[ok & (np.abs(f - z[at]) < 10.0 * tol * np.maximum(1.0, np.abs(z[at])))]] = d
     return mp
 
 
-def _chunk_roots(c: complex, seeds: np.ndarray, p: int, box: Box,
+def _chunk_roots(c: complex, seeds: np.ndarray, p: np.ndarray, box: Box,
                  tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(periods, orbits) of the seeds whose root's orbit lies in box, in seed order.
 
-    Each root is re-solved at its minimal period; row k of orbits starts at
-    the root and is meaningful in its first periods[k] columns.
+    p holds each seed's period in ascending order.  Each root is re-solved at
+    its minimal period; row k of orbits starts at the root and is
+    meaningful in its first periods[k] columns.
     """
     z, ok = _roots(c, seeds, p, tol)
-    z = z[ok]
+    z, p = z[ok], p[ok]
     mp = _minimal_period(c, z, p, tol)
-    for d in range(1, p + 1):  # not np.unique, which imports numpy.ma (~1 MB)
-        at = np.flatnonzero(mp == d)
-        zd, ok = _roots(c, z[at], d, tol)
-        z[at[ok]] = zd[ok]  # a failed re-solve keeps the root
+    at = np.argsort(mp, kind="stable")
+    zd, ok = _roots(c, z[at], mp[at], tol)
+    z[at[ok]] = zd[ok]  # a failed re-solve keeps the root
     # no overflow guard needed: _roots checked every iterate of each root
-    orbits = np.empty((len(z), p), dtype=complex)
+    width = np.max(p, initial=1)
+    orbits = np.empty((len(z), width), dtype=complex)
     orbits[:, 0] = z
     with np.errstate(all="ignore"):
-        for j in range(1, p):
+        for j in range(1, width):
             orbits[:, j] = np.exp(orbits[:, j - 1]) + c
-    keep = (_in_box(box, orbits) | (np.arange(p) >= mp[:, None])).all(axis=1)
+    keep = (_in_box(box, orbits) | (np.arange(width) >= mp[:, None])).all(axis=1)
     return mp[keep], orbits[keep]
 
 
@@ -222,44 +241,45 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
     kept = {p: np.empty(0, dtype=complex) for p in range(1, max_period + 1)}
     near = 10.0 * max(tol, 1e-12)
 
-    n_seeds = grid * grid
-    for p in range(1, max_period + 1):
-        for lo in range(0, n_seeds, _SEED_CHUNK):
-            i, j = np.divmod(np.arange(lo, min(lo + _SEED_CHUNK, n_seeds)), grid)
-            seeds = np.empty(len(i), dtype=complex)
-            seeds.real = xlo + (i + 0.5) * (xhi - xlo) / grid
-            seeds.imag = ylo + (j + 0.5) * (yhi - ylo) / grid
-            periods, orbits = _chunk_roots(m.c, seeds, p, box, tol)
-            roots = orbits[:, 0]
-            new = np.ones(len(roots), dtype=bool)
-            for d in range(1, p + 1):
-                at = np.flatnonzero(periods == d)
-                new[at] = ~_near(roots[at], kept[d], near)
-            for k in np.flatnonzero(new).tolist():
-                if not new[k]:  # near a cycle kept earlier in this chunk
-                    continue
-                mp = int(periods[k])
-                # polish every orbit point individually
-                polished, ok = _roots(m.c, orbits[k, :mp], mp, tol)
-                if not ok.all():
-                    continue
-                polished = polished.tolist()
-                z0 = min(polished, key=lambda w: (w.real, w.imag))
-                # polishing can collapse a rough orbit onto a cycle of a
-                # dividing period, which that period's pass reports
-                if (_minimal_period(m.c, np.array([z0]), mp, tol)[0] != mp
-                        or _near(np.array([z0]), kept[mp], near)[0]):
-                    continue
-                k0 = polished.index(z0)
-                pts = tuple(polished[(k0 + t) % mp] for t in range(mp))
-                lam = complex(1.0, 0.0)
-                for w in pts:
-                    lam *= cmath.exp(w)
-                cls, rho = classify(lam, tol_band)
-                cycles.append(Cycle(pts, mp, lam, cls, rho))
-                kept[mp] = np.append(kept[mp], pts)
-                new[k + 1:] &= ((periods[k + 1:] != mp)
-                                | ~_near(roots[k + 1:], np.array(pts), near))
+    n_seeds, n_rows = grid * grid, max_period * grid * grid
+    for lo in range(0, n_rows, _SEED_CHUNK):
+        # rows in (period, seed) order, so kept grows as with one batch per period
+        p, cell = np.divmod(np.arange(lo, min(lo + _SEED_CHUNK, n_rows)), n_seeds)
+        i, j = np.divmod(cell, grid)
+        seeds = np.empty(len(i), dtype=complex)
+        seeds.real = xlo + (i + 0.5) * (xhi - xlo) / grid
+        seeds.imag = ylo + (j + 0.5) * (yhi - ylo) / grid
+        periods, orbits = _chunk_roots(m.c, seeds, p + 1, box, tol)
+        roots = orbits[:, 0]
+        new = np.ones(len(roots), dtype=bool)
+        for d in range(1, max_period + 1):
+            at = np.flatnonzero(periods == d)
+            new[at] = ~_near(roots[at], kept[d], near)
+        k = -1  # new turns False at rows near a cycle kept earlier in this batch
+        while (ahead := np.flatnonzero(new[k + 1:])).size:
+            k += 1 + int(ahead[0])
+            mp = int(periods[k])
+            # polish every orbit point individually
+            polished, ok = _roots(m.c, orbits[k, :mp], mp, tol)
+            if not ok.all():
+                continue
+            polished = polished.tolist()
+            z0 = min(polished, key=lambda w: (w.real, w.imag))
+            # polishing can collapse a rough orbit onto a cycle of a
+            # dividing period, which that period's pass reports
+            if (_minimal_period(m.c, np.array([z0]), mp, tol)[0] != mp
+                    or _near(np.array([z0]), kept[mp], near)[0]):
+                continue
+            k0 = polished.index(z0)
+            pts = tuple(polished[(k0 + t) % mp] for t in range(mp))
+            lam = complex(1.0, 0.0)
+            for w in pts:
+                lam *= cmath.exp(w)
+            cls, rho = classify(lam, tol_band)
+            cycles.append(Cycle(pts, mp, lam, cls, rho))
+            kept[mp] = np.append(kept[mp], pts)
+            new[k + 1:] &= ((periods[k + 1:] != mp)
+                            | ~_near(roots[k + 1:], np.array(pts), near))
 
     cycles.sort(key=lambda c: (c.period, c.points[0].real, c.points[0].imag))
     return CycleSearch(cycles=cycles)

@@ -19,6 +19,8 @@ FIX_STRIP1 = complex(2.1310754576665873, 7.341435092197778)
 theta = (math.sqrt(5) - 1) / 2
 SIEGEL_C = 2j * math.pi * theta - cmath.exp(2j * math.pi * theta)
 SIEGEL_FIX = 2j * math.pi * theta
+# three parabolic petals: the fixed point 2*pi*i/3 has multiplier e^(2*pi*i/3)
+PETAL_C = 0.5 + (2 * math.pi / 3 - math.sqrt(3) / 2) * 1j
 
 
 class TestClassify:
@@ -181,25 +183,31 @@ class TestInvariants:
         keys = [(c.period, c.points[0].real, c.points[0].imag) for c in a]
         assert keys == sorted(keys)
 
-    @pytest.mark.parametrize("c, box", [
-        (-2, BOX),
-        (0, BOX),
-        (SIEGEL_C, (-1, 2, 2, 6)),
-        (-2 + 0.15 * cmath.exp(1j * math.radians(40.1)), BOX),
-    ], ids=["-2", "0", "siegel", "bench-circle"])
-    def test_chunked_search_equals_one_chunk(self, monkeypatch, c, box):
-        # chunks of 7 split the grid's rows, so the grid order and the skip of
-        # seeds near known roots run across chunk boundaries
+    @pytest.mark.parametrize("c, box, grid", [
+        (-2, BOX, 40),
+        (0, BOX, 40),
+        (SIEGEL_C, (-1, 2, 2, 6), 40),
+        (-2 + 0.15 * cmath.exp(1j * math.radians(40.1)), BOX, 40),
+        (PETAL_C, BOX, 12),
+    ], ids=["-2", "0", "siegel", "bench-circle", "three-petal"])
+    def test_chunked_search_equals_one_chunk(self, monkeypatch, c, box, grid):
+        # batches of 7 rows split the grid's rows, so the (period, seed) order
+        # and the skip of seeds near known roots run across batch boundaries;
+        # the other sizes end a batch at, or next to, the end of a period.
+        # At the three-petal parameter the order of deduplication decides
+        # which of the 103 cycles are listed
         def bits(search):
             return [(np.array([*cyc.points, cyc.multiplier]).tobytes(), cyc.cls,
                      cyc.rotation) for cyc in search.cycles]
 
-        whole = find_cycles(MapModel(c=c), 3, box)
-        monkeypatch.setattr(cycles, "_SEED_CHUNK", 7)
-        assert bits(find_cycles(MapModel(c=c), 3, box)) == bits(whole)
+        whole = find_cycles(MapModel(c=c), 3, box, grid=grid)
+        n = grid * grid
+        for rows in (7, n - 1, n, n + 1, 3 * n - 1):
+            monkeypatch.setattr(cycles, "_SEED_CHUNK", rows)
+            assert bits(find_cycles(MapModel(c=c), 3, box, grid=grid)) == bits(whole), rows
         # and the duplicate test compares one point pair at a time
         monkeypatch.setattr(cycles, "_PAIR_CAP", 1)
-        assert bits(find_cycles(MapModel(c=c), 3, box)) == bits(whole)
+        assert bits(find_cycles(MapModel(c=c), 3, box, grid=grid)) == bits(whole)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -228,3 +236,111 @@ class TestInvariants:
             find_cycles(M2, 1, box, grid=10)
         with pytest.raises(ValueError, match=message):
             build_ray_graph(M2, 1, 1, box=box, grid=20)
+
+
+def _reference_fp(c, z, p):
+    """cycles._fp for an int p, one numpy pass per step over every entry."""
+    w = z
+    d = np.ones(z.shape, dtype=complex)
+    ok = np.ones(z.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(p):
+            ok &= np.isfinite(w) & (w.real <= 600.0)
+            e = np.exp(w)
+            d = d * e
+            w = e + c
+    return w, d, ok
+
+
+def _reference_newton_fp(c, z, p, max_steps):
+    """cycles._newton_fp for an int p, compacting the live rows every pass."""
+    z = np.array(z, dtype=complex)
+    step = np.zeros(z.shape, dtype=complex)
+    alive = np.ones(z.shape, dtype=bool)
+    rows = np.arange(z.size)
+    for _ in range(max_steps):
+        zr = z[rows]
+        f, d, ok = _reference_fp(c, zr, p)
+        gp = d - 1.0
+        ok &= ~(np.abs(gp) < 1e-30)
+        with np.errstate(all="ignore"):
+            st = (f - zr) / gp
+        alive[rows[~ok]] = False
+        rows, st = rows[ok], st[ok]
+        zr = zr[ok] - st
+        z[rows] = zr
+        step[rows] = st
+        rows = rows[~(np.abs(st) < 1e-15 * np.maximum(1.0, np.abs(zr)))]
+        if not rows.size:
+            break
+    return z, step, alive
+
+
+def _grid_seeds(grid, box=BOX):
+    i, j = np.divmod(np.arange(grid * grid), grid)
+    return (box[0] + (i + 0.5) * (box[1] - box[0]) / grid
+            + 1j * (box[2] + (j + 0.5) * (box[3] - box[2]) / grid))
+
+
+# entries that die: on entry (infinite, not a number, real part above 600),
+# at a later iterate above 600 (f(log 702) = 701 at c = -1), and where
+# (f^p)' = 1 exactly (0 is the parabolic fixed point of c = -1)
+DYING = np.array([complex(-math.inf, 0.0), complex(0.0, math.inf), complex(math.nan, 0.0),
+                  601.0, math.log(702.0), 0.0])
+
+
+class TestKernelParity:
+    """The per-row-period kernels equal one reference call per period, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def per_period(c, z, periods, max_steps=80):
+        """The reference Newton run once per period, on that period's rows."""
+        out = [np.empty(len(z), dtype=complex), np.empty(len(z), dtype=complex),
+               np.empty(len(z), dtype=bool)]
+        for p in np.unique(periods).tolist():
+            at = np.flatnonzero(periods == p)
+            for whole, part in zip(out, _reference_newton_fp(c, z[at], p, max_steps)):
+                whole[at] = part
+        return out
+
+    @pytest.mark.parametrize("c", [-2, -1 + 0.3j, PETAL_C],
+                             ids=["-2", "-1+0.3i", "three-petal"])
+    def test_grid_seeds_of_three_periods(self, c):
+        seeds = _grid_seeds(40)
+        z = np.tile(seeds, 3)
+        periods = np.repeat([1, 2, 3], len(seeds))
+        self.assert_same_bits(cycles._newton_fp(c, z, periods, 80),
+                              self.per_period(c, z, periods))
+        for p in (1, 2, 3):
+            self.assert_same_bits(cycles._fp(c, seeds, p), _reference_fp(c, seeds, p))
+            self.assert_same_bits(cycles._newton_fp(c, seeds, p, 80),
+                                  _reference_newton_fp(c, seeds, p, 80))
+
+    @pytest.mark.parametrize("c", [-1, PETAL_C], ids=["-1", "three-petal"])
+    def test_single_rows(self, c):
+        # numpy rounds an in-place complex product of a one-entry array
+        # differently from the out-of-place one.  An imaginary part of -0.0
+        # gives (f^p)' a zero imaginary part of the other sign than the
+        # reference's, which must not reach Newton's output
+        for z in [*_grid_seeds(6), *DYING, complex(1.1461932206205825, -0.0), -0.0j]:
+            for p in (1, 2, 3):
+                want = _reference_newton_fp(c, np.array([z]), p, 80)
+                self.assert_same_bits(cycles._newton_fp(c, np.array([z]), p, 80), want)
+                self.assert_same_bits(
+                    cycles._newton_fp(c, np.array([z]), np.array([p]), 80), want)
+
+    def test_rows_that_die(self):
+        seeds = _grid_seeds(5)
+        n = len(DYING) + len(seeds)
+        z = np.tile(np.concatenate([DYING, seeds]), 3)
+        periods = np.repeat([1, 2, 3], n)
+        got = cycles._newton_fp(-1, z, periods, 80)
+        self.assert_same_bits(got, self.per_period(-1, z, periods))
+        alive = got[2].reshape(3, n)[:, :len(DYING)]
+        # log 702 dies only where f^p takes a second step
+        assert alive.tolist() == [[False] * 4 + [True, False], [False] * 6, [False] * 6]
