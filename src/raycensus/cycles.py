@@ -178,6 +178,20 @@ def _minimal_period(c: complex, z: np.ndarray, p, tol: float) -> np.ndarray:
     return mp
 
 
+def _first_of_each(z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Ascending rows that hold the first of each bit-identical (z, p) pair.
+
+    Keyed on bits, so 0.0 and -0.0 stay apart, as they do for _fp.
+    """
+    keys = (z.imag.view(np.int64), z.real.view(np.int64), p)
+    at = np.lexsort(keys)  # stable: each group keeps its row order
+    first = np.zeros(len(at), dtype=bool)
+    first[:1] = True
+    for key in keys:
+        first[1:] |= key[at[1:]] != key[at[:-1]]
+    return np.sort(at[first])
+
+
 def _chunk_roots(c: complex, seeds: np.ndarray, p: np.ndarray, box: Box,
                  tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(periods, orbits) of the seeds whose root's orbit lies in box, in seed order.
@@ -188,6 +202,9 @@ def _chunk_roots(c: complex, seeds: np.ndarray, p: np.ndarray, box: Box,
     """
     z, ok = _roots(c, seeds, p, tol)
     z, p = z[ok], p[ok]
+    # a root found from several seeds has one fate: keep its first row
+    at = _first_of_each(z, p)
+    z, p = z[at], p[at]
     mp = _minimal_period(c, z, p, tol)
     at = np.argsort(mp, kind="stable")
     zd, ok = _roots(c, z[at], mp[at], tol)
@@ -255,15 +272,24 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
         for d in range(1, max_period + 1):
             at = np.flatnonzero(periods == d)
             new[at] = ~_near(roots[at], kept[d], near)
+        # polish every orbit point of every candidate row in one batch, the
+        # rows by ascending period; row k's points start at start[k]
+        cand = np.flatnonzero(new)
+        cand = cand[np.argsort(periods[cand], kind="stable")]
+        pp = periods[cand]
+        cols = np.arange(orbits.shape[1])
+        polish, polish_ok = _roots(m.c, orbits[cand][cols < pp[:, None]],
+                                   np.repeat(pp, pp), tol)
+        start = np.zeros(len(roots), dtype=int)
+        start[cand] = np.cumsum(pp) - pp
         k = -1  # new turns False at rows near a cycle kept earlier in this batch
         while (ahead := np.flatnonzero(new[k + 1:])).size:
             k += 1 + int(ahead[0])
             mp = int(periods[k])
-            # polish every orbit point individually
-            polished, ok = _roots(m.c, orbits[k, :mp], mp, tol)
-            if not ok.all():
+            at = slice(start[k], start[k] + mp)
+            if not polish_ok[at].all():
                 continue
-            polished = polished.tolist()
+            polished = polish[at].tolist()
             z0 = min(polished, key=lambda w: (w.real, w.imag))
             # polishing can collapse a rough orbit onto a cycle of a
             # dividing period, which that period's pass reports

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
@@ -97,6 +98,29 @@ def evaluate(m: MapModel, z: complex) -> complex:
     if is_escaped(z) or z.real > OVERFLOW_RE:
         return ESCAPED
     return cmath.exp(z) + m.c
+
+
+def forward_orbit(m: MapModel, z: complex, n: int,
+                  radius: float) -> tuple[list[complex], complex | None]:
+    """(orbit, out): z and its next n iterates, up to the first iterate that
+    is escaped or has modulus above radius.
+
+    out is that iterate, which orbit leaves out, or None if there is none.
+    Once an iterate repeats an earlier one bit for bit the orbit is periodic,
+    and the rest of it is filled in by repetition without calling evaluate.
+    """
+    orbit, seen = [z], {}  # iterate bits -> index
+    while len(orbit) <= n:
+        w = evaluate(m, orbit[-1])
+        if is_escaped(w) or abs(w) > radius:
+            return orbit, w
+        i = seen.setdefault(struct.pack("dd", w.real, w.imag), len(orbit))
+        if i < len(orbit):
+            rest, cycle = n + 1 - len(orbit), orbit[i:]
+            orbit += (cycle * (rest // len(cycle) + 1))[:rest]
+            break
+        orbit.append(w)
+    return orbit, None
 
 
 def singular_values(m: MapModel) -> list[complex]:

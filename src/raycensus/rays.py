@@ -23,6 +23,7 @@ from .exponential import (
     MapModel,
     _check_tolerance,
     evaluate,
+    forward_orbit,
     fundamental_domain_of,
     inverse_branch,
     is_escaped,
@@ -421,16 +422,10 @@ def singular_escape_status(m: MapModel, horizon: int) -> SingularFate:
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    orbit: list[complex] = [m.c]
-    escaped = False
-    for _ in range(horizon):
-        z = evaluate(m, orbit[-1])
-        if is_escaped(z) or abs(z) > ESCAPE_THRESHOLD:
-            escaped = True
-            if not is_escaped(z):
-                orbit.append(z)
-            break
-        orbit.append(z)
+    orbit, out = forward_orbit(m, m.c, horizon, ESCAPE_THRESHOLD)
+    escaped = out is not None
+    if escaped and not is_escaped(out):
+        orbit.append(out)
     max_mod = max(abs(z) for z in orbit)
 
     if escaped:

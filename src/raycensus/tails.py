@@ -21,6 +21,7 @@ from .exponential import (
     TWO_PI,
     MapModel,
     evaluate,
+    forward_orbit,
     in_fundamental_domain_exact,
     is_escaped,
     singular_values,
@@ -117,13 +118,8 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
         if rid not in b_regions:
             continue
         i0 = b_regions.index(rid)
-        orbit = [s]
-        for _ in range(horizon):
-            w = evaluate(m, orbit[-1])
-            if is_escaped(w) or abs(w) > ESCAPE_THRESHOLD:
-                break
-            orbit.append(w)
-        escapes = len(orbit) <= horizon
+        orbit, out = forward_orbit(m, s, horizon, ESCAPE_THRESHOLD)
+        escapes = out is not None
         beyond_box = False
         tracked = lo = 1
         while tracked == lo < len(orbit):

@@ -238,6 +238,102 @@ class TestInvariants:
             build_ray_graph(M2, 1, 1, box=box, grid=20)
 
 
+def _reference_find_cycles(m, max_period, box, grid=40, tol=1e-12, tol_band=1e-6):
+    """find_cycles as one chunk that keeps every seed's root and solves each
+    candidate row's polish on its own."""
+    near = 10.0 * max(tol, 1e-12)
+    p, cell = np.divmod(np.arange(max_period * grid * grid), grid * grid)
+    p = p + 1
+    seeds = _grid_seeds(grid, box)[cell]
+    z, ok = cycles._roots(m.c, seeds, p, tol)
+    z, p = z[ok], p[ok]
+    mp = cycles._minimal_period(m.c, z, p, tol)
+    at = np.argsort(mp, kind="stable")
+    zd, ok = cycles._roots(m.c, z[at], mp[at], tol)
+    z[at[ok]] = zd[ok]
+    orbits = np.empty((len(z), max_period), dtype=complex)
+    orbits[:, 0] = z
+    for j in range(1, max_period):
+        orbits[:, j] = np.exp(orbits[:, j - 1]) + m.c
+    keep = (cycles._in_box(box, orbits) | (np.arange(max_period) >= mp[:, None])).all(axis=1)
+    periods, orbits = mp[keep], orbits[keep]
+    roots = orbits[:, 0]
+    kept = {d: np.empty(0, dtype=complex) for d in range(1, max_period + 1)}
+    found = []
+    new = np.ones(len(roots), dtype=bool)
+    for k in np.flatnonzero(new):
+        if not new[k]:  # near a cycle kept since
+            continue
+        d = int(periods[k])
+        polished, ok = cycles._roots(m.c, orbits[k, :d], d, tol)
+        if not ok.all():
+            continue
+        polished = polished.tolist()
+        z0 = min(polished, key=lambda w: (w.real, w.imag))
+        if (cycles._minimal_period(m.c, np.array([z0]), d, tol)[0] != d
+                or cycles._near(np.array([z0]), kept[d], near)[0]):
+            continue
+        k0 = polished.index(z0)
+        pts = tuple(polished[(k0 + t) % d] for t in range(d))
+        lam = complex(1.0, 0.0)
+        for w in pts:
+            lam *= cmath.exp(w)
+        found.append(cycles.Cycle(pts, d, lam, *classify(lam, tol_band)))
+        kept[d] = np.append(kept[d], pts)
+        new[k + 1:] &= (periods[k + 1:] != d) | ~cycles._near(roots[k + 1:], np.array(pts), near)
+    return sorted(found, key=lambda c: (c.period, c.points[0].real, c.points[0].imag))
+
+
+def _cycle_bits(found):
+    return [(np.array([*cyc.points, cyc.multiplier]).tobytes(), cyc.period, cyc.cls,
+             cyc.rotation) for cyc in found]
+
+
+class TestDistinctRootsAndOnePolishBatch:
+    """find_cycles solves each distinct root once and polishes in one batch,
+    with the output of a search that handles every seed's row on its own."""
+
+    @pytest.mark.parametrize("c, box, grid", [
+        (-2, BOX, 40),
+        (-1 + 0.3j, BOX, 40),
+        (SIEGEL_C, (-1, 2, 2, 6), 40),
+        (PETAL_C, BOX, 12),
+        (PETAL_C, BOX, 40),
+        (-1, BOX, 40),
+    ], ids=["-2", "-1+0.3i", "siegel", "three-petal-12", "three-petal-40", "-1"])
+    def test_equals_the_per_row_search(self, c, box, grid):
+        m = MapModel(c=c)
+        got = find_cycles(m, 3, box, grid=grid).cycles
+        assert _cycle_bits(got) == _cycle_bits(_reference_find_cycles(m, 3, box, grid))
+
+    @pytest.mark.parametrize("c, grid", [(-2, 40), (-1, 12), (PETAL_C, 12)],
+                             ids=["-2", "-1", "three-petal"])
+    def test_each_polish_entry_equals_its_own_solve(self, monkeypatch, c, grid):
+        calls = []
+        roots = cycles._roots
+
+        def record(c, z, p, tol):
+            out = roots(c, z, p, tol)
+            calls.append((z, np.broadcast_to(p, z.shape), out))
+            return out
+
+        monkeypatch.setattr(cycles, "_roots", record)
+        find_cycles(MapModel(c=c), 3, BOX, grid=grid)
+        z, p, (polish, ok) = calls[-1]  # one chunk: seeds, re-solve, polish
+        assert len(calls) == 3 and len(z) > 1 and (np.diff(p) >= 0).all()
+        for i in range(len(z)):
+            one, one_ok = roots(c, z[i:i + 1], int(p[i]), 1e-12)
+            assert one.tobytes() == polish[i:i + 1].tobytes() and one_ok[0] == ok[i]
+
+    def test_first_of_each_keeps_signed_zeros_apart_and_the_first_row(self):
+        z = np.array([complex(1.0, 0.0), complex(1.0, -0.0), complex(2.0, 0.0),
+                      complex(1.0, 0.0), complex(1.0, -0.0), complex(1.0, 0.0),
+                      complex(-0.0, 2.0), complex(0.0, 2.0)])
+        p = np.array([1, 1, 1, 1, 1, 2, 2, 2])
+        assert cycles._first_of_each(z, p).tolist() == [0, 1, 2, 5, 6, 7]
+        assert cycles._first_of_each(z[:0], p[:0]).tolist() == []
+
+
 def _reference_fp(c, z, p):
     """cycles._fp for an int p, one numpy pass per step over every entry."""
     w = z

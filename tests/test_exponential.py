@@ -4,11 +4,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from raycensus import exponential
 from raycensus.exponential import (
     ESCAPED,
     MapModel,
     SingularValueHit,
     evaluate,
+    forward_orbit,
     fundamental_domain_of,
     in_fundamental_domain_exact,
     inverse_branch,
@@ -127,3 +129,47 @@ class TestModelValidation:
     def test_radius_too_small_rejected(self):
         with pytest.raises(ValueError):
             MapModel(c=-2, R=1.5)
+
+
+def _full_orbit(m, z, n, radius):
+    """forward_orbit without its repeat test: one evaluate per iterate."""
+    orbit = [z]
+    for _ in range(n):
+        w = evaluate(m, orbit[-1])
+        if is_escaped(w) or abs(w) > radius:
+            return orbit, w
+        orbit.append(w)
+    return orbit, None
+
+
+class TestForwardOrbit:
+    # escaping (0, 0.25), a fixed point reached bit for bit (-2), orbits that
+    # settle on rounding cycles (of periods 3 and 4 on x86-64 with CPython
+    # 3.11), and orbits that never repeat within the horizon (Siegel,
+    # three-petal parabolic)
+    @pytest.mark.parametrize("c", [
+        0, 0.25, -2, -1 + 0.3j, -2.25 + 2j, -1.5 + 1.5j,
+        complex(0.7373688780783199, 4.558712371712457),
+        complex(0.5, 1.2283696986087567)])
+    @pytest.mark.parametrize("n", [1, 10, 50, 1000, 100_000])
+    def test_equals_the_full_loop(self, c, n):
+        m = MapModel(c=c)
+        orbit, out = forward_orbit(m, m.c, n, 1e5)
+        want, want_out = _full_orbit(m, m.c, n, 1e5)
+        assert [repr(complex(z)) for z in orbit] == [repr(complex(z)) for z in want]
+        assert repr(out) == repr(want_out)
+
+    @pytest.mark.parametrize("c", [-2, -2.25 + 2j, -1.5 + 1.5j])
+    def test_a_repeat_ends_the_evaluate_calls(self, monkeypatch, c):
+        # each orbit is attracted to a cycle, so in floating point it repeats
+        # bit for bit after a few dozen iterates
+        seen = []
+        monkeypatch.setattr(exponential, "evaluate", lambda m, z: seen.append(z) or evaluate(m, z))
+        orbit, out = forward_orbit(MapModel(c=c), c, 100_000, 1e5)
+        assert out is None and len(orbit) == 100_001
+        assert len(seen) < 100
+
+    def test_radius_stops_before_the_first_iterate_outside(self):
+        orbit, out = forward_orbit(MapModel(c=0), 0, 10, 3.0)
+        assert orbit == [0, 1, math.e] and out == evaluate(MapModel(c=0), math.e)
+        assert forward_orbit(M2, 701, 3, 1e5) == ([701], ESCAPED)
