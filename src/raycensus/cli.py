@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .addresses import AddressParseError, parse_address, period_of
 from .census import DEFAULT_MATCH_TOL, audit, dumps_canonical
-from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, find_cycles
+from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, cycle_through, find_cycles
 from .exponential import MapModel, SingularValueHit
 from .rays import DEFAULT_LANDING_TOL, DEFAULT_MAX_ITER, landing_point, sweep_hair
 from .regions import PointLocationError, build_ray_graph, interior_fixed_point_audit
@@ -229,7 +229,8 @@ def _cmd_tails(args: argparse.Namespace) -> int:
     p = period_of(s)
     if p <= 0:
         raise UsageError("tails subcommand needs a purely periodic address")
-    _check_tail_limits(args.max_level, args.samples)
+    _check_tail_limits(max_level=args.max_level, samples=args.samples,
+                       horizon=args.horizon)
     res = landing_point(m, s)
     if not res.landed:
         print(f"address {s} does not land ({res.status}); no tail context",
@@ -239,10 +240,8 @@ def _cmd_tails(args: argparse.Namespace) -> int:
     box = _parse_box(args.box)
     graph = build_ray_graph(m, p, window, depth=args.depth, box=box,
                             grid=args.probe_grid)
-    search = find_cycles(m, p, box, grid=args.grid)
-    target = next((cyc for cyc in search.cycles if cyc.is_repelling and
-                   min(abs(res.point - z) for z in cyc.points) < DEFAULT_MATCH_TOL),
-                  None)
+    # the landing point lies on the cycle the tails are defined by
+    target = cycle_through(m, res.point, p, box)
     if target is None:
         print("landing cycle not found in box; enlarge --box", file=sys.stderr)
         return EXIT_USAGE
@@ -305,7 +304,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--depth", type=int, default=40)
         p.add_argument("--box", default=_DEFAULT_BOX)
         p.add_argument("--probe-grid", type=int, default=probe_grid)
-        p.add_argument("--grid", type=int, default=40)
 
     p = command("trace-ray", _cmd_trace_ray, "sample a dynamic ray to CSV")
     p.add_argument("--address")
@@ -328,6 +326,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = command("regions", _cmd_regions, "ray graph and basic regions")
     p.add_argument("--p", type=int, default=1)
     graph_flags(p, window=1, probe_grid=200)
+    p.add_argument("--grid", type=int, default=40)
     p.add_argument("--max-period", type=int, help="default: --p")
     p.add_argument("--audit", action="store_true",
                    help="include the interior-fixed-point audit")
@@ -342,6 +341,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = command("audit", _cmd_audit, "refined Fatou-Shishikura census")
     p.add_argument("--max-period", type=int, default=2)
     graph_flags(p, window=1, probe_grid=120)
+    p.add_argument("--grid", type=int, default=40)
     p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--tol-band", type=float, default=DEFAULT_TOL_BAND)

@@ -229,6 +229,59 @@ def _near(z: np.ndarray, pts: np.ndarray, dist: float) -> np.ndarray:
     return out
 
 
+def _search(c: complex, seeds: np.ndarray, p: np.ndarray, box: Box, tol: float,
+            tol_band: float, kept: dict[int, np.ndarray]) -> list[Cycle]:
+    """The new cycles through the Newton roots from seeds at periods p (ascending).
+
+    kept holds every point of the cycles found so far, by period, for each
+    period up to the largest of p; a root near one of them is not new, and
+    the points of each new cycle are added.  Round-off can change which
+    point of a cycle is least, so no single representative point is enough.
+    """
+    near = 10.0 * max(tol, 1e-12)
+    periods, orbits = _chunk_roots(c, seeds, p, box, tol)
+    roots = orbits[:, 0]
+    new = np.ones(len(roots), dtype=bool)
+    for d, pts in kept.items():
+        at = np.flatnonzero(periods == d)
+        new[at] = ~_near(roots[at], pts, near)
+    # polish every orbit point of every candidate row in one batch, the
+    # rows by ascending period; row k's points start at start[k]
+    cand = np.flatnonzero(new)
+    cand = cand[np.argsort(periods[cand], kind="stable")]
+    pp = periods[cand]
+    cols = np.arange(orbits.shape[1])
+    polish, polish_ok = _roots(c, orbits[cand][cols < pp[:, None]], np.repeat(pp, pp), tol)
+    start = np.zeros(len(roots), dtype=int)
+    start[cand] = np.cumsum(pp) - pp
+    cycles: list[Cycle] = []
+    k = -1  # new turns False at rows near a cycle kept earlier in this batch
+    while (ahead := np.flatnonzero(new[k + 1:])).size:
+        k += 1 + int(ahead[0])
+        mp = int(periods[k])
+        at = slice(start[k], start[k] + mp)
+        if not polish_ok[at].all():
+            continue
+        polished = polish[at].tolist()
+        z0 = min(polished, key=lambda w: (w.real, w.imag))
+        # polishing can collapse a rough orbit onto a cycle of a
+        # dividing period, which that period's pass reports
+        if (_minimal_period(c, np.array([z0]), mp, tol)[0] != mp
+                or _near(np.array([z0]), kept[mp], near)[0]):
+            continue
+        k0 = polished.index(z0)
+        pts = tuple(polished[(k0 + t) % mp] for t in range(mp))
+        lam = complex(1.0, 0.0)
+        for w in pts:
+            lam *= cmath.exp(w)
+        cls, rho = classify(lam, tol_band)
+        cycles.append(Cycle(pts, mp, lam, cls, rho))
+        kept[mp] = np.append(kept[mp], pts)
+        new[k + 1:] &= ((periods[k + 1:] != mp)
+                        | ~_near(roots[k + 1:], np.array(pts), near))
+    return cycles
+
+
 @dataclass
 class CycleSearch:
     cycles: list[Cycle]
@@ -252,12 +305,7 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
     xlo, xhi, ylo, yhi = box
 
     cycles: list[Cycle] = []
-    # every point of the cycles kept, by period.  A root is new unless it
-    # lies near one of them: round-off can change which point of a cycle
-    # is least, so no single representative point is enough
     kept = {p: np.empty(0, dtype=complex) for p in range(1, max_period + 1)}
-    near = 10.0 * max(tol, 1e-12)
-
     n_seeds, n_rows = grid * grid, max_period * grid * grid
     for lo in range(0, n_rows, _SEED_CHUNK):
         # rows in (period, seed) order, so kept grows as with one batch per period
@@ -266,46 +314,24 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
         seeds = np.empty(len(i), dtype=complex)
         seeds.real = xlo + (i + 0.5) * (xhi - xlo) / grid
         seeds.imag = ylo + (j + 0.5) * (yhi - ylo) / grid
-        periods, orbits = _chunk_roots(m.c, seeds, p + 1, box, tol)
-        roots = orbits[:, 0]
-        new = np.ones(len(roots), dtype=bool)
-        for d in range(1, max_period + 1):
-            at = np.flatnonzero(periods == d)
-            new[at] = ~_near(roots[at], kept[d], near)
-        # polish every orbit point of every candidate row in one batch, the
-        # rows by ascending period; row k's points start at start[k]
-        cand = np.flatnonzero(new)
-        cand = cand[np.argsort(periods[cand], kind="stable")]
-        pp = periods[cand]
-        cols = np.arange(orbits.shape[1])
-        polish, polish_ok = _roots(m.c, orbits[cand][cols < pp[:, None]],
-                                   np.repeat(pp, pp), tol)
-        start = np.zeros(len(roots), dtype=int)
-        start[cand] = np.cumsum(pp) - pp
-        k = -1  # new turns False at rows near a cycle kept earlier in this batch
-        while (ahead := np.flatnonzero(new[k + 1:])).size:
-            k += 1 + int(ahead[0])
-            mp = int(periods[k])
-            at = slice(start[k], start[k] + mp)
-            if not polish_ok[at].all():
-                continue
-            polished = polish[at].tolist()
-            z0 = min(polished, key=lambda w: (w.real, w.imag))
-            # polishing can collapse a rough orbit onto a cycle of a
-            # dividing period, which that period's pass reports
-            if (_minimal_period(m.c, np.array([z0]), mp, tol)[0] != mp
-                    or _near(np.array([z0]), kept[mp], near)[0]):
-                continue
-            k0 = polished.index(z0)
-            pts = tuple(polished[(k0 + t) % mp] for t in range(mp))
-            lam = complex(1.0, 0.0)
-            for w in pts:
-                lam *= cmath.exp(w)
-            cls, rho = classify(lam, tol_band)
-            cycles.append(Cycle(pts, mp, lam, cls, rho))
-            kept[mp] = np.append(kept[mp], pts)
-            new[k + 1:] &= ((periods[k + 1:] != mp)
-                            | ~_near(roots[k + 1:], np.array(pts), near))
+        cycles += _search(m.c, seeds, p + 1, box, tol, tol_band, kept)
 
     cycles.sort(key=lambda c: (c.period, c.points[0].real, c.points[0].imag))
     return CycleSearch(cycles=cycles)
+
+
+def cycle_through(m: MapModel, z: complex, p: int, box: Box, tol: float = DEFAULT_TOL,
+                  tol_band: float = DEFAULT_TOL_BAND) -> Cycle | None:
+    """The cycle that find_cycles' Newton path finds from the one seed z at period p.
+
+    None when Newton from z fails, or the cycle's orbit leaves the box, or
+    its polish fails.  The cycle's period is the least that z repeats at.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    _check_tolerance("tol", tol)
+    _check_tol_band(tol_band)
+    _check_box(box)
+    kept = {d: np.empty(0, dtype=complex) for d in range(1, p + 1)}
+    found = _search(m.c, np.array([z], dtype=complex), np.array([p]), box, tol, tol_band, kept)
+    return found[0] if found else None

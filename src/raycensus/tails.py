@@ -104,8 +104,7 @@ def choose_radius(m: MapModel, cycle: Cycle, graph: RayGraph,
     graph's box on an orbit that escapes within the horizon: the orbit
     then left the box while following, and it ends trapped-unbounded.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_tail_limits(horizon=horizon)
     mper = cycle.period
     best = max(m.R, max(abs(z) for z in cycle.points))
     follow = 0
@@ -476,8 +475,8 @@ def piece_mapping_check(ctx: TailContext, s: InfiniteAddress, j: int,
                          n_checked=checked, n_failed=failed)
 
 
-def _check_tail_limits(max_level: int, samples: int):
-    for name, value in (("max_level", max_level), ("samples", samples)):
+def _check_tail_limits(**limits: int):
+    for name, value in limits.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
 
@@ -485,7 +484,7 @@ def _check_tail_limits(max_level: int, samples: int):
 def tail_diagnostics(ctx: TailContext, s: InfiniteAddress, max_level: int,
                      samples: int = 16) -> list[dict]:
     """JSON-friendly per-level record: existence, witness, piece diameter."""
-    _check_tail_limits(max_level, samples)
+    _check_tail_limits(max_level=max_level, samples=samples)
     out = []
     for n, rec in enumerate(tail_exists(ctx, s, range(1, max_level + 1)), 1):
         entry: dict = {

@@ -273,6 +273,29 @@ class TestOtherCommands:
         assert all(lvl["exists"] for lvl in doc["levels"])
         assert doc["r"] == 5.0
 
+    def test_tails_cycle_is_the_landed_one(self, capsys):
+        # the grid-40 cycle search finds none of the 7 period-4 cycles at
+        # c = -2; tails solves for its cycle from the landing point alone
+        assert main(["tails", "--c", "-2,0", "--address", "0,0,0,1", "--max-level", "2",
+                     "--samples", "4"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        cycle = json.loads(out)["cycle"]
+        assert (cycle["period"], cycle["class"]) == (4, "repelling")
+
+    def test_tails_has_no_grid(self, tmp_path, capsys):
+        argv = ["tails", "--c", "-2,0", "--address", "0", "--max-level", "2", "--samples", "4"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--grid", "40"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid 40" in capsys.readouterr().err
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid=abc\n")
+        assert main([*argv, "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == expected
+
     def test_tails_orbit_escaping_beyond_the_box_exit_4(self, capsys):
         # the singular orbit 0, 1, e follows the 2-cycle's region; e^e lies
         # right of the box, where point location fails, and then escapes
@@ -357,12 +380,13 @@ class TestMeaninglessLimits:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag, message", [("--max-level", "max_level must be >= 1"),
-                                               ("--samples", "samples must be >= 1")])
+                                               ("--samples", "samples must be >= 1"),
+                                               ("--horizon", "horizon must be >= 1")])
     def test_tails_limits_checked_before_any_work(self, capsys, monkeypatch, flag, message):
         def not_before_the_limits(*args, **kwargs):
             raise AssertionError("work started before the limits were checked")
 
-        for name in ("landing_point", "build_ray_graph", "find_cycles"):
+        for name in ("landing_point", "build_ray_graph", "find_cycles", "cycle_through"):
             monkeypatch.setattr(cli, name, not_before_the_limits)
         # c=0: the ray lands nowhere, which would exit 4 if landing came first
         for c in ("-2,0", "0,0"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from raycensus import cycles, rays
+from raycensus.addresses import enumerate_periodic, parse_address, period_of
 from raycensus.cycles import classify, find_cycles
 from raycensus.exponential import MapModel, evaluate
 from raycensus.regions import build_ray_graph
@@ -156,6 +157,58 @@ class TestSiegel:
         assert abs(z0 - SIEGEL_FIX) < 1e-10
         assert abs(abs(ind[0].multiplier) - 1) < 1e-10
         assert abs(ind[0].rotation - theta) < 1e-9
+
+
+class TestCycleThrough:
+    """The cycle of one seed, found by find_cycles' own Newton path."""
+
+    @pytest.mark.parametrize("c", [-2, -1 + 0.3j, SIEGEL_C], ids=["-2", "-1+0.3i", "siegel"])
+    def test_landing_points_give_the_grid_cycles(self, c):
+        m = MapModel(c=c)
+        grid_cycles = find_cycles(m, 3, BOX, grid=40).cycles
+        matched = 0
+        for p in (1, 2, 3):
+            for s in enumerate_periodic(1, p):
+                if period_of(s) != p:
+                    continue
+                res = rays.landing_point(m, s)
+                if not res.landed:
+                    continue
+                want = next((cyc for cyc in grid_cycles
+                             if min(abs(res.point - z) for z in cyc.points) < 1e-9), None)
+                if want is None:
+                    continue
+                got = cycles.cycle_through(m, res.point, p, BOX)
+                assert (got.period, got.cls) == (want.period, want.cls)
+                assert all(min(abs(z - w) for w in want.points) <= 1e-12 for z in got.points)
+                assert all(min(abs(z - w) for w in got.points) <= 1e-12 for z in want.points)
+                assert abs(got.multiplier - want.multiplier) <= 1e-9 * abs(want.multiplier)
+                matched += 1
+        assert matched >= 5
+
+    def test_period_four_cycle_the_grid_40_search_misses(self):
+        res = rays.landing_point(M2, parse_address("0,0,0,1"))
+        assert not any(cyc.period == 4 for cyc in find_cycles(M2, 4, BOX).cycles)
+        got = cycles.cycle_through(M2, res.point, 4, BOX)
+        assert (got.period, got.cls) == (4, "repelling")
+        fine = [cyc for cyc in find_cycles(M2, 4, BOX, grid=300).cycles if cyc.period == 4]
+        assert any(all(min(abs(z - w) for w in cyc.points) <= 1e-12 for z in got.points)
+                   for cyc in fine)
+
+    def test_orbit_leaving_the_box_gives_none(self):
+        res = rays.landing_point(M2, parse_address("0,1,1,1"))
+        assert res.landed
+        orbit = [res.point]
+        for _ in range(3):
+            orbit.append(evaluate(M2, orbit[-1]))
+        assert max(z.imag for z in orbit) > BOX[3]
+        assert cycles.cycle_through(M2, res.point, 4, BOX) is None
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError, match="p must be"):
+            cycles.cycle_through(M2, FIX_REPELLING, 0, BOX)
+        with pytest.raises(ValueError, match="empty box"):
+            cycles.cycle_through(M2, FIX_REPELLING, 1, (3, -3, -7, 7))
 
 
 class TestInvariants:
