@@ -320,8 +320,7 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
     return CycleSearch(cycles=cycles)
 
 
-def cycle_through(m: MapModel, z: complex, p: int, box: Box, tol: float = DEFAULT_TOL,
-                  tol_band: float = DEFAULT_TOL_BAND) -> Cycle | None:
+def cycle_through(m: MapModel, z: complex, p: int, box: Box) -> Cycle | None:
     """The cycle that find_cycles' Newton path finds from the one seed z at period p.
 
     None when Newton from z fails, or the cycle's orbit leaves the box, or
@@ -329,9 +328,8 @@ def cycle_through(m: MapModel, z: complex, p: int, box: Box, tol: float = DEFAUL
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    _check_tolerance("tol", tol)
-    _check_tol_band(tol_band)
     _check_box(box)
     kept = {d: np.empty(0, dtype=complex) for d in range(1, p + 1)}
-    found = _search(m.c, np.array([z], dtype=complex), np.array([p]), box, tol, tol_band, kept)
+    found = _search(m.c, np.array([z], dtype=complex), np.array([p]), box,
+                    DEFAULT_TOL, DEFAULT_TOL_BAND, kept)
     return found[0] if found else None
