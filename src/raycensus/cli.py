@@ -19,7 +19,12 @@ from .census import DEFAULT_MATCH_TOL, audit, dumps_canonical
 from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, cycle_through, find_cycles
 from .exponential import MapModel, SingularValueHit
 from .rays import DEFAULT_LANDING_TOL, DEFAULT_MAX_ITER, landing_point, sweep_hair
-from .regions import PointLocationError, build_ray_graph, interior_fixed_point_audit
+from .regions import (
+    PointLocationError,
+    _check_graph_limits,
+    build_ray_graph,
+    interior_fixed_point_audit,
+)
 from .tails import (
     DEFAULT_HORIZON,
     TrappedSingularOrbit,
@@ -238,13 +243,15 @@ def _cmd_tails(args: argparse.Namespace) -> int:
         return EXIT_NOT_CONVERGED if res.status == "not-converged" else EXIT_SINGULAR
     window = max(1, s.max_abs_entry) if args.window is None else args.window
     box = _parse_box(args.box)
-    graph = build_ray_graph(m, p, window, depth=args.depth, box=box,
-                            grid=args.probe_grid)
+    # a bad graph setting wins over a cycle outside the box, which needs no graph
+    _check_graph_limits(window, args.depth, args.probe_grid)
     # the landing point lies on the cycle the tails are defined by
     target = cycle_through(m, res.point, p, box)
     if target is None:
         print("landing cycle not found in box; enlarge --box", file=sys.stderr)
         return EXIT_USAGE
+    graph = build_ray_graph(m, p, window, depth=args.depth, box=box,
+                            grid=args.probe_grid)
     ctx = make_tail_context(m, target, graph, horizon=args.horizon)
     doc = {
         "config": _base_config(m, address=str(s), window=window,

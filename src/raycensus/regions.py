@@ -84,6 +84,18 @@ def segments_cross(a, b, c, d):
     return proper | touch
 
 
+def _squared_distances(z, a, b):
+    """Squared distance from z to segment ab, elementwise over complex
+    arrays that broadcast together."""
+    x, y, ax, ay = z.real, z.imag, a.real, a.imag
+    ux, uy = b.real - ax, b.imag - ay
+    denom = ux * ux + uy * uy
+    denom = np.where(denom == 0, 1.0, denom)
+    t = np.clip(((x - ax) * ux + (y - ay) * uy) / denom, 0.0, 1.0)
+    px, py = ax + t * ux, ay + t * uy
+    return (x - px) ** 2 + (y - py) ** 2
+
+
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -153,13 +165,64 @@ class RayGraph:
         step = max(1, _PAIR_CAP // max(1, len(self._segs)))
         return (slice(lo, lo + step) for lo in range(0, n, step))
 
-    def _blocked(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """True where segment a[i] b[i] meets a stored segment."""
+    def _interior(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+        """True where cell (ix[i], iy[i]) is at least one cell in from the
+        edge of the grid, and the cells are wider than 2 * SNAP_TOL.
+
+        For a point z in such a cell, the segments the index lists in z's
+        cell hold every segment that can change where z is located, so the
+        snap test, the own-probe test and the ring-1 tests read that list
+        alone.  The index lists a segment in each cell its bounding box
+        meets and in their neighbours, and a cell is monotone in its
+        coordinate.  The segment from z to its own probe stays in z's cell,
+        and one to a ring-1 probe within one cell of it, all inside the box,
+        so a segment meeting either meets z's cell or a neighbour; so does
+        a segment within SNAP_TOL of z, as the cells are wider than twice
+        that.  Such a segment is listed in z's cell, with a cell to spare
+        for the rounding of the float tests, whose per-pair operations are
+        those of the full scan.
+        """
+        top = self.grid - 2
+        wide = min(self._cell_size()) > 2 * SNAP_TOL
+        return (ix >= 1) & (ix <= top) & (iy >= 1) & (iy <= top) & wide
+
+    def _listed_pairs(self, cell: np.ndarray):
+        """(rows, segment ids) chunks pairing each row i with cell[i] >= 0
+        with every segment the index lists in cell[i], row by row.
+
+        A chunk holds _PAIR_CAP // 4 pairs (the last one fewer), and a row's
+        pairs may span two chunks.  Each pair holds its own copy of both
+        segments' coordinates, which a broadcast pair of _chunks shares, so
+        fewer pairs keep the peak memory where it was."""
+        cells, segs = self._index
+        rows = np.flatnonzero(cell >= 0)
+        first = np.searchsorted(cells, cell[rows])
+        count = np.searchsorted(cells, cell[rows], side="right") - first
+        ends = np.cumsum(count)
+        shift = first - (ends - count)  # index position less pair position
+        total, step = int(count.sum()), _PAIR_CAP // 4
+        for lo in range(0, total, step):
+            pair = np.arange(lo, min(lo + step, total))
+            row = np.searchsorted(ends, pair, side="right")
+            yield rows[row], segs[pair + shift[row]]
+
+    def _blocked(self, a: np.ndarray, b: np.ndarray, cell: np.ndarray | None = None) -> np.ndarray:
+        """True where segment a[i] b[i] meets a stored segment.
+
+        Where cell[i] >= 0, only the segments the index lists in cell[i] are
+        tested; the caller vouches that they hold every segment a[i] b[i]
+        can meet (see _interior).  The other rows are tested against every
+        segment."""
         out = np.zeros(len(a), dtype=bool)
         if len(self._segs):
             c, d = self._segs.T
-            for part in self._chunks(len(a)):
-                out[part] = segments_cross(a[part, None], b[part, None], c, d).any(axis=1)
+            scan = np.arange(len(a)) if cell is None else np.flatnonzero(cell < 0)
+            for part in self._chunks(len(scan)):
+                rows = scan[part]
+                out[rows] = segments_cross(a[rows, None], b[rows, None], c, d).any(axis=1)
+            if cell is not None:
+                for rows, seg in self._listed_pairs(cell):
+                    out[rows[segments_cross(a[rows], b[rows], c[seg], d[seg])]] = True
         return out
 
     def _edge_crosses(self) -> tuple[np.ndarray, np.ndarray]:
@@ -216,15 +279,23 @@ class RayGraph:
         if len(self._segs) == 0:
             return out
         a, b = self._segs.T
-        ax, ay, bx, by = a.real, a.imag, b.real, b.imag
-        ux, uy = bx - ax, by - ay
-        denom = ux * ux + uy * uy
-        denom = np.where(denom == 0, 1.0, denom)
         for part in self._chunks(len(points)):
-            x, y = points[part, None].real, points[part, None].imag
-            t = np.clip(((x - ax) * ux + (y - ay) * uy) / denom, 0.0, 1.0)
-            px, py = ax + t * ux, ay + t * uy
-            out[part] = np.sqrt(np.min((x - px) ** 2 + (y - py) ** 2, axis=1))
+            out[part] = np.sqrt(np.min(_squared_distances(points[part, None], a, b), axis=1))
+        return out
+
+    def _on_graph(self, z: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """distance_to_graph(z) < SNAP_TOL, testing z[i] only against the
+        segments listed in cell[i] where cell[i] >= 0 (see _interior).
+
+        A listed point snaps when any one pair is nearer than SNAP_TOL; as
+        sqrt is monotone, that is the test sqrt(min d^2) < SNAP_TOL of
+        distance_to_graph, pair for pair the same float operations."""
+        out = np.zeros(len(z), dtype=bool)
+        scan = np.flatnonzero(cell < 0)
+        out[scan] = self.distance_to_graph(z[scan]) < SNAP_TOL
+        a, b = self._segs.T
+        for rows, seg in self._listed_pairs(cell):
+            out[rows[np.sqrt(_squared_distances(z[rows], a[seg], b[seg])) < SNAP_TOL]] = True
         return out
 
     def regions_of(self, points) -> tuple[np.ndarray, np.ndarray]:
@@ -232,29 +303,35 @@ class RayGraph:
 
         A point within SNAP_TOL of the graph is ON_ARC; a point that is not
         finite, or whose every tried probe is blocked, has NO_REGION.  The
-        snap test, the cell lookup and the crossing test to the point's own
+        cell lookup, the snap test and the crossing test to the point's own
         cell probe are numpy passes over all points, and so is each ring of
-        cells searched around the points whose own probe is blocked.
+        cells searched around the points whose own probe is blocked.  The
+        snap test, the own-probe test and ring 1 of a point in an _interior
+        cell read only the segments the index lists in that cell; the other
+        points, and rings 2 and beyond, test every segment.
         """
         z = np.asarray(points, dtype=complex).reshape(-1)
         ids = np.full(len(z), -1, dtype=np.int64)
         status = np.full(len(z), NO_REGION, dtype=np.int8)
         with np.errstate(all="ignore"):  # far orbit points overflow the squares
             idx = np.flatnonzero(np.isfinite(z))
-            on_arc = self.distance_to_graph(z[idx]) < SNAP_TOL
-            status[idx[on_arc]] = ON_ARC
-            idx = idx[~on_arc]
             ix, iy = self._cells_of(z[idx].real, z[idx].imag)
-            blocked = self._blocked(z[idx], self._probes(ix, iy))
+            cell = np.where(self._interior(ix, iy), iy * self.grid + ix, -1)
+            on_arc = self._on_graph(z[idx], cell)
+            status[idx[on_arc]] = ON_ARC
+            off = ~on_arc
+            idx, ix, iy, cell = idx[off], ix[off], iy[off], cell[off]
+            blocked = self._blocked(z[idx], self._probes(ix, iy), cell)
             ids[idx] = self._region_of_probe[iy * self.grid + ix]
             status[idx] = LOCATED
             if blocked.any():
                 far = idx[blocked]
-                ids[far] = self._ring_search(z[far], ix[blocked], iy[blocked])
+                ids[far] = self._ring_search(z[far], ix[blocked], iy[blocked], cell[blocked])
                 status[far[ids[far] < 0]] = NO_REGION
         return ids, status
 
-    def _ring_search(self, z: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    def _ring_search(self, z: np.ndarray, cx: np.ndarray, cy: np.ndarray,
+                     cell: np.ndarray) -> np.ndarray:
         """Region of the nearest crossing-free probe in the rings around cell
         (cx[i], cy[i]), whose own probe is blocked, for every point z[i]; -1
         once more than _MAX_PROBES probes were blocked or the grid is
@@ -262,6 +339,8 @@ class RayGraph:
 
         One numpy pass per ring tests the ring's probes of every point still
         searching; each point reads its own in (distance, ix, iy) order.
+        Ring 1 of a point with cell[i] >= 0 is tested against the segments
+        listed in that cell only (see _interior).
         """
         g = self.grid
         out = np.full(len(z), -1, dtype=np.int64)
@@ -283,7 +362,7 @@ class RayGraph:
             probes = self._probes(ix, iy)
             order = np.lexsort((iy, ix, np.abs(probes - z[own]), own))
             own, ix, iy, probes = own[order], ix[order], iy[order], probes[order]
-            clear = ~self._blocked(z[own], probes)
+            clear = ~self._blocked(z[own], probes, cell[own] if ring == 1 else None)
             # position of each probe in its point's reading order of the ring
             rank = np.arange(len(own)) - np.searchsorted(own, own)
             first = np.flatnonzero(clear)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from raycensus import cli, cycles, rays
@@ -12,6 +13,7 @@ from raycensus.addresses import parse_address
 from raycensus.cli import main
 from raycensus.exponential import MapModel
 from raycensus.rays import LandingResult
+from raycensus.regions import RayGraph
 from test_rays import assert_same_landing, scalar_landing
 
 AUDIT_ARGS = ["audit", "--c", "-2,0", "--box", "-3,3,-7,7",
@@ -393,6 +395,18 @@ class TestMeaninglessLimits:
             assert main(["tails", "--c", c, "--address", "0", flag, "0"]) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_tails_cycle_outside_the_box_builds_no_graph(self, capsys, monkeypatch):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("ray graph built for a cycle outside the box")
+
+        monkeypatch.setattr(cli, "build_ray_graph", no_graph)
+        # the fixed point that ray 1 lands on at c = -2 lies above the box
+        assert main(["tails", "--c", "-2,0", "--address", "1"]) == 2
+        assert capsys.readouterr() == ("", "landing cycle not found in box; enlarge --box\n")
+        # a bad graph setting still wins over the cycle outside the box
+        assert main(["tails", "--c", "-2,0", "--address", "1", "--probe-grid", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: probe grid must be >= 1\n")
+
     @pytest.mark.parametrize("args, bad", [
         (["trace-ray", "--c", "nan,0", "--address", "0", "--t", "1:2", "--samples", "3"], "nan"),
         (["trace-ray", "--c", "-2,0", "--address", "0", "--t", "1:inf", "--samples", "3"], "inf"),
@@ -426,6 +440,35 @@ class TestMeaninglessLimits:
             assert main(["audit", "--c", "-2,0", "--max-period", "1", flag, "0"]) == 2
             errors.append(capsys.readouterr().err)
         assert errors[0] != errors[1]
+
+
+class TestIndexedLocation:
+    """Point location reads the probe-grid cell index for interior points;
+    scanning every segment for every point gives the same output."""
+
+    @pytest.mark.parametrize("argv", [
+        *(["tails", "--c", c, "--address", "0", "--max-level", "25", "--samples", "20"]
+          for c in ("-2.1481219654863297,-0.02366185412148723", "-1.905,-0.116")),
+        ["regions", "--c", "-2,0", "--p", "3", "--window", "2", "--audit"],
+    ], ids=["tails-a", "tails-b", "regions"])
+    def test_same_output_as_the_full_scan(self, capsys, monkeypatch, argv):
+        inside = []
+        interior = RayGraph._interior
+
+        def counted(graph, ix, iy):
+            mask = interior(graph, ix, iy)
+            inside.append(mask.sum())
+            return mask
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RayGraph, "_interior", counted)
+            code = main(argv)
+        indexed = capsys.readouterr()
+        assert sum(inside) > 0
+        monkeypatch.setattr(RayGraph, "_interior",
+                            lambda graph, ix, iy: np.zeros(len(ix), dtype=bool))
+        assert main(argv) == code
+        assert capsys.readouterr() == indexed
 
 
 class TestInProcessMain:

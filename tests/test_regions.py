@@ -60,6 +60,17 @@ def graph_m2():
     return build_ray_graph(M2, 1, 1, depth=40, box=BOX, grid=120)
 
 
+#: parameters of the benchmark's circle |c + 2| = 0.15 where many witness
+#: points of `tails` find their own probe blocked
+BENCH_CIRCLE = (complex(-2.1481219654863297, -0.02366185412148723), complex(-1.905, -0.116))
+
+
+@pytest.fixture(scope="module", params=BENCH_CIRCLE, ids=str)
+def graph_circle(request):
+    """The graph `tails --address 0` builds at a bench-circle parameter."""
+    return build_ray_graph(MapModel(c=request.param), 1, 1, depth=40, box=BOX, grid=120)
+
+
 class TestSegmentsCross:
     def test_proper_crossing(self):
         assert segments_cross(-1 - 1j, 1 + 1j, -1 + 1j, 1 - 1j)
@@ -598,9 +609,9 @@ class TestBatchedLocation:
         calls = []
         blocked = RayGraph._blocked
 
-        def counted(graph, a, b):
+        def counted(graph, a, *args):
             calls.append(len(a))
-            return blocked(graph, a, b)
+            return blocked(graph, a, *args)
 
         with monkeypatch.context() as patch:
             patch.setattr(RayGraph, "_blocked", counted)
@@ -671,6 +682,104 @@ class TestBatchedLocation:
         assert by_probe[0, 1] != by_probe[1, 0]
         assert_parity(g, [z])
         assert g.basic_region_of(z) == by_probe[1, 0]  # row iy = 1, column ix = 0
+
+    @staticmethod
+    def interior_count(g, points):
+        """Number of points whose snap and own-probe tests read the index."""
+        z = np.asarray(points, dtype=complex)
+        with np.errstate(all="ignore"):
+            ix, iy = g._cells_of(z.real, z.imag)
+        return int((g._interior(ix, iy) & np.isfinite(z)).sum())
+
+    def test_bench_circle_graphs(self, graph_circle):
+        # every point's own probe is blocked, so ring 1 is searched
+        z = self.near_arcs(graph_circle)
+        assert len(z) >= 200 and self.interior_count(graph_circle, z) >= 0.8 * len(z)
+        assert_parity(graph_circle, z)
+
+    def test_cell_boundaries_and_probe_centres(self, graph_circle):
+        g = graph_circle
+        xlo, _, ylo, _ = g.box
+        dx, dy = g._cell_size()
+        steps = np.concatenate([np.arange(0, g.grid + 1, 8), np.arange(0, g.grid, 8) + 0.5])
+        z = (xlo + steps[:, None] * dx + 1j * (ylo + steps[None, :] * dy)).ravel()
+        assert self.interior_count(g, z) > len(z) // 2
+        assert_parity(g, z)
+
+    def test_edge_cells_and_just_outside(self, graph_circle):
+        g = graph_circle
+        xlo, xhi, ylo, yhi = g.box
+        dx, dy = g._cell_size()
+        across = []
+        for lo, hi, d in ((xlo, xhi, dx), (ylo, yhi, dy)):
+            across.append([np.nextafter(lo, -math.inf), lo, lo + 0.3 * d, lo + d, lo + 1.7 * d,
+                           hi - 1.7 * d, hi - d, hi - 0.3 * d, hi, np.nextafter(hi, math.inf),
+                           hi + 1.0])
+        along = [np.linspace(ylo - 0.5, yhi + 0.5, 29), np.linspace(xlo - 0.5, xhi + 0.5, 29)]
+        z = np.concatenate([(np.array(across[0])[:, None] + 1j * along[0]).ravel(),
+                            (along[1][:, None] + 1j * np.array(across[1])).ravel()])
+        assert 0 < self.interior_count(g, z) < len(z)
+        assert_parity(g, z)
+
+    @pytest.mark.parametrize("grid", [3, 7, 30])
+    def test_segments_meeting_the_box_at_its_edge(self, grid):
+        # TestIndex's segments lie on the box's edge, outside it with a
+        # bounding box that meets it, across it and far from it
+        g = hand_graph(TestIndex.SEGMENTS, box=(0.0, 3.0, 0.0, 3.0), grid=grid)
+        lattice = np.linspace(-0.2, 3.2, 18)
+        z = (lattice[:, None] + 1j * lattice[None, :]).ravel()
+        near = [w + offset for a, b in TestIndex.SEGMENTS if abs(b - a) < 100
+                for w in (a, (a + b) / 2, b) for offset in (5e-10, 2e-9j, 0.05 - 0.05j)]
+        points = [*z, *near, 3.0 + 1.5j, 3.0 + 1e-12 + 1.5j, 2.9 + 1.5j]
+        assert self.interior_count(g, points) > 0
+        assert_parity(g, points)
+
+    def test_first_clear_probe_beyond_ring_1(self, monkeypatch):
+        # a small square around z, open only towards the probes of cells
+        # (7, 6) and (8, 6), shuts off the probes of rings 0 and 1; probe
+        # (7, 6) has a square of its own, which the index lists in none of
+        # the cells next to z's, so ring 2 must test every segment
+        z, h = 5.52 + 5.47j, 0.02
+        corners = [z + h * complex(sx, sy) for sx, sy in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+        walls = [(corners[0], corners[1]), (corners[1], z + complex(h, 0.006)),
+                 (z + complex(h, 0.013), corners[2]), (corners[2], corners[3]),
+                 (corners[3], corners[0]), *enclosure(7.5 + 6.5j, 0.15)]
+        g = hand_graph(walls, box=(0.0, 10.0, 0.0, 10.0), grid=10)
+        assert self.interior_count(g, [z]) == 1
+        by_probe = g._region_of_probe.reshape(10, 10)
+        assert by_probe[6, 7] != by_probe[6, 8]
+        assert_parity(g, [z, z + 0.001, 2.5 + 2.5j])
+        # one pass for the own probe, then one for each of rings 1 to 3
+        assert self.blocked_calls(g, [z], monkeypatch) == 4
+        assert g.basic_region_of(z) == by_probe[6, 8]
+
+    def test_empty_graph(self):
+        g = hand_graph([], box=(0.0, 3.0, 0.0, 3.0), grid=10)
+        z = (np.linspace(-0.5, 3.5, 15)[:, None] + 1j * np.linspace(-0.5, 3.5, 15)).ravel()
+        assert self.interior_count(g, z) > 0
+        assert_parity(g, z)
+        ids, status = g.regions_of(z)
+        assert (ids == 0).all() and (status == LOCATED).all()
+
+    def test_cells_narrower_than_the_snap_tolerance(self):
+        # the cells are 5e-10 wide: a segment 1.8 cells from a point can be
+        # within SNAP_TOL of it without being listed in its cell, so no
+        # point reads the index
+        g = hand_graph([(1e-9 + 0j, 1e-9 + 1e-8j)], box=(0.0, 1e-8, 0.0, 1e-8), grid=20)
+        z = [complex(1e-9 + dx, y) for dx in (-1.5e-9, -0.9e-9, 0.5e-9, 0.95e-9, 2.5e-9)
+             for y in (3.3e-9, 5e-9)]
+        assert self.interior_count(g, z) == 0
+        assert_parity(g, z)
+        assert (g.regions_of(z)[1] == ON_ARC).sum() == 6
+
+    def test_point_alone_equals_its_batch(self, graph_circle):
+        g = graph_circle
+        rng = np.random.default_rng(4)
+        z = np.concatenate([self.near_arcs(g)[::4], FIX_REPELLING + np.zeros(1),
+                            rng.uniform(-3.5, 3.5, 40) + 1j * rng.uniform(-7.5, 7.5, 40)])
+        batch = [a.tolist() for a in (*g.regions_of(z), *g.regions_near(z))]
+        alone = [[a.tolist()[0] for a in (*g.regions_of([w]), *g.regions_near([w]))] for w in z]
+        assert alone == [list(row) for row in zip(*batch)]
 
     def test_grid_exhausted_before_the_cap(self, monkeypatch):
         # 16 probes, all blocked for the two enclosed points, far below 600
