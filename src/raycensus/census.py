@@ -21,23 +21,20 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .addresses import InfiniteAddress
-from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, Box, Cycle, _fp, find_cycles
-from .exponential import MapModel, _check_tolerance, singular_values
+from .cycles import Box, Cycle, _fp, find_cycles
+from .exponential import MapModel, singular_values
 from .rays import (
-    DEFAULT_LANDING_TOL,
-    DEFAULT_MAX_ITER,
     PeriodLandings,
     SingularFate,
-    _check_landing_limits,
     _closure_bound,
     landing_table,
     singular_escape_status,
 )
 from .regions import OnArcError, PointLocationError, RayGraph, _check_graph_limits, build_ray_graph
-from .tails import DEFAULT_HORIZON, choose_radius, cycle_regions
+from .tails import DEFAULT_HORIZON, _check_tail_limits, choose_radius, cycle_regions
 
 SCHEMA_VERSION = "3"
-DEFAULT_MATCH_TOL = 1e-6
+DEFAULT_MATCH_TOL = 1e-6  # a landing point this close to a cycle point may match it
 
 
 @dataclass
@@ -51,36 +48,32 @@ class LandingSearch:
         return not self.addresses
 
 
-def landing_search(m: MapModel, cycle: Cycle, row: PeriodLandings,
-                   match_tol: float = DEFAULT_MATCH_TOL) -> LandingSearch:
+def landing_search(m: MapModel, cycle: Cycle, row: PeriodLandings) -> LandingSearch:
     """The window addresses of one ray period whose rays land on the cycle.
 
     row (one period of landing_table) holds the landings of the window
     words of one multiple of the cycle period; rays landing at a period-m
     orbit always have period a multiple of m.  A landing point within
-    match_tol of a cycle point matches only if it also closes under f^m
-    within the closure bound of the cycle's multiplier: a repelling point
-    of higher period can sit that close to the cycle.
+    DEFAULT_MATCH_TOL of a cycle point matches only if it also closes under
+    f^m within the closure bound of the cycle's multiplier: a repelling
+    point of higher period can sit that close to the cycle.
     """
     if not cycle.is_repelling:
         raise ValueError("landing search is defined for repelling cycles")
-    _check_tolerance("match tolerance", match_tol)
     failures = [(row.address(i), row.result(i).status)
                 for i in np.flatnonzero(~row.landed).tolist()]
     near = np.zeros(len(row.points), dtype=bool)
     for z in cycle.points:
-        near |= np.abs(row.points - z) < match_tol
+        near |= np.abs(row.points - z) < DEFAULT_MATCH_TOL
     w = row.points[near]
     fw, _, ok = _fp(m.c, w, cycle.period)
-    closes = ok & (np.abs(fw - w) <= _closure_bound(row.tol, cycle.multiplier, w))
+    closes = ok & (np.abs(fw - w) <= _closure_bound(cycle.multiplier, w))
     matched = [row.address(i) for i in np.flatnonzero(near)[closes].tolist()]
     return LandingSearch(cycle=cycle, addresses=matched, failures=failures)
 
 
-def _staged_search(m: MapModel, repelling: list[Cycle], window: int, max_period: int,
-                   landing_tol: float = DEFAULT_LANDING_TOL,
-                   match_tol: float = DEFAULT_MATCH_TOL
-                   ) -> tuple[list[LandingSearch], list[int]]:
+def _staged_search(m: MapModel, repelling: list[Cycle], window: int,
+                   max_period: int) -> tuple[list[LandingSearch], list[int]]:
     """One LandingSearch per repelling cycle, and the sorted ray periods landed.
 
     All rays landing at one periodic point have the same period (Milnor,
@@ -96,9 +89,9 @@ def _staged_search(m: MapModel, repelling: list[Cycle], window: int, max_period:
     for q in range(1, max_period + 1):
         todo = [ls for ls in searches if ls.invisible_candidate]
         table.update(landing_table(m, window, {q * ls.cycle.period for ls in todo}
-                                   - table.keys(), landing_tol))
+                                   - table.keys()))
         for ls in todo:
-            found = landing_search(m, ls.cycle, table[q * ls.cycle.period], match_tol)
+            found = landing_search(m, ls.cycle, table[q * ls.cycle.period])
             ls.addresses = found.addresses
             ls.failures += found.failures
     return searches, sorted(table)
@@ -289,17 +282,12 @@ def _trichotomy_evidence(m: MapModel, cycle: Cycle, graph: RayGraph, horizon: in
 
 def audit(m: MapModel, box: Box, max_period: int, window: int,
           depth: int = 40, horizon: int = DEFAULT_HORIZON, grid: int = 40,
-          probe_grid: int = 120, tol: float = DEFAULT_TOL,
-          tol_band: float = DEFAULT_TOL_BAND, landing_tol: float = DEFAULT_LANDING_TOL,
-          match_tol: float = DEFAULT_MATCH_TOL,
-          config: dict | None = None) -> CensusReport:
+          probe_grid: int = 120, config: dict | None = None) -> CensusReport:
     """Full census pipeline: cycles, landing searches, counts, verdict."""
-    # the singular-value gate can end the audit before any ray is landed
-    _check_landing_limits(landing_tol, DEFAULT_MAX_ITER)
-    _check_tolerance("match tolerance", match_tol)
+    # bad limits exit before the cycle search, not after it
+    _check_tail_limits(horizon=horizon)
     _check_graph_limits(window, depth, probe_grid)
-    cycles = find_cycles(m, max_period, box, grid=grid, tol=tol,
-                         tol_band=tol_band).cycles
+    cycles = find_cycles(m, max_period, box, grid=grid).cycles
     fate = singular_escape_status(m, horizon)
 
     report = CensusReport(
@@ -329,8 +317,7 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
         return report
 
     report.searches, report.ray_periods_landed = _staged_search(
-        m, [cyc for cyc in cycles if cyc.is_repelling], window, max_period,
-        landing_tol, match_tol)
+        m, [cyc for cyc in cycles if cyc.is_repelling], window, max_period)
     # cycles of one period search the same rows: one warning per address
     failed = list(dict.fromkeys(f"address {s} did not land: {status}"
                                 for ls in report.searches for s, status in ls.failures))

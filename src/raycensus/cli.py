@@ -159,12 +159,12 @@ def _cmd_land(args: argparse.Namespace) -> int:
     s = parse_address(_require(args, "address"))
     if period_of(s) <= 0:
         raise UsageError(f"address {s} is not purely periodic")
-    res = landing_point(m, s, tol=args.tol, max_iter=args.max_iter)
+    res = landing_point(m, s, max_iter=args.max_iter)
     doc = {
         "status": res.status,
         "address": str(s),
         "iterations": res.iterations,
-        "config": _base_config(m, address=str(s), tol=args.tol,
+        "config": _base_config(m, address=str(s), tol=DEFAULT_LANDING_TOL,
                                max_iter=args.max_iter),
     }
     if res.landed:
@@ -187,17 +187,17 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
     box = _parse_box(_require(args, "box"))
     if args.verify_coverage and args.grid < 2:
         raise UsageError("--verify-coverage needs --grid >= 2")
-    cycles = find_cycles(m, args.max_period, box, grid=args.grid, tol=args.tol).cycles
+    cycles = find_cycles(m, args.max_period, box, grid=args.grid).cycles
     warnings = []
     if args.verify_coverage:
         half = args.grid // 2
-        coarse = find_cycles(m, args.max_period, box, grid=half, tol=args.tol).cycles
+        coarse = find_cycles(m, args.max_period, box, grid=half).cycles
         if len(cycles) < len(coarse):
             warnings.append(f"coverage: {len(cycles)} cycles at grid {args.grid} "
                             f"but {len(coarse)} at grid {half}")
     doc = {
         "config": _base_config(m, box=list(box), max_period=args.max_period,
-                               grid=args.grid, tol=args.tol),
+                               grid=args.grid, tol=DEFAULT_TOL),
         "cycles": [c.to_json_dict() for c in cycles],
         "warnings": warnings,
     }
@@ -208,14 +208,16 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
 def _cmd_regions(args: argparse.Namespace) -> int:
     m = _map_model(args)
     box = _parse_box(args.box)
+    if args.audit and args.grid < 1:
+        raise UsageError("grid must be >= 1")
     graph = build_ray_graph(m, args.p, args.window, depth=args.depth, box=box,
                             grid=args.probe_grid)
     doc = graph.to_json_dict()
     doc["config"] = _base_config(m, p=args.p, window=args.window, depth=args.depth,
                                  box=list(box), probe_grid=args.probe_grid)
     if args.audit:
-        max_period = args.p if args.max_period is None else args.max_period
-        search = find_cycles(m, max_period, box, grid=args.grid)
+        # the audit reads only the cycles whose period divides p
+        search = find_cycles(m, args.p, box, grid=args.grid)
         sep = interior_fixed_point_audit(graph, search.cycles)
         doc["separation_audit"] = {
             "violations": sep.violations,
@@ -269,11 +271,11 @@ def _cmd_tails(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     m = _map_model(args)
     box = _parse_box(args.box)
-    settings = {key: getattr(args, key) for key in (
-        "depth", "horizon", "grid", "probe_grid", "tol", "tol_band",
-        "landing_tol", "match_tol")}
+    settings = {key: getattr(args, key) for key in ("depth", "horizon", "grid", "probe_grid")}
     config = _base_config(m, box=list(box), max_period=args.max_period,
-                          window=args.window, **settings)
+                          window=args.window, **settings, tol=DEFAULT_TOL,
+                          tol_band=DEFAULT_TOL_BAND, landing_tol=DEFAULT_LANDING_TOL,
+                          match_tol=DEFAULT_MATCH_TOL)
     report = audit(m, box, args.max_period, args.window, config=config, **settings)
     _emit(report.to_json() + "\n", args.out)
     for w in report.warnings:
@@ -320,21 +322,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = command("land", _cmd_land, "landing point of a periodic ray")
     p.add_argument("--address")
-    p.add_argument("--tol", type=float, default=DEFAULT_LANDING_TOL)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
     p = command("cycles", _cmd_cycles, "periodic orbits in a box")
     p.add_argument("--box")
     p.add_argument("--max-period", type=int, default=2)
     p.add_argument("--grid", type=int, default=40)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--verify-coverage", action="store_true")
 
     p = command("regions", _cmd_regions, "ray graph and basic regions")
     p.add_argument("--p", type=int, default=1)
     graph_flags(p, window=1, probe_grid=200)
     p.add_argument("--grid", type=int, default=40)
-    p.add_argument("--max-period", type=int, help="default: --p")
     p.add_argument("--audit", action="store_true",
                    help="include the interior-fixed-point audit")
 
@@ -350,10 +349,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     graph_flags(p, window=1, probe_grid=120)
     p.add_argument("--grid", type=int, default=40)
     p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--tol-band", type=float, default=DEFAULT_TOL_BAND)
-    p.add_argument("--landing-tol", type=float, default=DEFAULT_LANDING_TOL)
-    p.add_argument("--match-tol", type=float, default=DEFAULT_MATCH_TOL)
 
     return ap, sub.choices
 

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponential import MapModel, _check_tolerance
+from .exponential import MapModel
 
 Box = tuple[float, float, float, float]  # (re_lo, re_hi, im_lo, im_hi)
 
-DEFAULT_TOL = 1e-12
-DEFAULT_TOL_BAND = 1e-6
+DEFAULT_TOL = 1e-12  # Newton residual scale of the cycle search
+DEFAULT_TOL_BAND = 1e-6  # a multiplier this close to the unit circle is not hyperbolic
 _PARABOLIC_MAX_K = 64
 
 #: (period, seed) rows per numpy batch of find_cycles; bounds the batch's
@@ -71,21 +71,15 @@ class Cycle:
         return d
 
 
-def _check_tol_band(tol_band: float):
-    if not 0.0 <= tol_band < 1.0:
-        raise ValueError("tol_band must be >= 0 and < 1")
-
-
-def classify(lam: complex, tol_band: float = DEFAULT_TOL_BAND) -> tuple[str, float | None]:
+def classify(lam: complex) -> tuple[str, float | None]:
     """|lambda|-based stability class; returns (class, rotation estimate)."""
-    _check_tol_band(tol_band)
     r = abs(lam)
-    if r < 1.0 - tol_band:
+    if r < 1.0 - DEFAULT_TOL_BAND:
         return ("superattracting", None) if lam == 0 else ("attracting", None)
-    if r > 1.0 + tol_band:
+    if r > 1.0 + DEFAULT_TOL_BAND:
         return "repelling", None
     for k in range(1, _PARABOLIC_MAX_K + 1):
-        if abs(lam**k - 1.0) <= tol_band:
+        if abs(lam**k - 1.0) <= DEFAULT_TOL_BAND:
             return "parabolic-suspected", None
     rho = cmath.phase(lam) / (2.0 * math.pi)
     return "indifferent", rho % 1.0
@@ -156,25 +150,25 @@ def _newton_fp(c: complex, z: np.ndarray, p,
     return z, step, alive
 
 
-def _roots(c: complex, z: np.ndarray, p, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _roots(c: complex, z: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
     """Newton roots of f^p(z) - z from seeds z: (roots, ok).
 
-    ok is True where Newton survived and the residual is within 100 * tol.
+    ok is True where Newton survived and the residual is within 100 * DEFAULT_TOL.
     """
     z, _, ok = _newton_fp(c, z, p, 80)
     f, _, finite = _fp(c, z, p)
-    ok &= finite & (np.abs(f - z) <= 100.0 * tol * np.maximum(1.0, np.abs(z)))
+    ok &= finite & (np.abs(f - z) <= 100.0 * DEFAULT_TOL * np.maximum(1.0, np.abs(z)))
     return z, ok
 
 
-def _minimal_period(c: complex, z: np.ndarray, p, tol: float) -> np.ndarray:
-    """Per entry, the least divisor d of p (as in _fp) with f^d(z) within 10 * tol of z."""
+def _minimal_period(c: complex, z: np.ndarray, p) -> np.ndarray:
+    """Per entry, the least divisor d of p (as in _fp) with f^d(z) within 10 * DEFAULT_TOL of z."""
     p = np.full(z.shape, p)
     mp = p.copy()
     for d in range(np.max(p, initial=1) - 1, 0, -1):  # the least divisor is set last
         at = np.flatnonzero((p % d == 0) & (p > d))
         f, _, ok = _fp(c, z[at], d)
-        mp[at[ok & (np.abs(f - z[at]) < 10.0 * tol * np.maximum(1.0, np.abs(z[at])))]] = d
+        mp[at[ok & (np.abs(f - z[at]) < 10.0 * DEFAULT_TOL * np.maximum(1.0, np.abs(z[at])))]] = d
     return mp
 
 
@@ -192,22 +186,22 @@ def _first_of_each(z: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.sort(at[first])
 
 
-def _chunk_roots(c: complex, seeds: np.ndarray, p: np.ndarray, box: Box,
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_roots(c: complex, seeds: np.ndarray, p: np.ndarray,
+                 box: Box) -> tuple[np.ndarray, np.ndarray]:
     """(periods, orbits) of the seeds whose root's orbit lies in box, in seed order.
 
     p holds each seed's period in ascending order.  Each root is re-solved at
     its minimal period; row k of orbits starts at the root and is
     meaningful in its first periods[k] columns.
     """
-    z, ok = _roots(c, seeds, p, tol)
+    z, ok = _roots(c, seeds, p)
     z, p = z[ok], p[ok]
     # a root found from several seeds has one fate: keep its first row
     at = _first_of_each(z, p)
     z, p = z[at], p[at]
-    mp = _minimal_period(c, z, p, tol)
+    mp = _minimal_period(c, z, p)
     at = np.argsort(mp, kind="stable")
-    zd, ok = _roots(c, z[at], mp[at], tol)
+    zd, ok = _roots(c, z[at], mp[at])
     z[at[ok]] = zd[ok]  # a failed re-solve keeps the root
     # no overflow guard needed: _roots checked every iterate of each root
     width = np.max(p, initial=1)
@@ -229,8 +223,8 @@ def _near(z: np.ndarray, pts: np.ndarray, dist: float) -> np.ndarray:
     return out
 
 
-def _search(c: complex, seeds: np.ndarray, p: np.ndarray, box: Box, tol: float,
-            tol_band: float, kept: dict[int, np.ndarray]) -> list[Cycle]:
+def _search(c: complex, seeds: np.ndarray, p: np.ndarray, box: Box,
+            kept: dict[int, np.ndarray]) -> list[Cycle]:
     """The new cycles through the Newton roots from seeds at periods p (ascending).
 
     kept holds every point of the cycles found so far, by period, for each
@@ -238,8 +232,8 @@ def _search(c: complex, seeds: np.ndarray, p: np.ndarray, box: Box, tol: float,
     the points of each new cycle are added.  Round-off can change which
     point of a cycle is least, so no single representative point is enough.
     """
-    near = 10.0 * max(tol, 1e-12)
-    periods, orbits = _chunk_roots(c, seeds, p, box, tol)
+    near = 10.0 * DEFAULT_TOL
+    periods, orbits = _chunk_roots(c, seeds, p, box)
     roots = orbits[:, 0]
     new = np.ones(len(roots), dtype=bool)
     for d, pts in kept.items():
@@ -251,7 +245,7 @@ def _search(c: complex, seeds: np.ndarray, p: np.ndarray, box: Box, tol: float,
     cand = cand[np.argsort(periods[cand], kind="stable")]
     pp = periods[cand]
     cols = np.arange(orbits.shape[1])
-    polish, polish_ok = _roots(c, orbits[cand][cols < pp[:, None]], np.repeat(pp, pp), tol)
+    polish, polish_ok = _roots(c, orbits[cand][cols < pp[:, None]], np.repeat(pp, pp))
     start = np.zeros(len(roots), dtype=int)
     start[cand] = np.cumsum(pp) - pp
     cycles: list[Cycle] = []
@@ -266,7 +260,7 @@ def _search(c: complex, seeds: np.ndarray, p: np.ndarray, box: Box, tol: float,
         z0 = min(polished, key=lambda w: (w.real, w.imag))
         # polishing can collapse a rough orbit onto a cycle of a
         # dividing period, which that period's pass reports
-        if (_minimal_period(c, np.array([z0]), mp, tol)[0] != mp
+        if (_minimal_period(c, np.array([z0]), mp)[0] != mp
                 or _near(np.array([z0]), kept[mp], near)[0]):
             continue
         k0 = polished.index(z0)
@@ -274,7 +268,7 @@ def _search(c: complex, seeds: np.ndarray, p: np.ndarray, box: Box, tol: float,
         lam = complex(1.0, 0.0)
         for w in pts:
             lam *= cmath.exp(w)
-        cls, rho = classify(lam, tol_band)
+        cls, rho = classify(lam)
         cycles.append(Cycle(pts, mp, lam, cls, rho))
         kept[mp] = np.append(kept[mp], pts)
         new[k + 1:] &= ((periods[k + 1:] != mp)
@@ -287,20 +281,18 @@ class CycleSearch:
     cycles: list[Cycle]
 
 
-def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
-                tol: float = DEFAULT_TOL, tol_band: float = DEFAULT_TOL_BAND) -> CycleSearch:
+def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40) -> CycleSearch:
     """Newton search for all cycles of period <= max_period inside `box`.
 
     Only cycles whose entire orbit lies in the box are kept (completeness is
     box-relative).  Output is sorted by (period, Re z0, Im z0) with z0 the
     lexicographically least cycle point, so results are deterministic.
+    Roots are accepted at DEFAULT_TOL and classified with DEFAULT_TOL_BAND.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    _check_tolerance("tol", tol)
-    _check_tol_band(tol_band)
     _check_box(box)
     xlo, xhi, ylo, yhi = box
 
@@ -314,7 +306,7 @@ def find_cycles(m: MapModel, max_period: int, box: Box, grid: int = 40,
         seeds = np.empty(len(i), dtype=complex)
         seeds.real = xlo + (i + 0.5) * (xhi - xlo) / grid
         seeds.imag = ylo + (j + 0.5) * (yhi - ylo) / grid
-        cycles += _search(m.c, seeds, p + 1, box, tol, tol_band, kept)
+        cycles += _search(m.c, seeds, p + 1, box, kept)
 
     cycles.sort(key=lambda c: (c.period, c.points[0].real, c.points[0].imag))
     return CycleSearch(cycles=cycles)
@@ -330,6 +322,5 @@ def cycle_through(m: MapModel, z: complex, p: int, box: Box) -> Cycle | None:
         raise ValueError("p must be >= 1")
     _check_box(box)
     kept = {d: np.empty(0, dtype=complex) for d in range(1, p + 1)}
-    found = _search(m.c, np.array([z], dtype=complex), np.array([p]), box,
-                    DEFAULT_TOL, DEFAULT_TOL_BAND, kept)
+    found = _search(m.c, np.array([z], dtype=complex), np.array([p]), box, kept)
     return found[0] if found else None

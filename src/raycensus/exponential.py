@@ -52,7 +52,8 @@ def _default_radius(c: complex) -> float:
 class MapModel:
     """f(z) = e^z + c with its tract geometry.
 
-    R is the radius of the disk D centered at 0 containing S(f) and f(0).
+    R is the radius of the disk D centered at 0 containing S(f) and f(0);
+    R = 0 picks the default radius.
     """
 
     c: complex
@@ -62,7 +63,9 @@ class MapModel:
         for name, value in (("c", self.c), ("R", self.R)):
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.R <= 0.0:
+        if self.R < 0.0:
+            raise ValueError(f"R must be >= 0, got {self.R!r}")
+        if self.R == 0.0:
             object.__setattr__(self, "R", _default_radius(self.c))
         if abs(self.c) >= self.R or abs(1.0 + self.c) >= self.R:
             raise ValueError("R too small: D must contain c and 1 + c")
@@ -83,14 +86,6 @@ class MapModel:
     def truncation(self) -> float:
         """Re beyond which ray arcs are extended horizontally."""
         return max(2.0 * self.R, 100.0)
-
-
-def _check_tolerance(name: str, value: float):
-    """ValueError unless the tolerance is a finite number above 0."""
-    if not value > 0.0:
-        raise ValueError(f"{name} must be > 0")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def evaluate(m: MapModel, z: complex) -> complex:

@@ -21,7 +21,6 @@ from .exponential import (
     OVERFLOW_RE,
     TWO_PI,
     MapModel,
-    _check_tolerance,
     evaluate,
     forward_orbit,
     fundamental_domain_of,
@@ -35,7 +34,7 @@ ESCAPE_THRESHOLD = 1e5
 #: ladder potentials are not exponentiated past this height
 _LADDER_CAP = 600.0
 
-DEFAULT_LANDING_TOL = 1e-10
+DEFAULT_LANDING_TOL = 1e-10  # pullback step of convergence; scale of the landing tests
 DEFAULT_MAX_ITER = 10_000
 
 #: relative residual allowed at each step of a recorded pullback chain
@@ -101,21 +100,23 @@ def default_seed(m: MapModel, s: InfiniteAddress) -> complex:
     return complex(m.seed_potential, TWO_PI * s.entry(0))
 
 
-def _newton_polish(c: complex, w: np.ndarray, p: int, tol: float) -> np.ndarray:
+def _newton_polish(c: complex, w: np.ndarray, p: int) -> np.ndarray:
     """Newton on f^p(z) - z from the pullback limits w, entry by entry.
 
     An entry keeps its Newton root when Newton converged (last step below
-    1e-15 * max(1, |z|)) or its last step is below tol, and the root lies
-    within 1e3 * tol * max(1, |w|) of w; otherwise it keeps w, as Newton
-    failed or drifted away from the pullback limit.
+    1e-15 * max(1, |z|)) or its last step is below DEFAULT_LANDING_TOL, and
+    the root lies within 1e3 * DEFAULT_LANDING_TOL * max(1, |w|) of w;
+    otherwise it keeps w, as Newton failed or drifted away from the
+    pullback limit.
     """
+    tol = DEFAULT_LANDING_TOL
     z, step, alive = _newton_fp(c, w, p, 30)
     ok = alive & (np.abs(step) < np.maximum(tol, 1e-15 * np.maximum(1.0, np.abs(z))))
     drift = ~ok | (np.abs(z - w) > 1e3 * tol * np.maximum(1.0, np.abs(w)))
     return np.where(drift, w, z)
 
 
-def landing_point(m: MapModel, s: InfiniteAddress, tol: float = DEFAULT_LANDING_TOL,
+def landing_point(m: MapModel, s: InfiniteAddress,
                   max_iter: int = DEFAULT_MAX_ITER) -> LandingResult:
     """Landing decision for the purely periodic s: the one-row call into land_periodic."""
     if s.preperiod:
@@ -124,22 +125,16 @@ def landing_point(m: MapModel, s: InfiniteAddress, tol: float = DEFAULT_LANDING_
         word = np.array([s.period], dtype=np.int64)
     except OverflowError:
         raise ValueError(f"address entries of {s} do not fit in 64 bits") from None
-    return land_periodic(m, word, tol, max_iter).result(0)
+    return land_periodic(m, word, max_iter).result(0)
 
 
-def _check_landing_limits(tol: float, max_iter: int):
-    _check_tolerance("landing tolerance", tol)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-
-
-def _closure_bound(tol: float, lam, z0):
+def _closure_bound(lam, z0):
     """Largest accepted |f^p(z0) - z0|.
 
     z0 is known to about eps*|z0|, and f^p multiplies that error by
     |lambda|, so the bound grows with the conditioning of f^p.
     """
-    return (np.maximum(10.0 * tol, 64.0 * _EPS * np.abs(lam))
+    return (np.maximum(10.0 * DEFAULT_LANDING_TOL, 64.0 * _EPS * np.abs(lam))
             * np.maximum(1.0, np.abs(z0)))
 
 
@@ -176,7 +171,6 @@ class PeriodLandings:
     points: np.ndarray  # landing points; nan where the ray did not land
     multipliers: np.ndarray  # (f^p)' at the landing point; nan where not landed
     itinerary_ok: np.ndarray  # bool; False where not landed
-    tol: float  # the landing tolerance the rows were landed with
 
     @property
     def landed(self) -> np.ndarray:
@@ -202,13 +196,13 @@ class PeriodLandings:
 _COLUMNS = ("status", "detail", "iterations", "points", "multipliers", "itinerary_ok")
 
 
-def _unlanded(words: np.ndarray, tol: float) -> PeriodLandings:
+def _unlanded(words: np.ndarray) -> PeriodLandings:
     """Columns for the rows of words before any is landed: not-converged."""
     n = len(words)
     return PeriodLandings(words, np.full(n, _NOT_CONVERGED, dtype=np.int8),
                           np.zeros(n, dtype=np.int8),
                           np.zeros(n, dtype=np.int32), np.full(n, np.nan, dtype=complex),
-                          np.full(n, np.nan, dtype=complex), np.zeros(n, dtype=bool), tol)
+                          np.full(n, np.nan, dtype=complex), np.zeros(n, dtype=bool))
 
 
 def _psi_batch(c: complex, shifts: np.ndarray,
@@ -229,25 +223,25 @@ def _psi_batch(c: complex, shifts: np.ndarray,
     return w, hit
 
 
-def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER) -> PeriodLandings:
+def land_periodic(m: MapModel, words, max_iter: int = DEFAULT_MAX_ITER) -> PeriodLandings:
     """Pullback-iteration landing decisions for many purely periodic addresses.
 
     words is an (N, p) integer array whose rows are primitive period words
     s_0 ... s_{p-1}.  Each row iterates its one-period inverse composition
     psi = L_{s_0} o ... o L_{s_{p-1}} from the default seed until a step is
-    below tol (or a branch hits the singular value or the cut, or the
+    below DEFAULT_LANDING_TOL (or a branch hits the singular value or the cut, or the
     pullback escapes, or max_iter runs out).  A converged limit is
     Newton-polished on f^p(z) - z and landed when it is a psi fixed point
     whose forward orbit closes within _closure_bound; the row records the
     multiplier (f^p)'(z0) and whether the orbit follows the word's strips.
     All of it runs in numpy along the address axis.
     """
-    _check_landing_limits(tol, max_iter)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     words = np.asarray(words)
     if words.ndim != 2:
         raise ValueError("words must be an (N, p) array")
-    out = _unlanded(words, tol)
+    out = _unlanded(words)
     n, p = words.shape
     if n == 0:
         return out
@@ -271,7 +265,7 @@ def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
             fail(rows[hit_rows], _SINGULAR_HIT, hit[hit_rows])
             escaped = ~hit_rows & (np.abs(w_next) > ESCAPE_THRESHOLD)
             fail(rows[escaped], _ESCAPED, _NO_HIT)
-            conv = ~hit_rows & ~escaped & (np.abs(w_next - w) < tol)
+            conv = ~hit_rows & ~escaped & (np.abs(w_next - w) < DEFAULT_LANDING_TOL)
             limit[rows[conv]] = w_next[conv]
             converged[rows[conv]] = True
             keep = ~(hit_rows | escaped | conv)
@@ -282,12 +276,12 @@ def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
 
         rows = np.flatnonzero(converged)
         w = limit[rows]
-        z0 = _newton_polish(c, w, p, tol)
+        z0 = _newton_polish(c, w, p)
         psi_z0, hit = _psi_batch(c, shifts[rows], z0)
         hit_rows = hit != _NO_HIT
         fail(rows[hit_rows], _SINGULAR_HIT, hit[hit_rows])
         not_fixed = ~hit_rows & (np.abs(psi_z0 - z0)
-                                 >= tol * np.maximum(1.0, np.abs(z0)))
+                                 >= DEFAULT_LANDING_TOL * np.maximum(1.0, np.abs(z0)))
         fail(rows[not_fixed], _NOT_CONVERGED, _NOT_FIXED)
         keep = ~(hit_rows | not_fixed)
         rows, z0 = rows[keep], z0[keep]
@@ -300,7 +294,7 @@ def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
             e = np.exp(zj)
             lam = lam * e
             zj = np.where(np.isfinite(zj) & (zj.real <= OVERFLOW_RE), e + c, ESCAPED)
-        closed = np.isfinite(zj) & (np.abs(zj - z0) <= _closure_bound(tol, lam, z0))
+        closed = np.isfinite(zj) & (np.abs(zj - z0) <= _closure_bound(lam, z0))
         fail(rows[~closed], _NOT_CONVERGED, _NOT_CLOSED)
     rows = rows[closed]
     out.status[rows] = _LANDED
@@ -310,15 +304,14 @@ def land_periodic(m: MapModel, words, tol: float = DEFAULT_LANDING_TOL,
     return out
 
 
-def landing_table(m: MapModel, window: int, periods,
-                  landing_tol: float = DEFAULT_LANDING_TOL) -> dict[int, PeriodLandings]:
+def landing_table(m: MapModel, window: int, periods) -> dict[int, PeriodLandings]:
     """Lands the primitive window words of each period, _CHUNK_ROWS at a time."""
     table: dict[int, PeriodLandings] = {}
     for p in sorted(set(periods)):
         words = primitive_words(window, p)
-        table[p] = row = _unlanded(words, landing_tol)
+        table[p] = row = _unlanded(words)
         for lo in range(0, len(words), _CHUNK_ROWS):
-            chunk = land_periodic(m, words[lo:lo + _CHUNK_ROWS], tol=landing_tol)
+            chunk = land_periodic(m, words[lo:lo + _CHUNK_ROWS])
             for name in _COLUMNS:
                 getattr(row, name)[lo:lo + _CHUNK_ROWS] = getattr(chunk, name)
     return table

@@ -27,9 +27,9 @@ FIX_REPELLING = 1.1461932206205825
 FIX_STRIP1 = complex(2.1310754576665873, 7.341435092197778)
 
 
-def search(m, cycle, window, period_cap, **kw):
+def search(m, cycle, window, period_cap):
     """The staged landing search of audit for one cycle, up to ray period period_cap."""
-    [ls], _ = _staged_search(m, [cycle], window, period_cap // cycle.period, **kw)
+    [ls], _ = _staged_search(m, [cycle], window, period_cap // cycle.period)
     return ls
 
 
@@ -75,15 +75,8 @@ class TestLandingSearch:
         with pytest.raises(ValueError):
             search(M2, att, 1, 2)
 
-    @pytest.mark.parametrize("match_tol", [0.0, -1.0])
-    def test_meaningless_match_tol_rejected(self, match_tol):
-        rep = [c for c in find_cycles(M2, 1, BOX, grid=30).cycles
-               if c.is_repelling][0]
-        with pytest.raises(ValueError, match="match tolerance"):
-            search(M2, rep, 1, 1, match_tol=match_tol)
-
     def test_nearby_period_twelve_points_do_not_match(self):
-        # these period-12 rays land within match_tol (1e-6) of a period-3
+        # these period-12 rays land within DEFAULT_MATCH_TOL (1e-6) of a period-3
         # cycle point, but f^3 moves their landing points by 4.9e-6 and
         # more, against a closure bound near 6e-9: they land elsewhere
         words = ["-1,0,0,-1,0,0,-1,0,0,-1,-1,1", "1,-1,0,1,-1,0,1,-1,0,1,-1,1",

@@ -1,6 +1,8 @@
 import ast
 import csv
+import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from raycensus import cli, cycles, rays
+from raycensus import census, cli, cycles, rays
 from raycensus.addresses import parse_address
 from raycensus.cli import main
 from raycensus.exponential import MapModel
@@ -143,18 +145,17 @@ class TestConfigFile:
         # runs without --config share one parser; the file's defaults go to
         # a parser of the --config run alone
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("tol=1e-9\nmax-iter=500\nradius=6\n")
+        cfg.write_text("max-iter=500\nradius=6\n")
         argv = ["land", "--c", "-2,0", "--address", "0"]
         outputs = []
         for extra in ([], ["--config", str(cfg)], []):
             assert main([*argv, *extra]) == 0
             outputs.append(json.loads(capsys.readouterr().out)["config"])
-        assert (outputs[1]["tol"], outputs[1]["max_iter"], outputs[1]["R"]) == (1e-9, 500, 6.0)
+        assert (outputs[1]["max_iter"], outputs[1]["R"]) == (500, 6.0)
         assert outputs[2] == outputs[0]
-        assert (outputs[2]["tol"], outputs[2]["max_iter"]) == (
-            cli.DEFAULT_LANDING_TOL, cli.DEFAULT_MAX_ITER)
+        assert (outputs[2]["max_iter"], outputs[2]["R"]) == (cli.DEFAULT_MAX_ITER, 4.0)
         land = cli._build_parser()[1]["land"]
-        assert land.get_default("tol") == cli.DEFAULT_LANDING_TOL
+        assert land.get_default("max_iter") == cli.DEFAULT_MAX_ITER
         assert land.get_default("radius") == 0.0
 
     # per case: the command, its settings as flags, the same settings as
@@ -162,21 +163,21 @@ class TestConfigFile:
     @pytest.mark.parametrize("command,flags,lines,override,typed", [
         ("trace-ray", ["--address", "0", "--t", "5:200", "--samples", "30", "--depth", "20"],
          ["address=0", "t=5:200", "samples=30", "depth=20"], "samples", "depth"),
-        ("land", ["--address", "0,1", "--tol", "1e-9", "--max-iter", "500", "--radius", "6"],
-         ["address=0,1", "tol=1e-9", "max-iter=500", "radius=6"], "max-iter", "radius"),
+        ("land", ["--address", "0,1", "--max-iter", "500", "--radius", "6"],
+         ["address=0,1", "max-iter=500", "radius=6"], "max-iter", "radius"),
         ("cycles", ["--box", "-3,3,-1,1", "--max-period", "1", "--grid", "25",
                     "--verify-coverage"],
-         ["box=-3,3,-1,1", "max-period=1", "grid=25", "verify-coverage=1"], "grid", "tol"),
+         ["box=-3,3,-1,1", "max-period=1", "grid=25", "verify-coverage=1"], "grid", "radius"),
         ("regions", ["--p", "1", "--probe-grid", "40", "--grid", "25", "--audit"],
-         ["p=1", "probe-grid=40", "grid=25", "audit=yes"], "probe-grid", "max-period"),
+         ["p=1", "probe-grid=40", "grid=25", "audit=yes"], "probe-grid", "depth"),
         ("regions", ["--p", "1", "--probe-grid", "40"],
          ["p=1", "probe-grid=40", "audit=no"], "p", "grid"),
         ("tails", ["--address", "0", "--max-level", "2", "--probe-grid", "60",
                    "--samples", "6", "--horizon", "500"],
          ["address=0", "max-level=2", "probe-grid=60", "samples=6", "horizon=500"],
          "samples", "horizon"),
-        ("audit", ["--max-period", "1", "--grid", "25", "--tol-band", "1e-5"],
-         ["max-period=1", "grid=25", "tol-band=1e-5"], "max-period", "landing-tol"),
+        ("audit", ["--max-period", "1", "--grid", "25", "--horizon", "500"],
+         ["max-period=1", "grid=25", "horizon=500"], "max-period", "depth"),
     ], ids=["trace-ray", "land", "cycles", "regions-audit", "regions", "tails",
             "audit-json"])
     def test_config_file_equals_flags(self, tmp_path, capsys, command, flags, lines,
@@ -202,9 +203,11 @@ class TestConfigFile:
         good = flags[flags.index(f"--{override}") + 1]
         assert invoke("--c", "-2,0", f"--{override}", good,
                       config=[*lines, f"{override}=2", "c=abc"]) == expected
-        # keys that are no flag of the command are ignored
-        assert invoke(config=["c=-2,0", *lines, "no-such-key=abc", "max_iter=abc",
-                              "probe_grid=abc", "config=missing.cfg", "help=yes"]) == expected
+        # keys that are no flag of the command are ignored, as are those of
+        # removed flags
+        assert invoke(config=["c=-2,0", *lines, "no-such-key=abc", "match-tol=1e-4",
+                              "max_iter=abc", "probe_grid=abc", "config=missing.cfg",
+                              "help=yes"]) == expected
         # a malformed value of a flag exits 2, whether or not the run reads it
         code, out, err = invoke(config=["c=-2,0", *lines, f"{typed}=abc"])
         assert (code, out) == (2, "")
@@ -343,13 +346,14 @@ class TestCommandSurface:
 
 class TestMeaninglessLimits:
     @pytest.mark.parametrize("args", [
-        ["audit", "--max-period", "1", "--grid", "20", "--match-tol", "-1"],
-        ["audit", "--max-period", "1", "--grid", "20", "--match-tol", "0"],
-        ["audit", "--max-period", "1", "--grid", "20", "--landing-tol", "0"],
-        ["land", "--address", "0", "--tol", "0"],
-        ["land", "--address", "0", "--tol", "-1"],
+        # a negative radius once ran at the default radius
+        ["audit", "--max-period", "1", "--grid", "20", "--radius", "-5"],
+        ["tails", "--address", "0", "--max-level", "2", "--radius", "-5"],
+        ["regions", "--p", "1", "--radius", "-0.5"],
+        ["land", "--address", "0", "--radius", "-5"],
+        ["trace-ray", "--address", "0", "--t", "1:5", "--radius", "-5"],
         ["land", "--address", "0", "--max-iter", "0"],
-        ["cycles", "--box", "-3,3,-7,7", "--grid", "20", "--tol", "-1"],
+        ["cycles", "--box", "-3,3,-7,7", "--grid", "20", "--radius", "-5"],
         ["trace-ray", "--address", "0", "--t", "1:5", "--depth", "-3"],
         # half of a 1-point grid is no grid, so the coverage check cannot run
         ["cycles", "--box", "-3,3,-7,7", "--grid", "1", "--verify-coverage"],
@@ -363,11 +367,12 @@ class TestMeaninglessLimits:
 
 
     @pytest.mark.parametrize("args", [
-        # c=0 fails the singular-value gate, which ends the audit before landing
-        ["audit", "--c", "0,0", "--max-period", "1", "--match-tol", "-1", "--landing-tol", "0"],
-        ["audit", "--c", "0,0", "--max-period", "1", "--match-tol", "0"],
-        ["audit", "--c", "-2,0", "--max-period", "1", "--tol-band", "-1"],
-        ["audit", "--c", "-2,0", "--max-period", "1", "--tol-band", "1"],
+        # each once checked only after the cycle search
+        ["audit", "--c", "0,0", "--max-period", "1", "--horizon", "0"],
+        ["audit", "--c", "-2,0", "--max-period", "1", "--horizon", "-1"],
+        # the separation audit's cycle grid, checked only with --audit
+        ["regions", "--c", "-2,0", "--p", "1", "--audit", "--grid", "0"],
+        ["regions", "--c", "-2,0", "--p", "1", "--audit", "--grid", "-1"],
         # each once exited 0, 5 or 6: checked only where a graph was built
         ["audit", "--c", "-2,0", "--max-period", "1", "--depth", "-1"],
         ["audit", "--c", "-2,0", "--max-period", "1", "--probe-grid", "0"],
@@ -418,9 +423,9 @@ class TestMeaninglessLimits:
         (["audit", "--c", "-2,0", "--radius", "nan"], "nan"),
         (["land", "--c", "-2,0", "--address", "0", "--radius", "inf"], "inf"),
         (["cycles", "--c", "-2,0", "--box=-inf,3,-7,7"], "-inf"),
-        (["cycles", "--c", "-2,0", "--box", "-3,3,-7,7", "--tol", "inf"], "inf"),
-        (["land", "--c", "-2,0", "--address", "0", "--tol", "inf"], "inf"),
-        (["audit", "--c", "-2,0", "--match-tol", "inf"], "inf"),
+        (["cycles", "--c", "-2,0", "--box", "-3,3,-7,7", "--radius=-inf"], "-inf"),
+        (["tails", "--c", "-2,0", "--address", "0", "--radius", "inf"], "inf"),
+        (["regions", "--c", "-2,0", "--radius", "nan"], "nan"),
     ])
     def test_non_finite_rejected_before_any_work(self, capsys, monkeypatch, args, bad):
         def no_work(*args, **kwargs):
@@ -434,12 +439,92 @@ class TestMeaninglessLimits:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and bad in err
 
+    @pytest.mark.parametrize("module, names, args, message", [
+        (census, ("find_cycles", "singular_escape_status", "landing_table", "build_ray_graph"),
+         ["audit", "--max-period", "3", "--horizon", "0"], "horizon must be >= 1"),
+        (cli, ("build_ray_graph", "find_cycles", "interior_fixed_point_audit"),
+         ["regions", "--p", "3", "--audit", "--grid", "0"], "grid must be >= 1"),
+    ], ids=["audit-horizon", "regions-audit-grid"])
+    def test_limits_checked_before_any_work(self, capsys, monkeypatch, module, names, args,
+                                            message):
+        def not_before_the_limits(*args, **kwargs):
+            raise AssertionError("work started before the limits were checked")
+
+        for name in names:
+            monkeypatch.setattr(module, name, not_before_the_limits)
+        assert main([*args, "--c", "-2,0"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_zero_radius_is_the_default_radius(self, capsys):
+        outputs = []
+        for extra in ([], ["--radius", "0"]):
+            assert main(["land", "--c", "-2,0", "--address", "0", *extra]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0].out)["config"]["R"] == 4.0
+
     def test_zero_grid_errors_name_their_flag(self, capsys):
         errors = []
         for flag in ("--probe-grid", "--grid"):
             assert main(["audit", "--c", "-2,0", "--max-period", "1", flag, "0"]) == 2
             errors.append(capsys.readouterr().err)
         assert errors[0] != errors[1]
+
+
+#: the removed tolerance flags, and regions' --max-period, by command
+REMOVED_FLAGS = [("land", "--tol"), ("cycles", "--tol"), ("audit", "--tol"),
+                 ("audit", "--tol-band"), ("audit", "--landing-tol"),
+                 ("audit", "--match-tol"), ("regions", "--max-period")]
+
+
+class TestFixedTolerances:
+    """The tolerances are module constants: no flag or parameter sets them,
+    and each JSON config still records the ones its command uses."""
+
+    def test_configs_record_the_constants(self, capsys):
+        runs = {"audit": ["--max-period", "1", "--grid", "20"],
+                "cycles": ["--box", "-3,3,-1,1", "--max-period", "1", "--grid", "20"],
+                "land": ["--address", "0"]}
+        configs = {}
+        for command, args in runs.items():
+            assert main([command, "--c", "-2,0", *args]) == 0
+            configs[command] = json.loads(capsys.readouterr().out)["config"]
+        audit = configs["audit"]
+        assert (audit["tol"], audit["tol_band"], audit["landing_tol"], audit["match_tol"]) == (
+            cycles.DEFAULT_TOL, cycles.DEFAULT_TOL_BAND, rays.DEFAULT_LANDING_TOL,
+            census.DEFAULT_MATCH_TOL) == (1e-12, 1e-6, 1e-10, 1e-6)
+        assert configs["cycles"]["tol"] == cycles.DEFAULT_TOL
+        assert configs["land"]["tol"] == rays.DEFAULT_LANDING_TOL
+
+    @pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+    def test_removed_flag_exit_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--c", "-2,0", flag, "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {flag} 1" in err
+
+    def test_help_lists_no_removed_flag(self):
+        subs = cli._build_parser()[1]
+        for command, flag in REMOVED_FLAGS:
+            assert not re.search(rf"{flag}\b(?!-)", subs[command].format_help()), (command, flag)
+
+    def test_no_tolerance_parameter(self):
+        functions = (cycles.classify, cycles.find_cycles, rays.landing_point,
+                     rays.land_periodic, rays.landing_table, census.landing_search,
+                     census.audit)
+        names = {"tol", "tol_band", "landing_tol", "match_tol"}
+        assert [(f.__name__, p) for f in functions
+                for p in inspect.signature(f).parameters if p in names] == []
+
+
+def test_readme_names_only_existing_flags():
+    """Every --flag the README names is an option of some subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    options = {opt for sub in cli._build_parser()[1].values()
+               for action in sub._actions for opt in action.option_strings}
+    assert "--max-period" in named and sorted(named - options) == []
 
 
 class TestIndexedLocation:

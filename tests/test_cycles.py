@@ -38,15 +38,6 @@ class TestClassify:
         assert classify(1 + 0j)[0] == "parabolic-suspected"
         assert classify(cmath.exp(2j * math.pi / 3))[0] == "parabolic-suspected"
 
-    @pytest.mark.parametrize("tol_band", [-1.0, 1.0, 1.5, float("nan")])
-    def test_meaningless_tol_band_rejected(self, tol_band):
-        # a negative band once classified the repelling multiplier 1.5 as attracting
-        with pytest.raises(ValueError, match="tol_band"):
-            classify(1.5, tol_band)
-
-    def test_zero_tol_band_accepted(self):
-        assert classify(1.5, 0.0)[0] == "repelling"
-
     def test_golden_mean_is_indifferent(self):
         lam = cmath.exp(2j * math.pi * theta)
         cls, rho = classify(lam)
@@ -267,13 +258,6 @@ class TestInvariants:
             find_cycles(M2, 0, BOX)
         with pytest.raises(ValueError):
             find_cycles(M2, 1, (1, -1, 0, 2))
-        for tol in (0.0, -1.0):
-            with pytest.raises(ValueError, match="tol must be > 0"):
-                find_cycles(M2, 1, BOX, grid=5, tol=tol)
-        # checked before the search, which may find no cycle to classify
-        for tol_band in (-1.0, 1.0):
-            with pytest.raises(ValueError, match="tol_band"):
-                find_cycles(M2, 1, (10.0, 11.0, 0.0, 1.0), grid=1, tol_band=tol_band)
 
     @pytest.mark.parametrize("box, message", [
         ((-math.inf, 3, -7, 7), "finite"), ((-3, math.inf, -7, 7), "finite"),
@@ -291,18 +275,18 @@ class TestInvariants:
             build_ray_graph(M2, 1, 1, box=box, grid=20)
 
 
-def _reference_find_cycles(m, max_period, box, grid=40, tol=1e-12, tol_band=1e-6):
+def _reference_find_cycles(m, max_period, box, grid=40):
     """find_cycles as one chunk that keeps every seed's root and solves each
     candidate row's polish on its own."""
-    near = 10.0 * max(tol, 1e-12)
+    near = 10.0 * cycles.DEFAULT_TOL
     p, cell = np.divmod(np.arange(max_period * grid * grid), grid * grid)
     p = p + 1
     seeds = _grid_seeds(grid, box)[cell]
-    z, ok = cycles._roots(m.c, seeds, p, tol)
+    z, ok = cycles._roots(m.c, seeds, p)
     z, p = z[ok], p[ok]
-    mp = cycles._minimal_period(m.c, z, p, tol)
+    mp = cycles._minimal_period(m.c, z, p)
     at = np.argsort(mp, kind="stable")
-    zd, ok = cycles._roots(m.c, z[at], mp[at], tol)
+    zd, ok = cycles._roots(m.c, z[at], mp[at])
     z[at[ok]] = zd[ok]
     orbits = np.empty((len(z), max_period), dtype=complex)
     orbits[:, 0] = z
@@ -318,12 +302,12 @@ def _reference_find_cycles(m, max_period, box, grid=40, tol=1e-12, tol_band=1e-6
         if not new[k]:  # near a cycle kept since
             continue
         d = int(periods[k])
-        polished, ok = cycles._roots(m.c, orbits[k, :d], d, tol)
+        polished, ok = cycles._roots(m.c, orbits[k, :d], d)
         if not ok.all():
             continue
         polished = polished.tolist()
         z0 = min(polished, key=lambda w: (w.real, w.imag))
-        if (cycles._minimal_period(m.c, np.array([z0]), d, tol)[0] != d
+        if (cycles._minimal_period(m.c, np.array([z0]), d)[0] != d
                 or cycles._near(np.array([z0]), kept[d], near)[0]):
             continue
         k0 = polished.index(z0)
@@ -331,7 +315,7 @@ def _reference_find_cycles(m, max_period, box, grid=40, tol=1e-12, tol_band=1e-6
         lam = complex(1.0, 0.0)
         for w in pts:
             lam *= cmath.exp(w)
-        found.append(cycles.Cycle(pts, d, lam, *classify(lam, tol_band)))
+        found.append(cycles.Cycle(pts, d, lam, *classify(lam)))
         kept[d] = np.append(kept[d], pts)
         new[k + 1:] &= (periods[k + 1:] != d) | ~cycles._near(roots[k + 1:], np.array(pts), near)
     return sorted(found, key=lambda c: (c.period, c.points[0].real, c.points[0].imag))
@@ -365,8 +349,8 @@ class TestDistinctRootsAndOnePolishBatch:
         calls = []
         roots = cycles._roots
 
-        def record(c, z, p, tol):
-            out = roots(c, z, p, tol)
+        def record(c, z, p):
+            out = roots(c, z, p)
             calls.append((z, np.broadcast_to(p, z.shape), out))
             return out
 
@@ -375,7 +359,7 @@ class TestDistinctRootsAndOnePolishBatch:
         z, p, (polish, ok) = calls[-1]  # one chunk: seeds, re-solve, polish
         assert len(calls) == 3 and len(z) > 1 and (np.diff(p) >= 0).all()
         for i in range(len(z)):
-            one, one_ok = roots(c, z[i:i + 1], int(p[i]), 1e-12)
+            one, one_ok = roots(c, z[i:i + 1], int(p[i]))
             assert one.tobytes() == polish[i:i + 1].tobytes() and one_ok[0] == ok[i]
 
     def test_first_of_each_keeps_signed_zeros_apart_and_the_first_row(self):

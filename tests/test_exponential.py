@@ -130,6 +130,14 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             MapModel(c=-2, R=1.5)
 
+    def test_negative_radius_rejected_and_zero_is_the_default(self):
+        # a negative R once ran silently at the default radius
+        for r in (-5.0, -1e-300):
+            with pytest.raises(ValueError, match="R must be >= 0"):
+                MapModel(c=-2, R=r)
+        for r in (0.0, -0.0):
+            assert MapModel(c=-2, R=r).R == MapModel(c=-2).R == 4.0
+
 
 def _full_orbit(m, z, n, radius):
     """forward_orbit without its repeat test: one evaluate per iterate."""
