@@ -281,12 +281,12 @@ def _trichotomy_evidence(m: MapModel, cycle: Cycle, graph: RayGraph, horizon: in
 
 
 def audit(m: MapModel, box: Box, max_period: int, window: int,
-          depth: int = 40, horizon: int = DEFAULT_HORIZON, grid: int = 40,
+          horizon: int = DEFAULT_HORIZON, grid: int = 40,
           probe_grid: int = 120, config: dict | None = None) -> CensusReport:
     """Full census pipeline: cycles, landing searches, counts, verdict."""
     # bad limits exit before the cycle search, not after it
     _check_tail_limits(horizon=horizon)
-    _check_graph_limits(window, depth, probe_grid)
+    _check_graph_limits(window, probe_grid)
     cycles = find_cycles(m, max_period, box, grid=grid).cycles
     fate = singular_escape_status(m, horizon)
 
@@ -334,7 +334,7 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
         return report
 
     # the ray graph depends on the period alone, so candidates of one period share it
-    graphs = {p: build_ray_graph(m, p, window, depth=depth, box=box, grid=probe_grid)
+    graphs = {p: build_ray_graph(m, p, window, box=box, grid=probe_grid)
               for p in dict.fromkeys(cyc.period for cyc in candidates)}
     for cyc in candidates:
         ev = _trichotomy_evidence(m, cyc, graphs[cyc.period], horizon)

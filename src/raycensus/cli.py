@@ -16,9 +16,9 @@ from pathlib import Path
 
 from .addresses import AddressParseError, parse_address, period_of
 from .census import DEFAULT_MATCH_TOL, audit, dumps_canonical
-from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, cycle_through, find_cycles
+from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, _check_box, cycle_through, find_cycles
 from .exponential import MapModel, SingularValueHit
-from .rays import DEFAULT_LANDING_TOL, DEFAULT_MAX_ITER, landing_point, sweep_hair
+from .rays import DEFAULT_LANDING_TOL, DEFAULT_MAX_ITER, LADDER_DEPTH, landing_point, sweep_hair
 from .regions import (
     PointLocationError,
     _check_graph_limits,
@@ -47,33 +47,7 @@ class UsageError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# option parsing: flags override config-file values which override defaults
-
-def _apply_config(sub: argparse.ArgumentParser, path: str):
-    """Makes the values of a key=value config file the command's defaults.
-
-    Keys name flags without the leading dashes; keys that are no flag of
-    the command are ignored.  A switch is on for 1, true or yes.  Other
-    values stay strings, which argparse runs through the flag's type.
-    """
-    flags = {opt[2:]: action for action in sub._actions
-             for opt in action.option_strings
-             if opt.startswith("--") and action.dest not in ("config", "help")}
-    defaults = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{line_no}: expected key=value")
-        key, _, value = line.partition("=")
-        action = flags.get(key.strip())
-        if action is not None:
-            value = value.strip()
-            defaults[action.dest] = (value.lower() in ("1", "true", "yes")
-                                     if action.nargs == 0 else value)
-    sub.set_defaults(**defaults)
-
+# option values
 
 def _parse_complex_pair(text: str) -> complex:
     parts = text.split(",")
@@ -90,14 +64,11 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
     if len(parts) != 4:
         raise UsageError(f"expected re_lo,re_hi,im_lo,im_hi but got {text!r}")
     try:
-        a, b, c, d = (float(p) for p in parts)
+        box = tuple(float(p) for p in parts)
     except ValueError:
         raise UsageError(f"bad box {text!r}") from None
-    if not all(map(math.isfinite, (a, b, c, d))):
-        raise UsageError(f"box bounds must be finite, got {text!r}")
-    if not (a < b and c < d):
-        raise UsageError(f"empty box {text!r}")
-    return a, b, c, d
+    _check_box(box)
+    return box
 
 
 def _parse_t_range(text: str) -> tuple[float, float]:
@@ -123,7 +94,7 @@ def _require(args: argparse.Namespace, name: str) -> str:
 
 
 def _map_model(args: argparse.Namespace) -> MapModel:
-    return MapModel(c=_parse_complex_pair(_require(args, "c")), R=args.radius)
+    return MapModel(c=_parse_complex_pair(_require(args, "c")))
 
 
 def _emit(text: str, out: str | None):
@@ -185,21 +156,12 @@ def _cmd_land(args: argparse.Namespace) -> int:
 def _cmd_cycles(args: argparse.Namespace) -> int:
     m = _map_model(args)
     box = _parse_box(_require(args, "box"))
-    if args.verify_coverage and args.grid < 2:
-        raise UsageError("--verify-coverage needs --grid >= 2")
     cycles = find_cycles(m, args.max_period, box, grid=args.grid).cycles
-    warnings = []
-    if args.verify_coverage:
-        half = args.grid // 2
-        coarse = find_cycles(m, args.max_period, box, grid=half).cycles
-        if len(cycles) < len(coarse):
-            warnings.append(f"coverage: {len(cycles)} cycles at grid {args.grid} "
-                            f"but {len(coarse)} at grid {half}")
     doc = {
         "config": _base_config(m, box=list(box), max_period=args.max_period,
                                grid=args.grid, tol=DEFAULT_TOL),
         "cycles": [c.to_json_dict() for c in cycles],
-        "warnings": warnings,
+        "warnings": [],
     }
     _emit(dumps_canonical(doc) + "\n", args.out)
     return 0
@@ -210,10 +172,9 @@ def _cmd_regions(args: argparse.Namespace) -> int:
     box = _parse_box(args.box)
     if args.audit and args.grid < 1:
         raise UsageError("grid must be >= 1")
-    graph = build_ray_graph(m, args.p, args.window, depth=args.depth, box=box,
-                            grid=args.probe_grid)
+    graph = build_ray_graph(m, args.p, args.window, box=box, grid=args.probe_grid)
     doc = graph.to_json_dict()
-    doc["config"] = _base_config(m, p=args.p, window=args.window, depth=args.depth,
+    doc["config"] = _base_config(m, p=args.p, window=args.window, depth=LADDER_DEPTH,
                                  box=list(box), probe_grid=args.probe_grid)
     if args.audit:
         # the audit reads only the cycles whose period divides p
@@ -238,26 +199,25 @@ def _cmd_tails(args: argparse.Namespace) -> int:
         raise UsageError("tails subcommand needs a purely periodic address")
     _check_tail_limits(max_level=args.max_level, samples=args.samples,
                        horizon=args.horizon)
+    box = _parse_box(args.box)
     res = landing_point(m, s)
     if not res.landed:
         print(f"address {s} does not land ({res.status}); no tail context",
               file=sys.stderr)
         return EXIT_NOT_CONVERGED if res.status == "not-converged" else EXIT_SINGULAR
     window = max(1, s.max_abs_entry) if args.window is None else args.window
-    box = _parse_box(args.box)
     # a bad graph setting wins over a cycle outside the box, which needs no graph
-    _check_graph_limits(window, args.depth, args.probe_grid)
+    _check_graph_limits(window, args.probe_grid)
     # the landing point lies on the cycle the tails are defined by
     target = cycle_through(m, res.point, p, box)
     if target is None:
         print("landing cycle not found in box; enlarge --box", file=sys.stderr)
         return EXIT_USAGE
-    graph = build_ray_graph(m, p, window, depth=args.depth, box=box,
-                            grid=args.probe_grid)
+    graph = build_ray_graph(m, p, window, box=box, grid=args.probe_grid)
     ctx = make_tail_context(m, target, graph, horizon=args.horizon)
     doc = {
         "config": _base_config(m, address=str(s), window=window,
-                               depth=args.depth, box=list(box),
+                               depth=LADDER_DEPTH, box=list(box),
                                probe_grid=args.probe_grid, horizon=args.horizon,
                                max_level=args.max_level, samples=args.samples),
         "r": ctx.r,
@@ -271,11 +231,11 @@ def _cmd_tails(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     m = _map_model(args)
     box = _parse_box(args.box)
-    settings = {key: getattr(args, key) for key in ("depth", "horizon", "grid", "probe_grid")}
+    settings = {key: getattr(args, key) for key in ("horizon", "grid", "probe_grid")}
     config = _base_config(m, box=list(box), max_period=args.max_period,
-                          window=args.window, **settings, tol=DEFAULT_TOL,
-                          tol_band=DEFAULT_TOL_BAND, landing_tol=DEFAULT_LANDING_TOL,
-                          match_tol=DEFAULT_MATCH_TOL)
+                          window=args.window, depth=LADDER_DEPTH, **settings,
+                          tol=DEFAULT_TOL, tol_band=DEFAULT_TOL_BAND,
+                          landing_tol=DEFAULT_LANDING_TOL, match_tol=DEFAULT_MATCH_TOL)
     report = audit(m, box, args.max_period, args.window, config=config, **settings)
     _emit(report.to_json() + "\n", args.out)
     for w in report.warnings:
@@ -290,8 +250,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the sub-parser of each command, built once."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once."""
     ap = argparse.ArgumentParser(
         prog="raycensus",
         description="Dynamic rays, cycles, tails and a refined "
@@ -302,15 +262,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
         p.add_argument("--c", help="parameter as re,im")
-        p.add_argument("--radius", type=float, default=0.0,
-                       help="override tract radius R")
-        p.add_argument("--config", help="key=value config file")
         p.add_argument("--out", help="write output here instead of stdout")
         return p
 
     def graph_flags(p: argparse.ArgumentParser, window: int | None, probe_grid: int):
         p.add_argument("--window", type=int, default=window)
-        p.add_argument("--depth", type=int, default=40)
         p.add_argument("--box", default=_DEFAULT_BOX)
         p.add_argument("--probe-grid", type=int, default=probe_grid)
 
@@ -318,7 +274,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--address")
     p.add_argument("--t", help="potential range lo:hi")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--depth", type=int, default=40)
+    p.add_argument("--depth", type=int, default=LADDER_DEPTH)
 
     p = command("land", _cmd_land, "landing point of a periodic ray")
     p.add_argument("--address")
@@ -328,7 +284,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--box")
     p.add_argument("--max-period", type=int, default=2)
     p.add_argument("--grid", type=int, default=40)
-    p.add_argument("--verify-coverage", action="store_true")
 
     p = command("regions", _cmd_regions, "ray graph and basic regions")
     p.add_argument("--p", type=int, default=1)
@@ -350,7 +305,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--grid", type=int, default=40)
     p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
 
-    return ap, sub.choices
+    return ap
 
 
 #: flags whose values may start with "-" (negative reals); joined with "="
@@ -372,23 +327,10 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Flags override config-file values, which override the parser's defaults.
-
-    A config file changes its command's defaults in a parser built for that
-    run alone, not in the cached one that all runs without --config share."""
-    args = _build_parser()[0].parse_args(argv)
-    if args.config:
-        ap, commands = _build_parser.__wrapped__()
-        _apply_config(commands[args.command], args.config)
-        args = ap.parse_args(argv)
-    return args
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = _parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.run(args)
     except (SingularValueHit, TrappedSingularOrbit) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,9 +32,9 @@ def _check_box(box: Box):
     """Rejects a box with a bound that is not finite, or with no interior."""
     xlo, xhi, ylo, yhi = box
     if not all(map(math.isfinite, box)):
-        raise ValueError("box bounds must be finite")
+        raise ValueError(f"box bounds must be finite, got {box!r}")
     if not (xlo < xhi and ylo < yhi):
-        raise ValueError("empty box")
+        raise ValueError(f"empty box {box!r}")
 
 
 def _in_box(box: Box, z):

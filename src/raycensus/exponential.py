@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,25 +52,21 @@ def _default_radius(c: complex) -> float:
 class MapModel:
     """f(z) = e^z + c with its tract geometry.
 
-    R is the radius of the disk D centered at 0 containing S(f) and f(0);
-    R = 0 picks the default radius.
+    R is the radius of the disk D centered at 0 containing S(f) and f(0),
+    max(|c| + 2, |1 + c| + 1, e), set once from c.
     """
 
     c: complex
-    R: float = 0.0
+    R: float = field(init=False)
 
     def __post_init__(self):
-        for name, value in (("c", self.c), ("R", self.R)):
-            if not cmath.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.R < 0.0:
-            raise ValueError(f"R must be >= 0, got {self.R!r}")
-        if self.R == 0.0:
-            object.__setattr__(self, "R", _default_radius(self.c))
-        if abs(self.c) >= self.R or abs(1.0 + self.c) >= self.R:
-            raise ValueError("R too small: D must contain c and 1 + c")
-        if math.log(self.R - abs(self.c)) <= -self.R:
-            raise ValueError("R too small: cut curve would meet the tract")
+        if not cmath.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c!r}")
+        R = _default_radius(self.c)
+        # from |c| ~ 1.8e16 on, |c| + 2 rounds to |c|
+        if abs(self.c) >= R or abs(1.0 + self.c) >= R:
+            raise ValueError(f"c = {self.c!r} too large: D must contain c and 1 + c")
+        object.__setattr__(self, "R", R)
 
     @property
     def tract_threshold(self) -> float:

@@ -34,6 +34,9 @@ ESCAPE_THRESHOLD = 1e5
 #: ladder potentials are not exponentiated past this height
 _LADDER_CAP = 600.0
 
+#: most pullbacks of a ladder seed: ray-graph arcs, and hairs by default
+LADDER_DEPTH = 40
+
 DEFAULT_LANDING_TOL = 1e-10  # pullback step of convergence; scale of the landing tests
 DEFAULT_MAX_ITER = 10_000
 
@@ -347,7 +350,7 @@ def ladder_descend(m: MapModel, s: InfiniteAddress, t: float,
     return pullback_sequence(m, s, complex(u, TWO_PI * s.entry(j)), j)[::-1]
 
 
-def sweep_hair(m: MapModel, s: InfiniteAddress, depth: int = 60,
+def sweep_hair(m: MapModel, s: InfiniteAddress, depth: int = LADDER_DEPTH,
                t_lo: float = 1e-3, t_hi: float | None = None,
                samples: int = 160) -> list[tuple[float, complex]]:
     """Geometric sweep of the hair: (potential, point) pairs ordered by

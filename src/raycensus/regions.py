@@ -16,7 +16,7 @@ import numpy as np
 from .addresses import InfiniteAddress
 from .cycles import Box, Cycle, _check_box
 from .exponential import TWO_PI, MapModel, is_escaped
-from .rays import _NO_HIT, _ladder_start, _psi_batch, landing_table
+from .rays import _NO_HIT, LADDER_DEPTH, _ladder_start, _psi_batch, landing_table
 
 SNAP_TOL = 1e-9
 ARC_LAND_TOL = 1e-6  # a traced arc ends once it comes this close to its landing point
@@ -103,7 +103,6 @@ class RayGraph:
     map: MapModel
     p: int
     window: int
-    depth: int
     box: Box
     grid: int
     arcs: list[Arc]
@@ -435,7 +434,7 @@ class RayGraph:
         return {
             "p": self.p,
             "window": self.window,
-            "depth": self.depth,
+            "depth": LADDER_DEPTH,
             "box": list(self.box),
             "grid": self.grid,
             "arcs": [{
@@ -449,11 +448,11 @@ class RayGraph:
         }
 
 
-def _trace_arcs(m: MapModel, entries: np.ndarray, points: np.ndarray,
-                depth: int) -> list[list[complex] | str | None]:
+def _trace_arcs(m: MapModel, entries: np.ndarray,
+                points: np.ndarray) -> list[list[complex] | str | None]:
     """Polyline of each ray to its landing point, or why it has none.
 
-    Ray i has the address entries entries[i, :depth + 1] and lands at
+    Ray i has the address entries entries[i, :LADDER_DEPTH + 1] and lands at
     points[i]; a ray whose point is nan did not land and is not traced
     (None).  A ray is sampled at potentials t = truncation + 10, shrinking
     by _ARC_RATIO, until a sample lies within ARC_LAND_TOL of its landing
@@ -473,7 +472,7 @@ def _trace_arcs(m: MapModel, entries: np.ndarray, points: np.ndarray,
         for _ in range(_ARC_MAX_SAMPLES):
             if not rows.size:
                 break
-            u, j = _ladder_start(t, depth)
+            u, j = _ladder_start(t, LADDER_DEPTH)
             z, hit = _psi_batch(m.c, shifts[rows, :j], u + shifts[rows, j])
             for i in rows[hit != _NO_HIT].tolist():
                 out[i] = "singular-hit"
@@ -492,14 +491,13 @@ def _trace_arcs(m: MapModel, entries: np.ndarray, points: np.ndarray,
     return out
 
 
-def _check_graph_limits(window: int, depth: int, grid: int):
-    for name, value, least in (("window", window, 0), ("depth", depth, 0),
-                               ("probe grid", grid, 1)):
+def _check_graph_limits(window: int, grid: int):
+    for name, value, least in (("window", window, 0), ("probe grid", grid, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}")
 
 
-def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
+def build_ray_graph(m: MapModel, p: int, window: int,
                     box: Box = (-3.0, 3.0, -7.0, 7.0), grid: int = 200) -> RayGraph:
     """Graph of the landed rays fixed by f^p with window-bounded addresses.
 
@@ -509,15 +507,15 @@ def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    _check_graph_limits(window, depth, grid)
+    _check_graph_limits(window, grid)
     _check_box(box)
     arcs: list[Arc] = []
     failures: list[tuple[InfiniteAddress, str]] = []
     tables = landing_table(m, window, [d for d in range(1, p + 1) if p % d == 0]).values()
-    cols = np.arange(depth + 1)
+    cols = np.arange(LADDER_DEPTH + 1)
     traces = _trace_arcs(m, np.concatenate([row.words[:, cols % row.words.shape[1]]
                                             for row in tables]),
-                         np.concatenate([row.points for row in tables]), depth)
+                         np.concatenate([row.points for row in tables]))
     landings = [(row.address(i), row.result(i)) for row in tables for i in range(len(row.words))]
     for (s, res), trace in zip(landings, traces):
         if not res.landed:
@@ -528,9 +526,8 @@ def build_ray_graph(m: MapModel, p: int, window: int, depth: int = 40,
             arcs.append(Arc(address=s, vertices=trace, landing=res.point))
 
     segs = [ab for arc in arcs for ab in zip(arc.vertices, arc.vertices[1:])]
-    graph = RayGraph(map=m, p=p, window=window, depth=depth, box=box,
-                     grid=grid, arcs=arcs, failures=failures,
-                     _segs=np.array(segs, dtype=complex).reshape(-1, 2))
+    graph = RayGraph(map=m, p=p, window=window, box=box, grid=grid, arcs=arcs,
+                     failures=failures, _segs=np.array(segs, dtype=complex).reshape(-1, 2))
     graph._index_segments()
     graph._build_regions()
     return graph

@@ -137,7 +137,7 @@ def random_addresses(rng, count, window, max_period):
 
 def test_criterion_1_hyperbolic_audit():
     t0 = time.time()
-    report = audit(M2, BOX, 2, 1, depth=40, horizon=1000, grid=40)
+    report = audit(M2, BOX, 2, 1, horizon=1000, grid=40)
     elapsed = time.time() - t0
 
     att = [c for c in report.cycles if c.is_attracting]
@@ -188,7 +188,7 @@ def test_criterion_2_landing_characterization_equivalence():
 
 @pytest.fixture(scope="module")
 def tail_ctx():
-    graph = build_ray_graph(M2, 1, 1, depth=40, box=BOX, grid=120)
+    graph = build_ray_graph(M2, 1, 1, box=BOX, grid=120)
     rep = [c for c in find_cycles(M2, 1, BOX, grid=30).cycles
            if c.is_repelling][0]
     assert abs(rep.points[0] - 1.1461932206205825) < 1e-10
@@ -225,7 +225,7 @@ def test_criterion_4_piece_mapping_identity(tail_ctx):
 
 
 def test_criterion_5_separation_audit():
-    graph = build_ray_graph(M2, 1, 1, depth=40, box=BOX, grid=200)
+    graph = build_ray_graph(M2, 1, 1, box=BOX, grid=200)
     cycles = find_cycles(M2, 1, BOX, grid=40).cycles
     sep = interior_fixed_point_audit(graph, cycles)
     assert sep.ok and not sep.poisoned
@@ -234,7 +234,7 @@ def test_criterion_5_separation_audit():
     assert abs(interior[0] - ORACLE_ATTRACTING) < 1e-8
 
     ms = MapModel(c=SIEGEL_C)
-    graph_s = build_ray_graph(ms, 1, 1, depth=40, box=BOX, grid=200)
+    graph_s = build_ray_graph(ms, 1, 1, box=BOX, grid=200)
     cycles_s = find_cycles(ms, 1, BOX, grid=40).cycles
     sep_s = interior_fixed_point_audit(graph_s, cycles_s)
     assert sep_s.ok and not sep_s.poisoned
@@ -247,7 +247,7 @@ def test_criterion_5_separation_audit():
 
 
 def test_criterion_6_siegel_indifferent_count():
-    report = audit(MapModel(c=SIEGEL_C), BOX, 2, 1, depth=40, horizon=1000,
+    report = audit(MapModel(c=SIEGEL_C), BOX, 2, 1, horizon=1000,
                    grid=40)
     ind = [c for c in report.cycles if c.cls == "indifferent"]
     assert len(ind) == 1
@@ -328,7 +328,7 @@ from raycensus.census import audit
 from raycensus.exponential import MapModel
 box = (-3.0, 3.0, -7.0, 7.0)
 cfg = {"c": [-2.0, 0.0], "box": list(box), "max_period": 2, "window": 1}
-report = audit(MapModel(c=-2), box, 2, 1, depth=40, grid=40, config=cfg)
+report = audit(MapModel(c=-2), box, 2, 1, grid=40, config=cfg)
 sys.stdout.buffer.write(report.to_json().encode())
 """
 

@@ -165,12 +165,12 @@ class TestLandingSearch:
 
 @pytest.fixture(scope="module")
 def hyperbolic_report():
-    return audit(M2, BOX, 2, 1, depth=40, horizon=1000, grid=40)
+    return audit(M2, BOX, 2, 1, horizon=1000, grid=40)
 
 
 @pytest.fixture(scope="module")
 def siegel_report():
-    return audit(MapModel(c=SIEGEL_C), BOX, 2, 1, depth=40, horizon=1000,
+    return audit(MapModel(c=SIEGEL_C), BOX, 2, 1, horizon=1000,
                  grid=40)
 
 
@@ -318,7 +318,7 @@ class TestInvisibleCandidateMachinery:
         candidates = [ls.cycle for ls in report.searches if ls.invisible_candidate]
         assert [cyc.period for cyc in candidates] == [2, 2, 2]
         reference = [census._trichotomy_evidence(
-            M2, cyc, build_ray_graph(M2, 2, 0, depth=40, box=BOX, grid=120), DEFAULT_HORIZON)
+            M2, cyc, build_ray_graph(M2, 2, 0, box=BOX, grid=120), DEFAULT_HORIZON)
             for cyc in candidates]
         assert report.trichotomy == reference
 

@@ -1,5 +1,7 @@
+import argparse
 import ast
 import csv
+import dataclasses
 import inspect
 import json
 import re
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from raycensus import census, cli, cycles, rays
+from raycensus import census, cli, cycles, rays, regions
 from raycensus.addresses import parse_address
 from raycensus.cli import main
 from raycensus.exponential import MapModel
@@ -25,6 +27,12 @@ AUDIT_ARGS = ["audit", "--c", "-2,0", "--box", "-3,3,-7,7",
 def run_cli(args, **kw):
     return subprocess.run([sys.executable, "-m", "raycensus.cli", *args],
                           capture_output=True, text=True, **kw)
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each command, by name."""
+    return next(action.choices for action in cli._build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
 
 
 class TestTraceRay:
@@ -86,7 +94,7 @@ class TestLand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "64 bits" in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    @pytest.mark.parametrize("flag", ["--out"])
     def test_missing_path_exit_2(self, tmp_path, capsys, flag):
         code = main(["land", "--c", "-2,0", "--address", "0",
                      flag, str(tmp_path / "missing" / "x")])
@@ -122,98 +130,6 @@ class TestAudit:
         assert doc["verdict"] == "not-applicable"
 
 
-class TestConfigFile:
-    def test_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("c=-2,0\nbox=-3,3,-7,7\nmax-period=1\nwindow=1\ngrid=25\n")
-        base = run_cli(["audit", "--config", str(cfg)])
-        assert base.returncode == 0
-        doc = json.loads(base.stdout)
-        assert doc["config"]["max_period"] == 1
-        over = run_cli(["audit", "--config", str(cfg), "--max-period", "2",
-                        "--grid", "30"])
-        doc2 = json.loads(over.stdout)
-        assert doc2["config"]["max_period"] == 2
-
-    def test_bad_config_line(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("not a pair\n")
-        result = run_cli(["audit", "--config", str(cfg)])
-        assert result.returncode == 2
-
-    def test_config_does_not_reach_later_runs(self, tmp_path, capsys):
-        # runs without --config share one parser; the file's defaults go to
-        # a parser of the --config run alone
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("max-iter=500\nradius=6\n")
-        argv = ["land", "--c", "-2,0", "--address", "0"]
-        outputs = []
-        for extra in ([], ["--config", str(cfg)], []):
-            assert main([*argv, *extra]) == 0
-            outputs.append(json.loads(capsys.readouterr().out)["config"])
-        assert (outputs[1]["max_iter"], outputs[1]["R"]) == (500, 6.0)
-        assert outputs[2] == outputs[0]
-        assert (outputs[2]["max_iter"], outputs[2]["R"]) == (cli.DEFAULT_MAX_ITER, 4.0)
-        land = cli._build_parser()[1]["land"]
-        assert land.get_default("max_iter") == cli.DEFAULT_MAX_ITER
-        assert land.get_default("radius") == 0.0
-
-    # per case: the command, its settings as flags, the same settings as
-    # config lines, a flag to override in the file, an int or float flag
-    @pytest.mark.parametrize("command,flags,lines,override,typed", [
-        ("trace-ray", ["--address", "0", "--t", "5:200", "--samples", "30", "--depth", "20"],
-         ["address=0", "t=5:200", "samples=30", "depth=20"], "samples", "depth"),
-        ("land", ["--address", "0,1", "--max-iter", "500", "--radius", "6"],
-         ["address=0,1", "max-iter=500", "radius=6"], "max-iter", "radius"),
-        ("cycles", ["--box", "-3,3,-1,1", "--max-period", "1", "--grid", "25",
-                    "--verify-coverage"],
-         ["box=-3,3,-1,1", "max-period=1", "grid=25", "verify-coverage=1"], "grid", "radius"),
-        ("regions", ["--p", "1", "--probe-grid", "40", "--grid", "25", "--audit"],
-         ["p=1", "probe-grid=40", "grid=25", "audit=yes"], "probe-grid", "depth"),
-        ("regions", ["--p", "1", "--probe-grid", "40"],
-         ["p=1", "probe-grid=40", "audit=no"], "p", "grid"),
-        ("tails", ["--address", "0", "--max-level", "2", "--probe-grid", "60",
-                   "--samples", "6", "--horizon", "500"],
-         ["address=0", "max-level=2", "probe-grid=60", "samples=6", "horizon=500"],
-         "samples", "horizon"),
-        ("audit", ["--max-period", "1", "--grid", "25", "--horizon", "500"],
-         ["max-period=1", "grid=25", "horizon=500"], "max-period", "depth"),
-    ], ids=["trace-ray", "land", "cycles", "regions-audit", "regions", "tails",
-            "audit-json"])
-    def test_config_file_equals_flags(self, tmp_path, capsys, command, flags, lines,
-                                      override, typed):
-        def invoke(*args, config=None):
-            argv = [command, *args]
-            if config is not None:
-                cfg = tmp_path / "run.cfg"
-                cfg.write_text("".join(line + "\n" for line in config))
-                argv += ["--config", str(cfg)]
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err
-
-        expected = invoke("--c", "-2,0", *flags)
-        assert expected[0] == 0
-        # the same settings from a file
-        assert invoke(config=["c=-2,0", *lines]) == expected
-        # a flag overrides the file
-        good = flags[flags.index(f"--{override}") + 1]
-        assert invoke("--c", "-2,0", f"--{override}", good,
-                      config=[*lines, f"{override}=2", "c=abc"]) == expected
-        # keys that are no flag of the command are ignored, as are those of
-        # removed flags
-        assert invoke(config=["c=-2,0", *lines, "no-such-key=abc", "match-tol=1e-4",
-                              "max_iter=abc", "probe_grid=abc", "config=missing.cfg",
-                              "help=yes"]) == expected
-        # a malformed value of a flag exits 2, whether or not the run reads it
-        code, out, err = invoke(config=["c=-2,0", *lines, f"{typed}=abc"])
-        assert (code, out) == (2, "")
-        assert f"argument --{typed}: invalid" in err
-
-
 class TestOtherCommands:
     def test_cycles_json(self):
         result = run_cli(["cycles", "--c", "-2,0", "--box", "-3,3,-1,1",
@@ -222,21 +138,6 @@ class TestOtherCommands:
         doc = json.loads(result.stdout)
         assert [(c["period"], c["class"]) for c in doc["cycles"]] == [
             (1, "attracting"), (1, "repelling")]
-
-    @pytest.mark.parametrize("box, grid, warnings", [
-        ("-3,3,-1,1", "20", []),
-        ("-3,3,-13,13", "4", ["coverage: 1 cycles at grid 4 but 3 at grid 2"])],
-        ids=["no-warning", "warning"])
-    def test_cycles_coverage_warning(self, capsys, box, grid, warnings):
-        # --verify-coverage searches half the grid too; finding more there
-        # shows the full grid missed cycles
-        args = ["cycles", "--c", "-2,0", "--box", box, "--max-period", "1", "--grid", grid]
-        assert main(args) == 0
-        plain = json.loads(capsys.readouterr().out)
-        assert main([*args, "--verify-coverage"]) == 0
-        checked = json.loads(capsys.readouterr().out)
-        assert plain["warnings"] == [] and checked["warnings"] == warnings
-        assert checked["cycles"] == plain["cycles"]
 
     def test_grid_300_lists_each_period_four_cycle_once(self, capsys):
         # the self-conjugate 4-cycle through 1.4044 +/- 6.0209i is listed,
@@ -288,18 +189,13 @@ class TestOtherCommands:
         cycle = json.loads(out)["cycle"]
         assert (cycle["period"], cycle["class"]) == (4, "repelling")
 
-    def test_tails_has_no_grid(self, tmp_path, capsys):
+    def test_tails_has_no_grid(self, capsys):
         argv = ["tails", "--c", "-2,0", "--address", "0", "--max-level", "2", "--samples", "4"]
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--grid", "40"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --grid 40" in capsys.readouterr().err
         assert main(argv) == 0
-        expected = capsys.readouterr()
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("grid=abc\n")
-        assert main([*argv, "--config", str(cfg)]) == 0
-        assert capsys.readouterr() == expected
 
     def test_tails_orbit_escaping_beyond_the_box_exit_4(self, capsys):
         # the singular orbit 0, 1, e follows the 2-cycle's region; e^e lies
@@ -328,8 +224,24 @@ class TestOtherCommands:
 
 class TestCommandSurface:
     def test_commands(self):
-        assert list(cli._build_parser()[1]) == [
+        assert list(subcommands()) == [
             "trace-ray", "land", "cycles", "regions", "tails", "audit"]
+
+    def test_long_options(self):
+        options = {name: {opt for action in sub._actions for opt in action.option_strings
+                          if opt.startswith("--") and opt != "--help"}
+                   for name, sub in subcommands().items()}
+        common = {"--c", "--out"}
+        graph = {"--window", "--box", "--probe-grid"}
+        assert options == {
+            "trace-ray": common | {"--address", "--t", "--samples", "--depth"},
+            "land": common | {"--address", "--max-iter"},
+            "cycles": common | {"--box", "--max-period", "--grid"},
+            "regions": common | graph | {"--p", "--grid", "--audit"},
+            "tails": common | graph | {"--address", "--max-level", "--horizon", "--samples"},
+            "audit": common | graph | {"--max-period", "--grid", "--horizon"},
+        }
+        assert sum(map(len, options.values())) == 40
 
     @pytest.mark.parametrize("argv, message", [
         (["plot", "--c", "-2,0", "--p", "1", "--out-dir", "out"], "invalid choice: 'plot'"),
@@ -346,17 +258,15 @@ class TestCommandSurface:
 
 class TestMeaninglessLimits:
     @pytest.mark.parametrize("args", [
-        # a negative radius once ran at the default radius
-        ["audit", "--max-period", "1", "--grid", "20", "--radius", "-5"],
-        ["tails", "--address", "0", "--max-level", "2", "--radius", "-5"],
-        ["regions", "--p", "1", "--radius", "-0.5"],
-        ["land", "--address", "0", "--radius", "-5"],
-        ["trace-ray", "--address", "0", "--t", "1:5", "--radius", "-5"],
+        ["audit", "--max-period", "0"],
+        ["tails", "--address", "0", "--max-level", "2", "--window", "-1"],
+        ["regions", "--p", "0"],
+        ["land", "--address", "0", "--max-iter", "-1"],
+        ["trace-ray", "--address", "0", "--t", "1:5", "--samples", "1"],
         ["land", "--address", "0", "--max-iter", "0"],
-        ["cycles", "--box", "-3,3,-7,7", "--grid", "20", "--radius", "-5"],
+        ["cycles", "--box", "-3,3,-7,7", "--grid", "0"],
         ["trace-ray", "--address", "0", "--t", "1:5", "--depth", "-3"],
-        # half of a 1-point grid is no grid, so the coverage check cannot run
-        ["cycles", "--box", "-3,3,-7,7", "--grid", "1", "--verify-coverage"],
+        ["cycles", "--box", "-3,3,-7,7", "--max-period", "0"],
     ])
     def test_rejected_exit_2(self, capsys, args):
         code = main([*args, "--c", "-2,0"])
@@ -374,7 +284,7 @@ class TestMeaninglessLimits:
         ["regions", "--c", "-2,0", "--p", "1", "--audit", "--grid", "0"],
         ["regions", "--c", "-2,0", "--p", "1", "--audit", "--grid", "-1"],
         # each once exited 0, 5 or 6: checked only where a graph was built
-        ["audit", "--c", "-2,0", "--max-period", "1", "--depth", "-1"],
+        ["audit", "--c", "0,0", "--max-period", "1", "--probe-grid", "0"],
         ["audit", "--c", "-2,0", "--max-period", "1", "--probe-grid", "0"],
         ["audit", "--c", "-2,0", "--max-period", "2", "--window", "0", "--probe-grid", "0"],
         ["audit", "--c", "0,0", "--max-period", "1", "--window", "-1"],
@@ -420,12 +330,12 @@ class TestMeaninglessLimits:
         (["cycles", "--c", "nan,0", "--box", "-3,3,-7,7"], "nan"),
         (["regions", "--c", "nan,0"], "nan"),
         (["audit", "--c", "nan,0"], "nan"),
-        (["audit", "--c", "-2,0", "--radius", "nan"], "nan"),
-        (["land", "--c", "-2,0", "--address", "0", "--radius", "inf"], "inf"),
+        (["audit", "--c", "-2,0", "--box=-3,3,nan,7"], "nan"),
+        (["land", "--c", "inf,0", "--address", "0"], "inf"),
         (["cycles", "--c", "-2,0", "--box=-inf,3,-7,7"], "-inf"),
-        (["cycles", "--c", "-2,0", "--box", "-3,3,-7,7", "--radius=-inf"], "-inf"),
-        (["tails", "--c", "-2,0", "--address", "0", "--radius", "inf"], "inf"),
-        (["regions", "--c", "-2,0", "--radius", "nan"], "nan"),
+        (["regions", "--c", "-2,0", "--box=-inf,3,-7,7"], "-inf"),
+        (["tails", "--c", "-2,0", "--address", "0", "--box=-3,inf,-7,7"], "inf"),
+        (["regions", "--c", "-2,nan"], "nan"),
     ])
     def test_non_finite_rejected_before_any_work(self, capsys, monkeypatch, args, bad):
         def no_work(*args, **kwargs):
@@ -455,14 +365,6 @@ class TestMeaninglessLimits:
         assert main([*args, "--c", "-2,0"]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    def test_zero_radius_is_the_default_radius(self, capsys):
-        outputs = []
-        for extra in ([], ["--radius", "0"]):
-            assert main(["land", "--c", "-2,0", "--address", "0", *extra]) == 0
-            outputs.append(capsys.readouterr())
-        assert outputs[0] == outputs[1]
-        assert json.loads(outputs[0].out)["config"]["R"] == 4.0
-
     def test_zero_grid_errors_name_their_flag(self, capsys):
         errors = []
         for flag in ("--probe-grid", "--grid"):
@@ -475,6 +377,27 @@ class TestMeaninglessLimits:
 REMOVED_FLAGS = [("land", "--tol"), ("cycles", "--tol"), ("audit", "--tol"),
                  ("audit", "--tol-band"), ("audit", "--landing-tol"),
                  ("audit", "--match-tol"), ("regions", "--max-period")]
+
+#: the removed radius, config-file, ray-graph depth and coverage flags
+REMOVED_SETTINGS = [
+    *((command, flag) for flag in ("--radius", "--config")
+      for command in ("trace-ray", "land", "cycles", "regions", "tails", "audit")),
+    ("regions", "--depth"), ("tails", "--depth"), ("audit", "--depth"),
+    ("cycles", "--verify-coverage")]
+
+
+def assert_unrecognized(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--c", "-2,0", flag, "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flag} 1" in err
+
+
+def assert_not_in_help(removed):
+    subs = subcommands()
+    for command, flag in removed:
+        assert not re.search(rf"{flag}\b(?!-)", subs[command].format_help()), (command, flag)
 
 
 class TestFixedTolerances:
@@ -498,16 +421,10 @@ class TestFixedTolerances:
 
     @pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
     def test_removed_flag_exit_2(self, capsys, command, flag):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--c", "-2,0", flag, "1"])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and f"unrecognized arguments: {flag} 1" in err
+        assert_unrecognized(capsys, command, flag)
 
     def test_help_lists_no_removed_flag(self):
-        subs = cli._build_parser()[1]
-        for command, flag in REMOVED_FLAGS:
-            assert not re.search(rf"{flag}\b(?!-)", subs[command].format_help()), (command, flag)
+        assert_not_in_help(REMOVED_FLAGS)
 
     def test_no_tolerance_parameter(self):
         functions = (cycles.classify, cycles.find_cycles, rays.landing_point,
@@ -518,11 +435,55 @@ class TestFixedTolerances:
                 for p in inspect.signature(f).parameters if p in names] == []
 
 
+class TestFixedSettings:
+    """R is set from c and ray-graph arcs use rays.LADDER_DEPTH: no flag or
+    parameter sets either, and each JSON output still records them."""
+
+    def test_outputs_record_the_fixed_values(self, capsys):
+        runs = {"regions": ["--p", "1", "--probe-grid", "40"],
+                "tails": ["--address", "0", "--max-level", "2", "--samples", "4"],
+                "audit": ["--max-period", "1", "--grid", "20"],
+                "cycles": ["--box", "-3,3,-1,1", "--max-period", "1", "--grid", "20"],
+                "land": ["--address", "0"]}
+        docs = {}
+        for command, args in runs.items():
+            assert main([command, "--c", "-2,0", *args]) == 0
+            docs[command] = json.loads(capsys.readouterr().out)
+        assert [doc["config"]["R"] for doc in docs.values()] == [4.0] * len(runs)
+        assert docs["audit"]["map"]["R"] == 4.0
+        assert rays.LADDER_DEPTH == docs["regions"]["depth"] == 40
+        assert [docs[command]["config"]["depth"] for command in ("regions", "tails", "audit")] \
+            == [40] * 3
+        assert docs["cycles"]["warnings"] == []
+
+    @pytest.mark.parametrize("command, flag", REMOVED_SETTINGS)
+    def test_removed_flag_exit_2(self, capsys, command, flag):
+        assert_unrecognized(capsys, command, flag)
+
+    def test_help_lists_no_removed_flag(self):
+        assert_not_in_help(REMOVED_SETTINGS)
+
+    def test_no_radius_or_depth_parameter(self):
+        assert [f.name for f in dataclasses.fields(MapModel) if f.init] == ["c"]
+        assert "depth" not in {f.name for f in dataclasses.fields(RayGraph)}
+        for function in (regions.build_ray_graph, census.audit):
+            assert "depth" not in inspect.signature(function).parameters
+        # a hair's ladder depth defaults to that of the arcs
+        assert inspect.signature(rays.sweep_hair).parameters["depth"].default \
+            == subcommands()["trace-ray"].get_default("depth") == rays.LADDER_DEPTH
+
+    def test_too_large_c_is_named(self, capsys):
+        # |c| + 2 rounds to |c|; the error once blamed a radius nobody gave
+        assert main(["land", "--c", "1e17,0", "--address", "0"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: c = (1e+17+0j) too large: D must contain c and 1 + c\n")
+
+
 def test_readme_names_only_existing_flags():
     """Every --flag the README names is an option of some subcommand."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     named = set(re.findall(r"--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
-    options = {opt for sub in cli._build_parser()[1].values()
+    options = {opt for sub in subcommands().values()
                for action in sub._actions for opt in action.option_strings}
     assert "--max-period" in named and sorted(named - options) == []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -86,16 +87,14 @@ class TestInverseBranch:
 
 
 class TestFundamentalDomain:
-    M5 = MapModel(c=-2, R=5)
-
     def test_real_point(self):
-        assert fundamental_domain_of(self.M5, 10) == 0
+        assert fundamental_domain_of(M2, 10) == 0
 
     def test_translated_point(self):
-        assert fundamental_domain_of(self.M5, complex(10, TWO_PI)) == 1
+        assert fundamental_domain_of(M2, complex(10, TWO_PI)) == 1
 
     def test_left_of_tract(self):
-        assert fundamental_domain_of(self.M5, -10) is None
+        assert fundamental_domain_of(M2, -10) is None
 
     def test_label_consistency(self):
         rng = random.Random(3)
@@ -123,20 +122,24 @@ class TestModelValidation:
     def test_default_radius_contains_c_and_f0(self):
         for c in (-2, 0, complex(0.7375, 4.5588), 5j):
             m = MapModel(c=c)
+            assert m.R == max(abs(c) + 2, abs(1 + c) + 1, math.e)
             assert abs(c) < m.R and abs(1 + c) < m.R
             assert math.log(m.R - abs(c)) > -m.R
 
     def test_radius_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            MapModel(c=-2, R=1.5)
+        # |c| + 2 rounds to |c|, so no radius computed from c contains it;
+        # the message names c, as no radius was given
+        for c in (1e17, -1e17, complex(0, 1e17)):
+            with pytest.raises(ValueError) as exc:
+                MapModel(c=c)
+            assert str(exc.value) == f"c = {c!r} too large: D must contain c and 1 + c"
 
-    def test_negative_radius_rejected_and_zero_is_the_default(self):
-        # a negative R once ran silently at the default radius
-        for r in (-5.0, -1e-300):
-            with pytest.raises(ValueError, match="R must be >= 0"):
-                MapModel(c=-2, R=r)
-        for r in (0.0, -0.0):
-            assert MapModel(c=-2, R=r).R == MapModel(c=-2).R == 4.0
+    def test_radius_is_set_from_c(self):
+        with pytest.raises(TypeError):
+            MapModel(c=-2, R=5.0)
+        m = MapModel(c=-2)
+        assert m.R == 4.0
+        assert dataclasses.replace(m, c=1).R == 3.0
 
 
 def _full_orbit(m, z, n, radius):

@@ -11,7 +11,7 @@ from raycensus import regions
 from raycensus.addresses import parse_address
 from raycensus.cycles import find_cycles
 from raycensus.exponential import MapModel, SingularValueHit, evaluate
-from raycensus.rays import ladder_descend
+from raycensus.rays import LADDER_DEPTH, ladder_descend
 from raycensus.regions import (
     LOCATED,
     NO_REGION,
@@ -57,7 +57,7 @@ def exact_cross(*ends) -> bool:
 
 @pytest.fixture(scope="module")
 def graph_m2():
-    return build_ray_graph(M2, 1, 1, depth=40, box=BOX, grid=120)
+    return build_ray_graph(M2, 1, 1, box=BOX, grid=120)
 
 
 #: parameters of the benchmark's circle |c + 2| = 0.15 where many witness
@@ -68,7 +68,7 @@ BENCH_CIRCLE = (complex(-2.1481219654863297, -0.02366185412148723), complex(-1.9
 @pytest.fixture(scope="module", params=BENCH_CIRCLE, ids=str)
 def graph_circle(request):
     """The graph `tails --address 0` builds at a bench-circle parameter."""
-    return build_ray_graph(MapModel(c=request.param), 1, 1, depth=40, box=BOX, grid=120)
+    return build_ray_graph(MapModel(c=request.param), 1, 1, box=BOX, grid=120)
 
 
 class TestSegmentsCross:
@@ -273,7 +273,7 @@ class TestLabelling:
         (2, 1, BOX, 40), (2, 1, BOX, 120), (3, 2, (1.2, 2.8, -1.5, 1.5), 60),
     ], ids=["40", "120", "p3-window2-60"])
     def test_probe_edges_open_iff_crossing_free(self, p, window, box, grid):
-        g = build_ray_graph(M2, p, window, depth=40, box=box, grid=grid)
+        g = build_ray_graph(M2, p, window, box=box, grid=grid)
         labels, representatives = union_find_labels(g)
         assert g._region_of_probe.tolist() == labels
         assert g._representatives == representatives
@@ -317,23 +317,19 @@ class TestBuild:
             assert arc.vertices[-1].imag == arc.vertices[-2].imag
 
     def test_window_zero_p2_single_arc(self):
-        g = build_ray_graph(M2, 2, 0, depth=40, box=BOX, grid=40)
+        g = build_ray_graph(M2, 2, 0, box=BOX, grid=40)
         assert len(g.arcs) == 1
         assert str(g.arcs[0].address) == "0"
 
     def test_c0_zero_ray_excluded_with_diagnostic(self):
-        g = build_ray_graph(MapModel(c=0), 1, 0, depth=40, box=BOX, grid=40)
+        g = build_ray_graph(MapModel(c=0), 1, 0, box=BOX, grid=40)
         assert len(g.arcs) == 0
         assert g.failures == [(parse_address("0"), "singular-hit")]
 
     @pytest.mark.parametrize("grid", [0, -5])
     def test_probe_grid_below_one_rejected(self, grid):
         with pytest.raises(ValueError, match="grid must be >= 1"):
-            build_ray_graph(M2, 1, 1, depth=40, box=BOX, grid=grid)
-
-    def test_negative_depth_rejected(self):
-        with pytest.raises(ValueError, match="depth must be >= 0"):
-            build_ray_graph(M2, 1, 1, depth=-3, box=BOX, grid=40)
+            build_ray_graph(M2, 1, 1, box=BOX, grid=grid)
 
     def test_arcs_pairwise_disjoint(self, graph_m2):
         arcs = graph_m2.arcs
@@ -386,9 +382,9 @@ def scalar_arcs_and_failures(m, p, window, depth):
 ARC_ULPS = 8
 
 
-def assert_same_graph_arcs(m, p, window, depth=40):
-    want_arcs, want_failures = scalar_arcs_and_failures(m, p, window, depth)
-    g = build_ray_graph(m, p, window, depth=depth, box=BOX, grid=3)
+def assert_same_graph_arcs(m, p, window):
+    want_arcs, want_failures = scalar_arcs_and_failures(m, p, window, LADDER_DEPTH)
+    g = build_ray_graph(m, p, window, box=BOX, grid=3)
     assert g.failures == want_failures
     assert [arc.address for arc in g.arcs] == [s for s, _ in want_arcs]
     for arc, (_, want) in zip(g.arcs, want_arcs):
@@ -472,8 +468,8 @@ class TestPointLocation:
                     pass
 
     def test_deterministic_rebuild(self):
-        g1 = build_ray_graph(M2, 1, 1, depth=40, box=BOX, grid=60)
-        g2 = build_ray_graph(M2, 1, 1, depth=40, box=BOX, grid=60)
+        g1 = build_ray_graph(M2, 1, 1, box=BOX, grid=60)
+        g2 = build_ray_graph(M2, 1, 1, box=BOX, grid=60)
         assert g1.to_json_dict()["regions"] == g2.to_json_dict()["regions"]
         for z in (-1 + 0j, 2 + 3j, 2 - 3j, 0.5 + 6.9j):
             assert g1.basic_region_of(z) == g2.basic_region_of(z)
@@ -543,7 +539,7 @@ def enclosure(z, half=0.05):
 
 
 def hand_graph(segs, box=BOX, grid=20):
-    g = RayGraph(map=M2, p=1, window=0, depth=0, box=box, grid=grid, arcs=[], failures=[],
+    g = RayGraph(map=M2, p=1, window=0, box=box, grid=grid, arcs=[], failures=[],
                  _segs=np.array(segs, dtype=complex).reshape(-1, 2))
     g._index_segments()
     g._build_regions()
@@ -812,7 +808,7 @@ class TestBatchedLocation:
         assert (ix[0], iy[0]) == (graph_m2.grid - 1, 0)
 
     def test_graph_without_segments(self):
-        g = build_ray_graph(MapModel(c=0), 1, 0, depth=40, box=BOX, grid=40)
+        g = build_ray_graph(MapModel(c=0), 1, 0, box=BOX, grid=40)
         assert len(g._segs) == 0
         rng = np.random.default_rng(2)
         z = rng.uniform(-4, 4, 50) + 1j * rng.uniform(-8, 8, 50)
@@ -894,7 +890,7 @@ class TestSeparationAudit:
 
     def test_siegel_audit_passes(self):
         ms = MapModel(c=SIEGEL_C)
-        g = build_ray_graph(ms, 1, 1, depth=40, box=BOX, grid=120)
+        g = build_ray_graph(ms, 1, 1, box=BOX, grid=120)
         cycles = find_cycles(ms, 1, BOX, grid=40).cycles
         audit = interior_fixed_point_audit(g, cycles)
         assert audit.ok
@@ -908,7 +904,7 @@ class TestSeparationAudit:
         # on the ray), leaving an empty graph; both fixed points of e^z in
         # the box become interior points of the single region
         m0 = MapModel(c=0)
-        g0 = build_ray_graph(m0, 1, 0, depth=40, box=BOX, grid=40)
+        g0 = build_ray_graph(m0, 1, 0, box=BOX, grid=40)
         assert not g0.arcs
         cycles = find_cycles(m0, 1, BOX, grid=40).cycles
         assert len(cycles) == 2  # 0.318 +- 1.337i

@@ -54,7 +54,7 @@ FIX_REPELLING = 1.1461932206205825
 
 @pytest.fixture(scope="module")
 def graph_m2():
-    return build_ray_graph(M2, 1, 1, depth=40, box=BOX, grid=120)
+    return build_ray_graph(M2, 1, 1, box=BOX, grid=120)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ class TestChooseRadius:
     def test_cycle_moduli_dominate(self, graph_m2):
         strip1 = [c for c in find_cycles(M2, 1, (-3, 3, 3, 9), grid=50).cycles
                   if c.is_repelling][0]
-        g = build_ray_graph(M2, 1, 1, depth=40, box=(-3, 3, -1, 9), grid=100)
+        g = build_ray_graph(M2, 1, 1, box=(-3, 3, -1, 9), grid=100)
         b = tuple(g.region_near(z) for z in strip1.points)
         res = choose_radius(M2, strip1, g, b, 1000)
         assert res.status == "radius"
@@ -93,7 +93,7 @@ class TestChooseRadius:
     def test_c0_trapped_unbounded(self):
         # singular orbit of e^z escapes inside the region of its fixed point
         m0 = MapModel(c=0)
-        g0 = build_ray_graph(m0, 1, 1, depth=40, box=BOX, grid=60)
+        g0 = build_ray_graph(m0, 1, 1, box=BOX, grid=60)
         assert len(g0.arcs) == 2  # 0-bar fails, +-1 land
         rep = [c for c in find_cycles(m0, 1, BOX, grid=40).cycles
                if c.is_repelling and c.points[0].imag > 0][0]
@@ -172,7 +172,7 @@ class TestTailMembership:
         m2ctx_period = 1  # m = 1 accepts any length >= 1; force m = 2
         rep2 = [c for c in find_cycles(M2, 2, BOX, grid=40).cycles
                 if c.period == 2][0]
-        g2 = build_ray_graph(M2, 2, 1, depth=40, box=BOX, grid=60)
+        g2 = build_ray_graph(M2, 2, 1, box=BOX, grid=60)
         ctx2 = make_tail_context(M2, rep2, g2, horizon=200)
         with pytest.raises(ValueError):
             scalar_tail_membership(ctx2, (0, 1), 50 + 0j)  # length 2 != 2(n-1)+1
@@ -193,7 +193,7 @@ class TestTailExists:
     def test_level_one_any_label_with_witness(self):
         # needs a graph box containing the +-1 landing points (Im ~ 7.34):
         # otherwise the witness of label 1 sits in a box-clipped sliver
-        g = build_ray_graph(M2, 1, 1, depth=40, box=(-3, 3, -9, 9), grid=140)
+        g = build_ray_graph(M2, 1, 1, box=(-3, 3, -9, 9), grid=140)
         rep = [c for c in find_cycles(M2, 1, BOX, grid=30).cycles
                if c.is_repelling][0]
         wide = make_tail_context(M2, rep, g, horizon=300)
@@ -228,7 +228,7 @@ class TestTailExists:
         res = landing_point(m, s)
         target = next(cyc for cyc in find_cycles(m, 2, BOX, grid=40).cycles
                       if cyc.is_repelling and min(abs(res.point - z) for z in cyc.points) < 1e-6)
-        c = make_tail_context(m, target, build_ray_graph(m, 2, 1, depth=40, box=BOX, grid=120),
+        c = make_tail_context(m, target, build_ray_graph(m, 2, 1, box=BOX, grid=120),
                               horizon=1000)
         seventh, rec = tail_exists(c, s, [7, 8])
         assert seventh.exists
@@ -353,7 +353,7 @@ class TestPeriodTwoContext:
     def test_two_cycle_tails(self):
         rep2 = [c for c in find_cycles(M2, 2, BOX, grid=40).cycles
                 if c.period == 2 and c.points[0].imag > 0][0]
-        g2 = build_ray_graph(M2, 2, 1, depth=40, box=BOX, grid=60)
+        g2 = build_ray_graph(M2, 2, 1, box=BOX, grid=60)
         ctx2 = make_tail_context(M2, rep2, g2, horizon=300)
         s = landing_addr = None
         for cand in ("0,1", "1,0"):
@@ -535,7 +535,7 @@ def enclosed_graph(centre, half=0.005, wall=False):
     segs = [(corners[i], corners[(i + 1) % 4]) for i in range(4)]
     if wall:
         segs.append((centre - half, centre + half))
-    g = RayGraph(map=M2, p=2, window=0, depth=0, box=BOX, grid=20, arcs=[], failures=[],
+    g = RayGraph(map=M2, p=2, window=0, box=BOX, grid=20, arcs=[], failures=[],
                  _segs=np.array(segs))
     g._index_segments()
     g._build_regions()
@@ -546,7 +546,7 @@ def enclosed_graph(centre, half=0.005, wall=False):
 def ctx2():
     rep2 = [c for c in find_cycles(M2, 2, BOX, grid=40).cycles
             if c.period == 2 and c.points[0].imag > 0][0]
-    return make_tail_context(M2, rep2, build_ray_graph(M2, 2, 1, depth=40, box=BOX, grid=60),
+    return make_tail_context(M2, rep2, build_ray_graph(M2, 2, 1, box=BOX, grid=60),
                              horizon=300)
 
 
@@ -612,7 +612,7 @@ class TestBatchedParity:
 
     def test_choose_radius(self, ctx, graph_m2, ctx2):
         m0 = MapModel(c=0)
-        g0 = build_ray_graph(m0, 1, 1, depth=40, box=BOX, grid=60)
+        g0 = build_ray_graph(m0, 1, 1, box=BOX, grid=60)
         rep0 = [c for c in find_cycles(m0, 1, BOX, grid=40).cycles
                 if c.is_repelling and c.points[0].imag > 0][0]
         b0 = tuple(g0.region_near(z) for z in rep0.points)
@@ -620,7 +620,7 @@ class TestBatchedParity:
         # the box with no crossing-free probe in reach, and the next iterate
         # escapes.  With e enclosed instead, a point inside the box that
         # cannot be located raises although the orbit escapes
-        g2 = build_ray_graph(m0, 2, 1, depth=40, box=BOX, grid=120)
+        g2 = build_ray_graph(m0, 2, 1, box=BOX, grid=120)
         z = landing_point(m0, parse_address("0,1")).point
         rep2 = next(c for c in find_cycles(m0, 2, BOX, grid=40).cycles
                     if c.is_repelling and min(abs(z - w) for w in c.points) < 1e-6)
@@ -759,7 +759,7 @@ def ref_tail_diagnostics(ctx, s, max_level, samples):
 def wide_ctx(ctx):
     """ctx on a graph whose box holds the landing points of rays +-1, so
     labels -1 and 1 have tau_1 witnesses too."""
-    g = build_ray_graph(M2, 1, 1, depth=40, box=(-3, 3, -9, 9), grid=140)
+    g = build_ray_graph(M2, 1, 1, box=(-3, 3, -9, 9), grid=140)
     return make_tail_context(M2, ctx.cycle, g, horizon=300)
 
 
