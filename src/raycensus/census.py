@@ -30,7 +30,14 @@ from .rays import (
     landing_table,
     singular_escape_status,
 )
-from .regions import OnArcError, PointLocationError, RayGraph, _check_graph_limits, build_ray_graph
+from .regions import (
+    PROBE_GRID,
+    OnArcError,
+    PointLocationError,
+    RayGraph,
+    _check_graph_limits,
+    build_ray_graph,
+)
 from .tails import DEFAULT_HORIZON, _check_tail_limits, choose_radius, cycle_regions
 
 SCHEMA_VERSION = "3"
@@ -282,11 +289,11 @@ def _trichotomy_evidence(m: MapModel, cycle: Cycle, graph: RayGraph, horizon: in
 
 def audit(m: MapModel, box: Box, max_period: int, window: int,
           horizon: int = DEFAULT_HORIZON, grid: int = 40,
-          probe_grid: int = 120, config: dict | None = None) -> CensusReport:
+          config: dict | None = None) -> CensusReport:
     """Full census pipeline: cycles, landing searches, counts, verdict."""
     # bad limits exit before the cycle search, not after it
     _check_tail_limits(horizon=horizon)
-    _check_graph_limits(window, probe_grid)
+    _check_graph_limits(window, PROBE_GRID)
     cycles = find_cycles(m, max_period, box, grid=grid).cycles
     fate = singular_escape_status(m, horizon)
 
@@ -334,7 +341,7 @@ def audit(m: MapModel, box: Box, max_period: int, window: int,
         return report
 
     # the ray graph depends on the period alone, so candidates of one period share it
-    graphs = {p: build_ray_graph(m, p, window, box=box, grid=probe_grid)
+    graphs = {p: build_ray_graph(m, p, window, box=box, grid=PROBE_GRID)
               for p in dict.fromkeys(cyc.period for cyc in candidates)}
     for cyc in candidates:
         ev = _trichotomy_evidence(m, cyc, graphs[cyc.period], horizon)

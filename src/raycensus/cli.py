@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -19,12 +18,7 @@ from .census import DEFAULT_MATCH_TOL, audit, dumps_canonical
 from .cycles import DEFAULT_TOL, DEFAULT_TOL_BAND, _check_box, cycle_through, find_cycles
 from .exponential import MapModel, SingularValueHit
 from .rays import DEFAULT_LANDING_TOL, DEFAULT_MAX_ITER, LADDER_DEPTH, landing_point, sweep_hair
-from .regions import (
-    PointLocationError,
-    _check_graph_limits,
-    build_ray_graph,
-    interior_fixed_point_audit,
-)
+from .regions import PROBE_GRID, PointLocationError, build_ray_graph, interior_fixed_point_audit
 from .tails import (
     DEFAULT_HORIZON,
     TrappedSingularOrbit,
@@ -76,14 +70,9 @@ def _parse_t_range(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise UsageError(f"expected lo:hi but got {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        return float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"bad potential range {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"potential range must be finite, got {text!r}")
-    if not (0.0 < lo < hi):
-        raise UsageError(f"empty potential range {text!r}")
-    return lo, hi
 
 
 def _require(args: argparse.Namespace, name: str) -> str:
@@ -205,20 +194,18 @@ def _cmd_tails(args: argparse.Namespace) -> int:
         print(f"address {s} does not land ({res.status}); no tail context",
               file=sys.stderr)
         return EXIT_NOT_CONVERGED if res.status == "not-converged" else EXIT_SINGULAR
-    window = max(1, s.max_abs_entry) if args.window is None else args.window
-    # a bad graph setting wins over a cycle outside the box, which needs no graph
-    _check_graph_limits(window, args.probe_grid)
+    window = max(1, s.max_abs_entry)
     # the landing point lies on the cycle the tails are defined by
     target = cycle_through(m, res.point, p, box)
     if target is None:
         print("landing cycle not found in box; enlarge --box", file=sys.stderr)
         return EXIT_USAGE
-    graph = build_ray_graph(m, p, window, box=box, grid=args.probe_grid)
+    graph = build_ray_graph(m, p, window, box=box, grid=PROBE_GRID)
     ctx = make_tail_context(m, target, graph, horizon=args.horizon)
     doc = {
         "config": _base_config(m, address=str(s), window=window,
                                depth=LADDER_DEPTH, box=list(box),
-                               probe_grid=args.probe_grid, horizon=args.horizon,
+                               probe_grid=PROBE_GRID, horizon=args.horizon,
                                max_level=args.max_level, samples=args.samples),
         "r": ctx.r,
         "cycle": target.to_json_dict(),
@@ -231,12 +218,13 @@ def _cmd_tails(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     m = _map_model(args)
     box = _parse_box(args.box)
-    settings = {key: getattr(args, key) for key in ("horizon", "grid", "probe_grid")}
     config = _base_config(m, box=list(box), max_period=args.max_period,
-                          window=args.window, depth=LADDER_DEPTH, **settings,
+                          window=args.window, depth=LADDER_DEPTH, horizon=args.horizon,
+                          grid=args.grid, probe_grid=PROBE_GRID,
                           tol=DEFAULT_TOL, tol_band=DEFAULT_TOL_BAND,
                           landing_tol=DEFAULT_LANDING_TOL, match_tol=DEFAULT_MATCH_TOL)
-    report = audit(m, box, args.max_period, args.window, config=config, **settings)
+    report = audit(m, box, args.max_period, args.window, horizon=args.horizon,
+                   grid=args.grid, config=config)
     _emit(report.to_json() + "\n", args.out)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -265,11 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output here instead of stdout")
         return p
 
-    def graph_flags(p: argparse.ArgumentParser, window: int | None, probe_grid: int):
-        p.add_argument("--window", type=int, default=window)
-        p.add_argument("--box", default=_DEFAULT_BOX)
-        p.add_argument("--probe-grid", type=int, default=probe_grid)
-
     p = command("trace-ray", _cmd_trace_ray, "sample a dynamic ray to CSV")
     p.add_argument("--address")
     p.add_argument("--t", help="potential range lo:hi")
@@ -287,7 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("regions", _cmd_regions, "ray graph and basic regions")
     p.add_argument("--p", type=int, default=1)
-    graph_flags(p, window=1, probe_grid=200)
+    p.add_argument("--window", type=int, default=1)
+    p.add_argument("--box", default=_DEFAULT_BOX)
+    p.add_argument("--probe-grid", type=int, default=200)
     p.add_argument("--grid", type=int, default=40)
     p.add_argument("--audit", action="store_true",
                    help="include the interior-fixed-point audit")
@@ -295,13 +280,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("tails", _cmd_tails, "fundamental tail diagnostics")
     p.add_argument("--address")
     p.add_argument("--max-level", type=int, default=10)
-    graph_flags(p, window=None, probe_grid=120)
+    p.add_argument("--box", default=_DEFAULT_BOX)
     p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     p.add_argument("--samples", type=int, default=16)
 
     p = command("audit", _cmd_audit, "refined Fatou-Shishikura census")
     p.add_argument("--max-period", type=int, default=2)
-    graph_flags(p, window=1, probe_grid=120)
+    p.add_argument("--window", type=int, default=1)
+    p.add_argument("--box", default=_DEFAULT_BOX)
     p.add_argument("--grid", type=int, default=40)
     p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
 

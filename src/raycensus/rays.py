@@ -362,8 +362,9 @@ def sweep_hair(m: MapModel, s: InfiniteAddress, depth: int = LADDER_DEPTH,
     """
     if t_hi is None:
         t_hi = m.truncation + 10.0
-    if not (0.0 < t_lo < t_hi):
-        raise ValueError("need 0 < t_lo < t_hi")
+    # a nan fails the comparison, and an infinite ratio would sample inf
+    if not (0.0 < t_lo < t_hi and math.isfinite(t_hi / t_lo)):
+        raise ValueError(f"need 0 < t_lo < t_hi with t_hi / t_lo finite, got {t_lo!r}:{t_hi!r}")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if depth < 0:

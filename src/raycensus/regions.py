@@ -26,6 +26,7 @@ _PAIR_CAP = 8192  # point x segment pairs held by one numpy pass
 _MAX_PROBES = 600  # probes a point may find blocked before location fails
 _ARC_RATIO = 0.8  # potential ratio of successive samples of a traced arc
 _ARC_MAX_SAMPLES = 400  # samples a traced arc may take to reach its landing point
+PROBE_GRID = 120  # probe grid of the tails and trichotomy graphs
 
 #: status of a located point: region found, on the graph, or no region
 #: (not finite, or every probe tried was blocked)

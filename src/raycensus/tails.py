@@ -52,7 +52,7 @@ class TailContext:
     cycle: Cycle
     graph: RayGraph
     b_regions: tuple[int, ...]   # region id of z_i for i = 0..m-1
-    r: float
+    r: float  # radius of D_r, which contains D: r >= map.R
     # tau_1 image grids of the pieces by (label, samples), the tau_1 witness
     # verdict of each label and the newest pull-back of each _pull_back slot;
     # they depend only on the fields above, which is why the context is frozen
@@ -62,6 +62,11 @@ class TailContext:
         default_factory=dict, init=False, repr=False, compare=False)
     _pullbacks: dict[tuple, tuple[int, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the level-1 tails are closed under moving right only for r > |c|
+        if not self.r >= self.map.R:
+            raise ValueError(f"r = {self.r!r} below R = {self.map.R!r}: D_r must contain D")
 
 
 @dataclass
@@ -190,26 +195,19 @@ def _verdict(result: bool | Exception) -> bool:
     return result
 
 
-def _marches_right(ctx: TailContext, label: int, z: complex) -> bool:
-    """Exact F_label membership persists on a rightward march from z."""
-    m = ctx.map
-    x_safe = math.log(ctx.r + abs(m.c)) + 0.1
-    x = z.real + 0.1
-    while x <= min(x_safe, m.truncation):
-        if not in_fundamental_domain_exact(m, complex(x, z.imag), label,
-                                           radius=ctx.r):
-            return False
-        x += 0.1
-    return True
-
-
 def _tail1_verdicts(ctx: TailContext, label: int, points: list[complex],
                     located: tuple[np.ndarray, ...] | None = None) -> list[bool | Exception]:
     """tail1_membership of every point, or the location error it raises.
 
     The points in F_label are located in one call, unless `located` holds
     the ids, witnesses and statuses of regions_near for all the points, and
-    the rightward probe certificate is one crossing test over all of them.
+    the rightward segments of those in B_0 are one crossing test.
+
+    F_label is not tested again right of a point in it.  With X = e^{Re z}
+    and beta = Re(c e^{-i Im z}), |f(z)|^2 = X^2 + 2 beta X + |c|^2 exceeds
+    r^2 > |c|^2 only where X > -2 beta, right of the vertex -beta, so |f|
+    only grows along the rightward ray; Im z, hence the strip, and the
+    direction of f(z) - c = X e^{i Im z}, hence the side of the cut, stay.
     """
     m = ctx.map
     graph = ctx.graph
@@ -221,27 +219,23 @@ def _tail1_verdicts(ctx: TailContext, label: int, points: list[complex],
     else:
         ids, witnesses, status = (a[cand] for a in located)
     in_b0 = ids == ctx.b_regions[0]
-    # unbounded-component certificate: march right, conditions must persist
-    # (the crossing test runs from the located side when z sits on an arc)
+    # the crossing test runs from the located side when z sits on an arc
     start = witnesses[in_b0]
     end = start.copy()
     end.real = m.truncation + 1.0
     clear = in_b0.copy()
     clear[in_b0] = ~graph._blocked(start, end)
     for k, i in enumerate(cand):
-        if ids[k] < 0:
-            out[i] = graph.location_error(points[i], status[k])
-        elif clear[k]:
-            out[i] = _marches_right(ctx, label, points[i])
+        out[i] = graph.location_error(points[i], status[k]) if ids[k] < 0 else bool(clear[k])
     return out
 
 
 def tail1_membership(ctx: TailContext, label: int, z: complex) -> bool:
-    """z in the level-1 tail of `label`: fundamental-domain slice beyond r.
+    """z in the level-1 tail of `label`: the slice of F_label beyond r.
 
-    Conditions: exact membership in F_label for the r-level slit plane,
-    image outside the closed disk of radius r and off delta_r, region equal
-    to B_0, and the rightward probe certificate of unboundedness.
+    The certificate is three tests: z is in F_label for the r-level slit
+    plane (f(z) outside the closed disk of radius r and off delta_r), its
+    region is B_0, and its rightward segment crosses no arc.
     """
     return _verdict(_tail1_verdicts(ctx, label, [z])[0])
 

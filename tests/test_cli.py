@@ -171,8 +171,7 @@ class TestOtherCommands:
 
     def test_tails_json(self):
         result = run_cli(["tails", "--c", "-2,0", "--address", "0",
-                          "--max-level", "3", "--probe-grid", "60",
-                          "--samples", "8"])
+                          "--max-level", "3", "--samples", "8"])
         assert result.returncode == 0
         doc = json.loads(result.stdout)
         assert len(doc["levels"]) == 3
@@ -232,16 +231,15 @@ class TestCommandSurface:
                           if opt.startswith("--") and opt != "--help"}
                    for name, sub in subcommands().items()}
         common = {"--c", "--out"}
-        graph = {"--window", "--box", "--probe-grid"}
         assert options == {
             "trace-ray": common | {"--address", "--t", "--samples", "--depth"},
             "land": common | {"--address", "--max-iter"},
             "cycles": common | {"--box", "--max-period", "--grid"},
-            "regions": common | graph | {"--p", "--grid", "--audit"},
-            "tails": common | graph | {"--address", "--max-level", "--horizon", "--samples"},
-            "audit": common | graph | {"--max-period", "--grid", "--horizon"},
+            "regions": common | {"--p", "--window", "--box", "--probe-grid", "--grid", "--audit"},
+            "tails": common | {"--address", "--max-level", "--box", "--horizon", "--samples"},
+            "audit": common | {"--max-period", "--window", "--box", "--grid", "--horizon"},
         }
-        assert sum(map(len, options.values())) == 40
+        assert sum(map(len, options.values())) == 37
 
     @pytest.mark.parametrize("argv, message", [
         (["plot", "--c", "-2,0", "--p", "1", "--out-dir", "out"], "invalid choice: 'plot'"),
@@ -256,10 +254,14 @@ class TestCommandSurface:
         assert out == "" and message in err
 
 
+def flag_id(args: list[str]) -> str:
+    """Test id of a row whose last flag and value are the ones checked."""
+    return " ".join([args[0], *args[-2:]])
+
+
 class TestMeaninglessLimits:
     @pytest.mark.parametrize("args", [
         ["audit", "--max-period", "0"],
-        ["tails", "--address", "0", "--max-level", "2", "--window", "-1"],
         ["regions", "--p", "0"],
         ["land", "--address", "0", "--max-iter", "-1"],
         ["trace-ray", "--address", "0", "--t", "1:5", "--samples", "1"],
@@ -267,7 +269,7 @@ class TestMeaninglessLimits:
         ["cycles", "--box", "-3,3,-7,7", "--grid", "0"],
         ["trace-ray", "--address", "0", "--t", "1:5", "--depth", "-3"],
         ["cycles", "--box", "-3,3,-7,7", "--max-period", "0"],
-    ])
+    ], ids=flag_id)
     def test_rejected_exit_2(self, capsys, args):
         code = main([*args, "--c", "-2,0"])
         out, err = capsys.readouterr()
@@ -283,12 +285,9 @@ class TestMeaninglessLimits:
         # the separation audit's cycle grid, checked only with --audit
         ["regions", "--c", "-2,0", "--p", "1", "--audit", "--grid", "0"],
         ["regions", "--c", "-2,0", "--p", "1", "--audit", "--grid", "-1"],
-        # each once exited 0, 5 or 6: checked only where a graph was built
-        ["audit", "--c", "0,0", "--max-period", "1", "--probe-grid", "0"],
-        ["audit", "--c", "-2,0", "--max-period", "1", "--probe-grid", "0"],
-        ["audit", "--c", "-2,0", "--max-period", "2", "--window", "0", "--probe-grid", "0"],
+        # once exited 6: checked only where a graph was built
         ["audit", "--c", "0,0", "--max-period", "1", "--window", "-1"],
-    ])
+    ], ids=flag_id)
     def test_checked_before_use(self, capsys, args):
         code = main(args)
         out, err = capsys.readouterr()
@@ -318,9 +317,6 @@ class TestMeaninglessLimits:
         # the fixed point that ray 1 lands on at c = -2 lies above the box
         assert main(["tails", "--c", "-2,0", "--address", "1"]) == 2
         assert capsys.readouterr() == ("", "landing cycle not found in box; enlarge --box\n")
-        # a bad graph setting still wins over the cycle outside the box
-        assert main(["tails", "--c", "-2,0", "--address", "1", "--probe-grid", "0"]) == 2
-        assert capsys.readouterr() == ("", "error: probe grid must be >= 1\n")
 
     @pytest.mark.parametrize("args, bad", [
         (["trace-ray", "--c", "nan,0", "--address", "0", "--t", "1:2", "--samples", "3"], "nan"),
@@ -336,6 +332,9 @@ class TestMeaninglessLimits:
         (["regions", "--c", "-2,0", "--box=-inf,3,-7,7"], "-inf"),
         (["tails", "--c", "-2,0", "--address", "0", "--box=-3,inf,-7,7"], "inf"),
         (["regions", "--c", "-2,nan"], "nan"),
+        # finite bounds whose ratio overflows once sampled inf potentials
+        (["trace-ray", "--c", "-2,0", "--address", "0", "--t", "1e-300:1e300", "--samples", "3"],
+         "1e+300"),
     ])
     def test_non_finite_rejected_before_any_work(self, capsys, monkeypatch, args, bad):
         def no_work(*args, **kwargs):
@@ -368,7 +367,7 @@ class TestMeaninglessLimits:
     def test_zero_grid_errors_name_their_flag(self, capsys):
         errors = []
         for flag in ("--probe-grid", "--grid"):
-            assert main(["audit", "--c", "-2,0", "--max-period", "1", flag, "0"]) == 2
+            assert main(["regions", "--c", "-2,0", "--p", "1", "--audit", flag, "0"]) == 2
             errors.append(capsys.readouterr().err)
         assert errors[0] != errors[1]
 
@@ -378,12 +377,14 @@ REMOVED_FLAGS = [("land", "--tol"), ("cycles", "--tol"), ("audit", "--tol"),
                  ("audit", "--tol-band"), ("audit", "--landing-tol"),
                  ("audit", "--match-tol"), ("regions", "--max-period")]
 
-#: the removed radius, config-file, ray-graph depth and coverage flags
+#: the removed radius, config-file, ray-graph depth and coverage flags, and
+#: the probe grid and window flags of the tails and trichotomy graphs
 REMOVED_SETTINGS = [
     *((command, flag) for flag in ("--radius", "--config")
       for command in ("trace-ray", "land", "cycles", "regions", "tails", "audit")),
     ("regions", "--depth"), ("tails", "--depth"), ("audit", "--depth"),
-    ("cycles", "--verify-coverage")]
+    ("cycles", "--verify-coverage"),
+    ("tails", "--probe-grid"), ("audit", "--probe-grid"), ("tails", "--window")]
 
 
 def assert_unrecognized(capsys, command, flag):
@@ -436,8 +437,10 @@ class TestFixedTolerances:
 
 
 class TestFixedSettings:
-    """R is set from c and ray-graph arcs use rays.LADDER_DEPTH: no flag or
-    parameter sets either, and each JSON output still records them."""
+    """R is set from c, ray-graph arcs use rays.LADDER_DEPTH, the tails and
+    trichotomy graphs regions.PROBE_GRID, and the tails graph the window
+    max(1, max |s_k|): no flag or parameter sets them, and each JSON output
+    still records them."""
 
     def test_outputs_record_the_fixed_values(self, capsys):
         runs = {"regions": ["--p", "1", "--probe-grid", "40"],
@@ -455,6 +458,15 @@ class TestFixedSettings:
         assert [docs[command]["config"]["depth"] for command in ("regions", "tails", "audit")] \
             == [40] * 3
         assert docs["cycles"]["warnings"] == []
+        assert [docs[command]["config"]["probe_grid"] for command in ("tails", "audit")] \
+            == [regions.PROBE_GRID] * 2 == [120] * 2
+        assert docs["tails"]["config"]["window"] == 1
+
+    def test_tails_window_is_the_largest_label(self, capsys):
+        # ray 2 lands on the fixed point 2.68 + 13.81i of strip 2
+        assert main(["tails", "--c", "-2,0", "--address", "2", "--box=-3,3,-1,15",
+                     "--max-level", "2", "--samples", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["window"] == 2
 
     @pytest.mark.parametrize("command, flag", REMOVED_SETTINGS)
     def test_removed_flag_exit_2(self, capsys, command, flag):
@@ -468,6 +480,7 @@ class TestFixedSettings:
         assert "depth" not in {f.name for f in dataclasses.fields(RayGraph)}
         for function in (regions.build_ray_graph, census.audit):
             assert "depth" not in inspect.signature(function).parameters
+        assert "probe_grid" not in inspect.signature(census.audit).parameters
         # a hair's ladder depth defaults to that of the arcs
         assert inspect.signature(rays.sweep_hair).parameters["depth"].default \
             == subcommands()["trace-ray"].get_default("depth") == rays.LADDER_DEPTH
@@ -480,12 +493,21 @@ class TestFixedSettings:
 
 
 def test_readme_names_only_existing_flags():
-    """Every --flag the README names is an option of some subcommand."""
+    """Every --flag the README names is an option of some subcommand, and
+    each flag of a `raycensus <cmd>` example or a backticked `<cmd> --flag`
+    span is an option of that command."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    named = set(re.findall(r"--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
-    options = {opt for sub in subcommands().values()
-               for action in sub._actions for opt in action.option_strings}
-    assert "--max-period" in named and sorted(named - options) == []
+    flag = r"--[a-z][a-z0-9-]*"
+    named = set(re.findall(flag, readme)) - {"--no-build-isolation"}
+    options = {name: {opt for action in sub._actions for opt in action.option_strings}
+               for name, sub in subcommands().items()}
+    assert "--max-period" in named and sorted(named - set().union(*options.values())) == []
+    commands = "|".join(options)
+    uses = (re.findall(rf"^raycensus ({commands}) ((?:.*\\\n)*.*)", readme, re.M)
+            + re.findall(rf"`({commands}) ([^`]*)`", readme))
+    assert len(uses) > 10
+    assert [(command, opt) for command, text in uses for opt in re.findall(flag, text)
+            if opt not in options[command]] == []
 
 
 class TestIndexedLocation:

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from raycensus import exponential
 from raycensus.exponential import (
@@ -116,6 +116,26 @@ class TestFundamentalDomain:
         assert in_fundamental_domain_exact(M2, 10.0, 0, radius=5.0)
         assert not in_fundamental_domain_exact(M2, 1.5 + 0.2j, 0, radius=5.0)
         assert not in_fundamental_domain_exact(M2, complex(10, TWO_PI), 0)
+
+    @given(re_c=st.floats(-5, 5), im_c=st.floats(-5, 5), margin=st.floats(0, 1),
+           k=st.integers(-2, 2), x=st.floats(0, 1),
+           y=st.one_of(st.floats(-math.pi, math.pi),
+                       st.floats(0, 1e-6).map(lambda d: math.pi - d),
+                       st.floats(0, 1e-6).map(lambda d: d - math.pi)))
+    def test_exact_membership_holds_to_the_right(self, re_c, im_c, margin, k, x, y):
+        # why tails tests F_k at a point and not on a march right of it:
+        # for r > |c|, F_k at radius r is closed under moving right
+        m = MapModel(c=complex(re_c, im_c))
+        r = abs(m.c) + 2.0 + margin * (58.0 - abs(m.c))
+        # |f(z)| <= e^{Re z} + |c|, so F_k lies right of log(r - |c|)
+        x_lo, x_end = math.log(r - abs(m.c)), math.log(r + abs(m.c)) + 0.1
+        z = complex(x_lo + x * (x_end - x_lo), TWO_PI * k + y)
+        assume(in_fundamental_domain_exact(m, z, k, radius=r))
+        j = 1
+        while z.real + 0.1 * j <= x_end:
+            assert in_fundamental_domain_exact(m, complex(z.real + 0.1 * j, z.imag), k,
+                                               radius=r), (z, j)
+            j += 1
 
 
 class TestModelValidation:

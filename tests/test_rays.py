@@ -406,6 +406,16 @@ class TestTraceRay:
         with pytest.raises(ValueError, match="depth must be >= 0"):
             sweep_hair(M2, ZERO, depth=-3, t_lo=5.0, t_hi=200.0)
 
+    @pytest.mark.parametrize("t_lo, t_hi", [(1.0, math.inf), (1.0, math.nan), (math.nan, 5.0),
+                                            (math.inf, math.inf), (1e-300, 1e300)])
+    def test_non_finite_range_rejected_before_any_pullback(self, monkeypatch, t_lo, t_hi):
+        def no_pullback(*args, **kwargs):
+            raise AssertionError("a pullback ran on a non-finite potential")
+
+        monkeypatch.setattr(rays, "_psi_batch", no_pullback)
+        with pytest.raises(ValueError, match="with t_hi / t_lo finite"):
+            sweep_hair(M2, ZERO, t_lo=t_lo, t_hi=t_hi, samples=3)
+
     @pytest.mark.parametrize("samples", [1, 0])
     def test_fewer_than_two_samples_rejected(self, samples):
         with pytest.raises(ValueError, match="samples must be >= 2"):

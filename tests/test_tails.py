@@ -153,6 +153,14 @@ class TestTail1:
         fake = dataclasses.replace(ctx, b_regions=(ctx.b_regions[0] + 1,))
         assert not tail1_membership(fake, 0, 50 + 0j)
 
+    def test_radius_below_R_rejected(self, ctx):
+        # tail1_membership tests F_k at the point alone, which is sound only
+        # where D_r contains D (r >= R >= |c| + 2)
+        assert dataclasses.replace(ctx, r=M2.R).r == M2.R
+        for r in (math.nextafter(M2.R, 0.0), abs(M2.c), math.nan):
+            with pytest.raises(ValueError, match="D_r must contain D"):
+                dataclasses.replace(ctx, r=r)
+
 
 class TestTailMembership:
     def test_level_one_reduces_to_tail1(self, ctx):
